@@ -7,6 +7,7 @@ Exit codes: 0 success/verified, 1 verification or theorem check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -63,7 +64,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.cert) as fh:
+    with open(args.cert, "rb") as fh:
         cert = load_certificate(fh.read())
     if args.structural:
         if cert.provenance is not Provenance.THEOREM1:
@@ -139,6 +140,9 @@ def _add_output_args(p) -> None:
     p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
 
 
+# One parser per process: main() may be called many times in-process, and
+# each build costs about a millisecond and leaves cyclic garbage behind.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cubedom",

@@ -325,12 +325,15 @@ def certificate_from_json(data: dict) -> DominationCertificate:
     try:
         spec = LevelGraphSpec(data["n"], data["k"], data["l"])
         provenance = Provenance(data["provenance"])
-        members = frozenset(
+        listed = [
             VertexRef(Level(m["level"]), Subset.from_elements(m["elements"], spec.n))
             for m in data["members"]
-        )
-    except (KeyError, TypeError) as exc:
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParametersError(f"malformed certificate: {exc}") from exc
+    members = frozenset(listed)
+    if len(members) != len(listed):
+        raise InvalidParametersError("malformed certificate: duplicate members")
     bound = None
     if provenance is Provenance.THEOREM1:
         bound = ceil(spec.n / 2) + 6
@@ -345,5 +348,10 @@ def dump_certificate(cert: DominationCertificate) -> str:
     return json.dumps(certificate_to_json(cert), indent=2, sort_keys=False)
 
 
-def load_certificate(text: str) -> DominationCertificate:
-    return certificate_from_json(json.loads(text))
+def load_certificate(text: str | bytes) -> DominationCertificate:
+    """Parse a certificate; bytes are decoded as UTF-8, UTF-16 or UTF-32."""
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise InvalidParametersError(f"certificate is not JSON: {exc}") from exc
+    return certificate_from_json(data)

@@ -14,4 +14,5 @@ class BudgetExceededError(RuntimeError):
 
 
 class CheckFailedError(RuntimeError):
-    """An experiment sweep found a row contradicting a theorem check."""
+    """A computed result contradicts a check: a theorem check in a sweep, a
+    solver witness that fails re-verification, or a counting identity."""

@@ -44,7 +44,12 @@ class ExperimentRow:
 
     def __post_init__(self) -> None:
         if self.gamma_exact is not None and self.greedy_value is not None:
-            assert self.lower_bound <= self.gamma_exact <= self.greedy_value
+            if not self.lower_bound <= self.gamma_exact <= self.greedy_value:
+                raise ValueError(
+                    f"(n={self.n},k={self.k}): bounds do not nest: lower "
+                    f"{self.lower_bound}, gamma {self.gamma_exact}, "
+                    f"greedy {self.greedy_value}"
+                )
 
 
 def conjecture_main_term(n: int, k: int) -> float:

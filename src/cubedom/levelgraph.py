@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import combinations
 
-from .errors import InvalidParametersError, TooLargeError
+from .errors import CheckFailedError, InvalidParametersError, TooLargeError
 from .subsets import MAX_GROUND_SET, Subset, binomial, enumerate_k_subsets, rank, unrank
 
 DEFAULT_MATERIALIZE_CAP = 50_000
@@ -116,7 +117,8 @@ def graph_stats(spec: LevelGraphSpec) -> dict:
         "upper_degree": binomial(k, l),
         "lower_degree": binomial(n - l, k - l),
     }
-    assert binomial(n, k) * binomial(k, l) == binomial(n, l) * binomial(n - l, k - l)
+    if binomial(n, k) * binomial(k, l) != binomial(n, l) * binomial(n - l, k - l):
+        raise CheckFailedError(f"edge double count disagrees for {spec}")
     return stats
 
 
@@ -155,7 +157,12 @@ class MaterializedGraph:
 def materialize(
     spec: LevelGraphSpec, cap: int = DEFAULT_MATERIALIZE_CAP
 ) -> MaterializedGraph:
-    """Build explicit adjacency lists, refusing graphs above the vertex cap."""
+    """Build explicit adjacency lists, refusing graphs above the vertex cap.
+
+    Edges come from mask arithmetic: the lower neighbours of an upper mask
+    are the sums of its l-combinations of single-bit masks, each looked up
+    in a mask-to-index table built once.
+    """
     n, k, l = spec.n, spec.k, spec.l
     total = binomial(n, k) + binomial(n, l)
     if total > cap:
@@ -163,18 +170,19 @@ def materialize(
     upper_masks = tuple(s.mask for s in enumerate_k_subsets(n, k))
     lower_masks = tuple(s.mask for s in enumerate_k_subsets(n, l))
     nu = len(upper_masks)
+    lower_index = {m: nu + i for i, m in enumerate(lower_masks)}
     adj: list[list[int]] = [[] for _ in range(total)]
     for iu, umask in enumerate(upper_masks):
-        u = VertexRef(Level.UPPER, Subset(umask, n))
-        for w in neighbors_down(spec, u):
-            il = nu + rank(w.set, l)
-            adj[iu].append(il)
+        bits = [1 << i for i in range(n) if umask >> i & 1]
+        down = sorted(lower_index[sum(c)] for c in combinations(bits, l))
+        adj[iu] = down
+        for il in down:
             adj[il].append(iu)
     return MaterializedGraph(
         spec=spec,
         upper_masks=upper_masks,
         lower_masks=lower_masks,
-        adjacency=tuple(tuple(sorted(a)) for a in adj),
+        adjacency=tuple(tuple(a) for a in adj),
     )
 
 

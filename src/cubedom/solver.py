@@ -6,8 +6,9 @@ packed into Python-int bitsets, so a domination test is one OR/compare.
 vertex subsets in lexicographic index order, with only admissible
 feasibility pruning, so the first set found at the optimal size is the
 lexicographically least one.  ``branch_and_bound_gamma`` is the workhorse:
-include/exclude search over coverage-ordered candidates, seeded by the
-greedy solution and bounded below by a two-constraint counting relaxation.
+include/exclude search over coverage-ordered candidates with the upper
+vertex [k] fixed in the set, seeded by the greedy solution and bounded
+below by a two-constraint counting relaxation.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .constructions import (
     Provenance,
     verify_certificate,
 )
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, CheckFailedError
 from .levelgraph import LevelGraphSpec, MaterializedGraph, materialize
 from .subsets import binomial
 
@@ -48,8 +49,15 @@ class SolveReport:
     elapsed: float
 
     def __post_init__(self) -> None:
-        assert self.lower_bound <= self.value
-        assert not self.proven_optimal or self.lower_bound == self.value
+        if self.lower_bound > self.value:
+            raise ValueError(
+                f"lower bound {self.lower_bound} exceeds value {self.value}"
+            )
+        if self.proven_optimal and self.lower_bound != self.value:
+            raise ValueError(
+                f"proven optimal, but lower bound {self.lower_bound} "
+                f"!= value {self.value}"
+            )
 
     def to_json(self) -> dict:
         from .constructions import certificate_to_json
@@ -66,6 +74,10 @@ class SolveReport:
             "elapsed_seconds": self.elapsed,
             "witness": certificate_to_json(self.witness),
         }
+
+
+class _StopSearch(Exception):
+    """Unwinds the branch-and-bound recursion: budget spent or bound met."""
 
 
 def counting_lower_bound(spec: LevelGraphSpec) -> int:
@@ -111,20 +123,21 @@ def _certificate(graph: MaterializedGraph, chosen, provenance: Provenance):
 
 def _checked_report(report: SolveReport) -> SolveReport:
     result = verify_certificate(report.witness)
-    assert result.verified, "solver produced a non-dominating witness"
+    if not result.verified:
+        raise CheckFailedError(
+            f"{report.method.value} produced a non-dominating witness for "
+            f"{report.spec}"
+        )
     return report
 
 
-def greedy_dominate(spec: LevelGraphSpec, cap: int | None = None) -> SolveReport:
-    """Largest-new-coverage-first greedy, lazy-evaluated on a max-heap.
+def _greedy_cover(masks: list[int]) -> list[int]:
+    """Indices picked by lazy largest-new-coverage-first greedy, in pick order.
 
-    Ties break toward the smallest vertex index, i.e. upper level first and
-    then colex rank, so runs are deterministic.
+    ``masks`` are closed-neighbourhood bitsets over their own indices.  Ties
+    break toward the smallest index, so runs are deterministic.
     """
-    start = time.perf_counter()
-    graph = materialize(spec) if cap is None else materialize(spec, cap)
-    masks = _closed_neighborhoods(graph)
-    full = (1 << graph.vertex_count) - 1
+    full = (1 << len(masks)) - 1
     heap = [(-m.bit_count(), i) for i, m in enumerate(masks)]
     heapq.heapify(heap)
     cover = 0
@@ -137,6 +150,18 @@ def greedy_dominate(spec: LevelGraphSpec, cap: int | None = None) -> SolveReport
             continue
         chosen.append(i)
         cover |= masks[i]
+    return chosen
+
+
+def greedy_dominate(spec: LevelGraphSpec, cap: int | None = None) -> SolveReport:
+    """Largest-new-coverage-first greedy, lazy-evaluated on a max-heap.
+
+    Ties break toward the smallest vertex index, i.e. upper level first and
+    then colex rank, so runs are deterministic.
+    """
+    start = time.perf_counter()
+    graph = materialize(spec) if cap is None else materialize(spec, cap)
+    chosen = _greedy_cover(_closed_neighborhoods(graph))
     lb = counting_lower_bound(spec)
     value = len(chosen)
     return _checked_report(
@@ -235,6 +260,17 @@ def branch_and_bound_gamma(
 ) -> SolveReport:
     """Exact search via include/exclude on coverage-ordered candidates.
 
+    Only families containing the upper vertex [k] = {1..k} (vertex 0, colex
+    rank 0) are searched: the search starts with [k] chosen and branches on
+    the other vertices.  This loses no optimum for any n > k > l >= 1.
+    Lower vertices are adjacent only to upper ones, so a family with no
+    upper member must contain all C(n,l) lower vertices; but [k] plus every
+    l-set not inside [k] dominates with 1 + C(n,l) - C(k,l) < C(n,l)
+    members (any other k-set has an element outside [k], and so contains an
+    l-set through it).  Hence every minimum family has an upper member, and
+    since S_n acts transitively on k-sets by automorphisms of the graph,
+    some minimum family contains [k].
+
     Initialized with the greedy solution; pruned by size +
     ceil(uncovered / best-remaining-coverage) against the incumbent and by
     the counting relaxation at the root.  Exceeding the node budget is a
@@ -248,56 +284,57 @@ def branch_and_bound_gamma(
     full = (1 << nv) - 1
     root_lb = counting_lower_bound(spec)
 
-    greedy = greedy_dominate(spec)
-    best_set = [graph.index_of(m) for m in greedy.witness.sorted_members()]
-    best_size = greedy.value
+    best_set = sorted(_greedy_cover(masks))
+    best_size = len(best_set)
 
-    order = sorted(range(nv), key=lambda i: (-masks[i].bit_count(), i))
+    order = sorted(range(1, nv), key=lambda i: (-masks[i].bit_count(), i))
     ordered_masks = [masks[i] for i in order]
-    suffix_or = [0] * (nv + 1)
-    suffix_cov = [1] * (nv + 1)
-    for i in range(nv - 1, -1, -1):
+    ncand = len(order)
+    suffix_or = [0] * (ncand + 1)
+    suffix_cov = [1] * (ncand + 1)
+    for i in range(ncand - 1, -1, -1):
         suffix_or[i] = suffix_or[i + 1] | ordered_masks[i]
         suffix_cov[i] = max(suffix_cov[i + 1], ordered_masks[i].bit_count())
 
     nodes = 0
+    # Search positions chosen besides the fixed vertex 0.
     chosen: list[int] = []
     exhausted = True
 
-    class _Stop(Exception):
-        pass
-
-    def rec(pos: int, cover: int) -> None:
+    def rec(pos: int, size: int, cover: int) -> None:
         nonlocal nodes, best_set, best_size, exhausted
         nodes += 1
         if nodes > node_budget:
             exhausted = False
-            raise _Stop
+            raise _StopSearch
         if cover == full:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                best_set = sorted(order[p] for p in chosen)
+            if size < best_size:
+                best_size = size
+                best_set = [0] + sorted(order[p] for p in chosen)
                 if best_size == root_lb:
-                    raise _Stop
+                    raise _StopSearch
             return
-        if pos == nv:
+        if pos == ncand:
             return
-        uncovered = (full & ~cover).bit_count()
-        bound = len(chosen) + -(-uncovered // suffix_cov[pos])
-        if bound >= best_size:
+        # cover has no bits outside full, so this is (full & ~cover).bit_count().
+        uncovered = nv - cover.bit_count()
+        if size + -(-uncovered // suffix_cov[pos]) >= best_size:
             return
         if cover | suffix_or[pos] != full:
             return
         chosen.append(pos)
-        rec(pos + 1, cover | ordered_masks[pos])
+        rec(pos + 1, size + 1, cover | ordered_masks[pos])
         chosen.pop()
-        rec(pos + 1, cover)
+        rec(pos + 1, size, cover)
 
     if best_size > root_lb:
         try:
-            rec(0, 0)
-        except _Stop:
+            rec(0, 1, masks[0])
+        except _StopSearch:
             pass
+    # rec holds itself in its closure; dropping it frees the search arrays
+    # now instead of leaving a reference cycle for the garbage collector.
+    del rec
     proven = exhausted or best_size == root_lb
     return _checked_report(
         SolveReport(

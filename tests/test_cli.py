@@ -54,6 +54,35 @@ class TestConstructVerify:
         assert code == 1
         assert "[1, 4]" in out
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            json.dumps({
+                "n": 4, "k": 3, "l": 2, "provenance": "bogus",
+                "members": [{"level": "upper", "elements": [1, 2, 3]}],
+            }).encode(),
+            json.dumps({
+                "n": 4, "k": 3, "l": 2, "provenance": "external",
+                "members": [{"level": "middle", "elements": [1, 2, 3]}],
+            }).encode(),
+            b"this is not JSON",
+            b"\xff\xfe\x00bad",
+            json.dumps({
+                "n": 4, "k": 3, "l": 2, "provenance": "external",
+                "members": [{"level": "lower", "elements": [1, 2]},
+                            {"level": "lower", "elements": [2, 1]}],
+            }).encode(),
+        ],
+        ids=["bad-provenance", "bad-level", "not-json", "not-utf8", "duplicate-members"],
+    )
+    def test_malformed_certificate_exits_2(self, capsys, tmp_path, data):
+        path = tmp_path / "cert.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "verify", "--cert", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_theorem1_needs_k(self, capsys):
         code, _, _ = run(capsys, "construct", "--theorem", "1", "--n", "8")
         assert code == 2

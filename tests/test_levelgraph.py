@@ -13,7 +13,7 @@ from cubedom.levelgraph import (
     neighbors_down,
     neighbors_up,
 )
-from cubedom.subsets import Subset, binomial, enumerate_k_subsets
+from cubedom.subsets import Subset, binomial, enumerate_k_subsets, rank
 
 
 def upper(spec, *elements):
@@ -22,6 +22,19 @@ def upper(spec, *elements):
 
 def lower(spec, *elements):
     return VertexRef(Level.LOWER, Subset.from_elements(elements, spec.n))
+
+
+def reference_adjacency(spec):
+    """Adjacency built edge by edge from neighbors_down and rank."""
+    uppers = list(enumerate_k_subsets(spec.n, spec.k))
+    nu = len(uppers)
+    adj = [[] for _ in range(nu + binomial(spec.n, spec.l))]
+    for iu, s in enumerate(uppers):
+        for w in neighbors_down(spec, VertexRef(Level.UPPER, s)):
+            il = nu + rank(w.set, spec.l)
+            adj[iu].append(il)
+            adj[il].append(iu)
+    return tuple(tuple(sorted(a)) for a in adj)
 
 
 class TestSpec:
@@ -135,6 +148,13 @@ class TestMaterialize:
                 continue
             u, v = g.vertex(i), g.vertex(j)
             assert (j in g.adjacency[i]) == adjacent(spec, u, v)
+
+    def test_matches_reference_n_le_10(self):
+        for n in range(3, 11):
+            for k in range(2, n):
+                for l in range(1, k):
+                    spec = LevelGraphSpec(n, k, l)
+                    assert materialize(spec).adjacency == reference_adjacency(spec), spec
 
     def test_cap(self):
         with pytest.raises(TooLargeError):
