@@ -3,7 +3,6 @@
 from .constructions import (
     DominationCertificate,
     Provenance,
-    Theorem1Parts,
     VerificationResult,
     certificate_from_json,
     certificate_to_json,
@@ -11,7 +10,7 @@ from .constructions import (
     theorem2_construct,
     theorem2_lower_bound_witness,
     verify_certificate,
-    verify_theorem1_structural,
+    verify_structural,
 )
 from .errors import (
     BudgetExceededError,
@@ -38,7 +37,6 @@ from .solver import (
     greedy_dominate,
 )
 from .subsets import (
-    PairFamily,
     Subset,
     binomial,
     enumerate_k_subsets,

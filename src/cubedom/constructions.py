@@ -5,10 +5,21 @@ pair) plus a spanning family of ceil(n/2) pairs (covering every k-set),
 of total size at most ceil(n/2) + 6; and for k = n-1 the fixed
 three-vertex family {[n-1], [n]\\{1}, {1,n}}.
 
-Verification comes in two flavours: the enumerative verifier walks every
-vertex of the graph, while the structural verifier checks the two cover
-conditions directly in polynomial time and therefore scales to any n
-within the 64-element cap.
+Verification comes in two flavours.  The enumerative verifier walks every
+vertex of the graph.  The structural verifier handles any l = 2 family
+D = A ∪ H, where A is the set of k-set members and H the set of pair
+members, read as a graph on [n].  D dominates G_{k,2} if and only if
+
+  (i) every pair not in H lies inside some member of A, and
+  (ii) every k-set that is independent in H is in A.
+
+Condition (i) is a scan over the pairs; condition (ii) is a search for a
+k-clique in the complement of H, bounded by a clique partition of H
+(Carraghan & Pardalos 1990; Östergård 2002), which stops at the root for
+the construction above.  So the structural verifier scales to any n within
+the 64-element cap.  Both verifiers report the same witness on failure:
+the undominated vertex of least mask, that is the colex-least one, over
+both levels.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from typing import Optional
 
 from .errors import InvalidParametersError, TooLargeError
 from .levelgraph import Level, LevelGraphSpec, VertexRef, _check_vertex
-from .subsets import PairFamily, Subset, binomial, enumerate_k_subsets, spanning_pairs
+from .subsets import Subset, binomial, enumerate_k_subsets, spanning_pairs
 
 DEFAULT_VERIFY_CAP = 5_000_000
 
@@ -41,7 +52,6 @@ class DominationCertificate:
     spec: LevelGraphSpec
     members: frozenset[VertexRef]
     provenance: Provenance
-    claimed_size_bound: Optional[int] = None
 
     def __post_init__(self) -> None:
         for m in self.members:
@@ -64,65 +74,6 @@ class DominationCertificate:
         return sorted(
             self.members, key=lambda v: (v.level is not Level.UPPER, v.mask)
         )
-
-
-@dataclass(frozen=True)
-class Theorem1Parts:
-    """The named pieces of the pair-covering construction."""
-
-    n: int
-    k: int
-    S: Subset
-    T: Subset
-    S1: Subset
-    S2: Subset
-    T1: Subset
-    T2: Subset
-    P1: Subset
-    P2: Subset
-    P3: Subset
-    P4: Subset
-    B: PairFamily
-    l_pivot: Optional[int] = None
-
-    def a_family(self) -> tuple[Subset, ...]:
-        return (self.S, self.T, self.P1, self.P2, self.P3, self.P4)
-
-    def validate(self) -> None:
-        n, k = self.n, self.k
-        full = (1 << n) - 1
-        if self.S.cardinality != k or self.T.cardinality != k:
-            raise InvalidParametersError("S and T must be k-sets")
-        if self.S.mask | self.T.mask != full:
-            raise InvalidParametersError("S ∪ T must be [n]")
-        if k % 2 == 0:
-            if self.l_pivot is not None:
-                raise InvalidParametersError("even k admits no pivot element")
-            half = k // 2
-            if not (
-                self.S1.cardinality == self.S2.cardinality == half
-                and self.S1.mask | self.S2.mask == self.S.mask
-                and self.T1.cardinality == self.T2.cardinality == half
-                and self.T1.mask | self.T2.mask == self.T.mask
-            ):
-                raise InvalidParametersError("even-k halves do not cover S and T")
-        else:
-            if self.l_pivot is None:
-                raise InvalidParametersError("odd k requires a pivot element")
-            pivot_bit = 1 << (self.l_pivot - 1)
-            if not pivot_bit & self.S.mask & self.T.mask:
-                raise InvalidParametersError("pivot must lie in S ∩ T")
-            if not (
-                self.S1.cardinality == self.S2.cardinality == (k - 1) // 2
-                and self.S1.mask | self.S2.mask == self.S.mask & ~pivot_bit
-                and self.T1.cardinality == self.T2.cardinality == (k + 1) // 2
-                and self.T1.mask | self.T2.mask == self.T.mask
-                and self.T1.mask & self.T2.mask == pivot_bit
-            ):
-                raise InvalidParametersError("odd-k halves do not match the pivot split")
-        for p in (self.P1, self.P2, self.P3, self.P4):
-            if p.cardinality != k:
-                raise InvalidParametersError("padded parts must be k-sets")
 
 
 @dataclass(frozen=True)
@@ -155,7 +106,7 @@ def _pad_to_k(mask: int, k: int, n: int) -> Subset:
     return Subset(mask, n)
 
 
-def theorem1_construct(n: int, k: int) -> tuple[Theorem1Parts, DominationCertificate]:
+def theorem1_construct(n: int, k: int) -> DominationCertificate:
     """Dominating set of G_{k,2} of size at most ceil(n/2)+6, for k > ceil(n/2)."""
     if k <= ceil(n / 2) or k >= n:
         raise InvalidParametersError(
@@ -170,11 +121,9 @@ def theorem1_construct(n: int, k: int) -> tuple[Theorem1Parts, DominationCertifi
         S2 = Subset(S.mask & ~S1.mask, n)
         T1 = _lowest(T.mask, half, n)
         T2 = Subset(T.mask & ~T1.mask, n)
-        pivot = None
     else:
-        # 2k >= n+1, so S ∩ T = {n-k+1, ..., k} is nonempty.
-        pivot = n - k + 1
-        pivot_bit = 1 << (pivot - 1)
+        # The pivot is n-k+1: 2k >= n+1, so S ∩ T = {n-k+1, ..., k} is nonempty.
+        pivot_bit = 1 << (n - k)
         s_rest = S.mask & ~pivot_bit
         S1 = _lowest(s_rest, (k - 1) // 2, n)
         S2 = Subset(s_rest & ~S1.mask, n)
@@ -185,20 +134,11 @@ def theorem1_construct(n: int, k: int) -> tuple[Theorem1Parts, DominationCertifi
     P2 = _pad_to_k(S1.mask | T2.mask, k, n)
     P3 = _pad_to_k(S2.mask | T1.mask, k, n)
     P4 = _pad_to_k(S2.mask | T2.mask, k, n)
-    B = spanning_pairs(n)
-    parts = Theorem1Parts(
-        n=n, k=k, S=S, T=T, S1=S1, S2=S2, T1=T1, T2=T2,
-        P1=P1, P2=P2, P3=P3, P4=P4, B=B, l_pivot=pivot,
+    members = {VertexRef(Level.UPPER, p) for p in (S, T, P1, P2, P3, P4)}
+    members |= {VertexRef(Level.LOWER, p) for p in spanning_pairs(n)}
+    return DominationCertificate(
+        spec=spec, members=frozenset(members), provenance=Provenance.THEOREM1
     )
-    members = {VertexRef(Level.UPPER, p) for p in parts.a_family()}
-    members |= {VertexRef(Level.LOWER, p) for p in B}
-    cert = DominationCertificate(
-        spec=spec,
-        members=frozenset(members),
-        provenance=Provenance.THEOREM1,
-        claimed_size_bound=ceil(n / 2) + 6,
-    )
-    return parts, cert
 
 
 def theorem2_construct(n: int) -> DominationCertificate:
@@ -214,8 +154,7 @@ def theorem2_construct(n: int) -> DominationCertificate:
         }
     )
     return DominationCertificate(
-        spec=spec, members=members, provenance=Provenance.THEOREM2,
-        claimed_size_bound=3,
+        spec=spec, members=members, provenance=Provenance.THEOREM2
     )
 
 
@@ -263,26 +202,90 @@ def verify_certificate(
     return VerificationResult(False, witness)
 
 
-def verify_theorem1_structural(parts: Theorem1Parts, n: int, k: int) -> bool:
-    """Polynomial-time check of the two cover conditions.
+def verify_structural(cert: DominationCertificate) -> VerificationResult:
+    """Check conditions (i) and (ii) of the module docstring for an l=2 family.
 
-    (i) every pair of elements of [n] lies inside some member of the six-set
-    family, so every lower vertex is dominated; (ii) the pair family spans
-    [n] and has ceil(n/2) members while k > ceil(n/2), so by counting every
-    k-set must fully contain one of the pairs.
+    Returns the same result as ``verify_certificate``, witness included,
+    without walking the C(n, k) upper vertices, so it runs for any n <= 64.
     """
-    if parts.n != n or parts.k != k:
-        raise InvalidParametersError("parts do not match the requested (n, k)")
-    parts.validate()
-    a_masks = [p.mask for p in parts.a_family()]
-    for a in range(n):
-        for b in range(a + 1, n):
-            pair = (1 << a) | (1 << b)
-            if not any(pair & m == pair for m in a_masks):
-                return False
-    if len(parts.B) != ceil(n / 2) or not parts.B.spans():
-        return False
-    return k > ceil(n / 2)
+    spec = cert.spec
+    n, k = spec.n, spec.k
+    if spec.l != 2:
+        raise InvalidParametersError(
+            f"structural verification needs l = 2, got l = {spec.l}"
+        )
+    upper = {m.mask for m in cert.members if m.level is Level.UPPER}
+    # H as a graph on [n]: bit b of nbr[a] is set iff {a+1, b+1} is a member.
+    nbr = [0] * n
+    for m in cert.members:
+        if m.level is Level.LOWER:
+            a, b = (i for i in range(n) if m.mask >> i & 1)
+            nbr[a] |= 1 << b
+            nbr[b] |= 1 << a
+
+    bad_lower = _uncovered_pair(n, upper, nbr)
+    bad_upper = _least_independent_k_set(n, k, upper, nbr)
+    if bad_lower is None and bad_upper is None:
+        return VerificationResult(True)
+    if bad_upper is None or (bad_lower is not None and bad_lower < bad_upper):
+        return VerificationResult(False, VertexRef(Level.LOWER, Subset(bad_lower, n)))
+    return VerificationResult(False, VertexRef(Level.UPPER, Subset(bad_upper, n)))
+
+
+def _uncovered_pair(n: int, upper: set[int], nbr: list[int]) -> Optional[int]:
+    """Condition (i): the least pair mask neither in H nor inside a member of A."""
+    joined = list(nbr)
+    for u in upper:
+        for i in range(n):
+            if u >> i & 1:
+                joined[i] |= u
+    for b in range(1, n):
+        apart = ~joined[b] & ((1 << b) - 1)
+        if apart:
+            return (apart & -apart) | (1 << b)
+    return None
+
+
+def _least_independent_k_set(
+    n: int, k: int, upper: set[int], nbr: list[int]
+) -> Optional[int]:
+    """Condition (ii): the least k-set mask independent in H and not in A.
+
+    Depth-first search deciding elements from the top bit down, excluding
+    each before including it, so complete sets arrive in ascending mask
+    order and the first one not in A is the least.  An independent set
+    takes at most one element of each clique of H, so a branch is pruned
+    when a greedy clique partition of its free elements has fewer classes
+    than the elements it still needs.
+    """
+
+    def clique_classes(free: int) -> int:
+        classes = 0
+        while free:
+            v = free.bit_length() - 1
+            clique = 1 << v
+            cand = free & nbr[v]
+            while cand:
+                v = cand.bit_length() - 1
+                clique |= 1 << v
+                cand &= nbr[v]
+            free &= ~clique
+            classes += 1
+        return classes
+
+    def search(chosen: int, free: int, need: int) -> Optional[int]:
+        if need == 0:
+            return None if chosen in upper else chosen
+        if free.bit_count() < need or clique_classes(free) < need:
+            return None
+        v = free.bit_length() - 1
+        rest = free & ~(1 << v)
+        found = search(chosen, rest, need)
+        if found is None:
+            found = search(chosen | 1 << v, rest & ~nbr[v], need - 1)
+        return found
+
+    return search(0, (1 << n) - 1, k)
 
 
 def theorem2_lower_bound_witness(n: int, a: VertexRef, b: VertexRef) -> VertexRef:
@@ -325,23 +328,19 @@ def certificate_from_json(data: dict) -> DominationCertificate:
     try:
         spec = LevelGraphSpec(data["n"], data["k"], data["l"])
         provenance = Provenance(data["provenance"])
-        listed = [
-            VertexRef(Level(m["level"]), Subset.from_elements(m["elements"], spec.n))
-            for m in data["members"]
-        ]
+        listed = []
+        for m in data["members"]:
+            elements = m["elements"]
+            subset = Subset.from_elements(elements, spec.n)
+            if subset.cardinality != len(elements):
+                raise InvalidParametersError(f"repeated element in {elements}")
+            listed.append(VertexRef(Level(m["level"]), subset))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParametersError(f"malformed certificate: {exc}") from exc
     members = frozenset(listed)
     if len(members) != len(listed):
         raise InvalidParametersError("malformed certificate: duplicate members")
-    bound = None
-    if provenance is Provenance.THEOREM1:
-        bound = ceil(spec.n / 2) + 6
-    elif provenance is Provenance.THEOREM2:
-        bound = 3
-    return DominationCertificate(
-        spec=spec, members=members, provenance=provenance, claimed_size_bound=bound
-    )
+    return DominationCertificate(spec=spec, members=members, provenance=provenance)
 
 
 def dump_certificate(cert: DominationCertificate) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Iterable, Optional
 
-from .constructions import theorem1_construct, theorem2_construct, verify_certificate, verify_theorem1_structural
+from .constructions import theorem1_construct, theorem2_construct, verify_certificate, verify_structural
 from .errors import BudgetExceededError, CheckFailedError, InvalidParametersError
 from .levelgraph import LevelGraphSpec
 from .solver import DEFAULT_NODE_BUDGET, branch_and_bound_gamma, counting_lower_bound, greedy_dominate
@@ -122,8 +122,8 @@ def run_theorem1_sweep(
     for n in range(n_min, n_max + 1):
         bound = ceil(n / 2) + 6
         for k in range(ceil(n / 2) + 1, n):
-            parts, cert = theorem1_construct(n, k)
-            if not verify_theorem1_structural(parts, n, k):
+            cert = theorem1_construct(n, k)
+            if not verify_structural(cert).verified:
                 raise CheckFailedError(f"(n={n},k={k}): structural verification failed")
             if cert.size > bound:
                 raise CheckFailedError(f"(n={n},k={k}): size {cert.size} > {bound}")
@@ -213,7 +213,7 @@ def run_conjecture_table(
             report = branch_and_bound_gamma(spec, node_budget=node_budget)
             size = None
             if k > ceil(n / 2):
-                size = theorem1_construct(n, k)[1].size
+                size = theorem1_construct(n, k).size
             rows.append(
                 ExperimentRow(
                     n=n,

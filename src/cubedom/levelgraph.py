@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CheckFailedError, InvalidParametersError, TooLargeError
-from .subsets import MAX_GROUND_SET, Subset, binomial, enumerate_k_subsets, rank, unrank
+from .subsets import MAX_GROUND_SET, Subset, binomial, enumerate_k_subsets, rank
 
 DEFAULT_MATERIALIZE_CAP = 50_000
 
@@ -184,8 +184,3 @@ def materialize(
         lower_masks=lower_masks,
         adjacency=tuple(tuple(a) for a in adj),
     )
-
-
-def unrank_vertex(spec: LevelGraphSpec, level: Level, r: int) -> VertexRef:
-    card = spec.level_cardinality(level)
-    return VertexRef(level, unrank(r, spec.n, card))

@@ -63,36 +63,6 @@ class Subset:
         return "{" + ",".join(str(e) for e in self.elements()) + "}"
 
 
-@dataclass(frozen=True)
-class PairFamily:
-    """An ordered family of 2-element subsets of [n]."""
-
-    pairs: tuple[Subset, ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        for p in self.pairs:
-            if p.n != self.n:
-                raise InvalidParametersError("pair ground set mismatch")
-            if p.cardinality != 2:
-                raise InvalidParametersError(f"{p} is not a 2-element subset")
-
-    def union_mask(self) -> int:
-        u = 0
-        for p in self.pairs:
-            u |= p.mask
-        return u
-
-    def spans(self) -> bool:
-        return self.union_mask() == (1 << self.n) - 1
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self) -> Iterator[Subset]:
-        return iter(self.pairs)
-
-
 def binomial(n: int, k: int) -> int:
     """Exact C(n, k); 0 when k > n.  Capped at 64-bit unsigned range."""
     if n < 0 or k < 0 or n > MAX_GROUND_SET:
@@ -152,7 +122,7 @@ def unrank(i: int, n: int, k: int) -> Subset:
     return Subset(mask, n)
 
 
-def spanning_pairs(n: int) -> PairFamily:
+def spanning_pairs(n: int) -> tuple[Subset, ...]:
     """ceil(n/2) pairs covering [n]: {1,2},{3,4},...; odd n closes with {n-1,n}."""
     if n < 2:
         raise InvalidParametersError(f"need n >= 2 for a spanning pair family, got {n}")
@@ -161,4 +131,4 @@ def spanning_pairs(n: int) -> PairFamily:
     else:
         pairs = [Subset.from_elements((i, i + 1), n) for i in range(1, n - 1, 2)]
         pairs.append(Subset.from_elements((n - 1, n), n))
-    return PairFamily(tuple(pairs), n)
+    return tuple(pairs)

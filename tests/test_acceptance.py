@@ -14,7 +14,7 @@ from cubedom.constructions import (
     theorem2_construct,
     theorem2_lower_bound_witness,
     verify_certificate,
-    verify_theorem1_structural,
+    verify_structural,
 )
 from cubedom.experiments import (
     rows_to_csv,
@@ -85,13 +85,12 @@ def test_criterion_3_theorem1_bound():
     ok = True
     for n in range(4, 10):
         for k in range(ceil(n / 2) + 1, n):
-            parts, cert = theorem1_construct(n, k)
+            cert = theorem1_construct(n, k)
             if cert.size > ceil(n / 2) + 6 or not verify_certificate(cert).verified:
                 ok = False
     for n in range(10, 41):
         for k in range(ceil(n / 2) + 1, n):
-            parts, _ = theorem1_construct(n, k)
-            if not verify_theorem1_structural(parts, n, k):
+            if not verify_structural(theorem1_construct(n, k)).verified:
                 ok = False
     _report(3, "construction size <= ceil(n/2)+6, enumerative n<=9, structural n<=40", ok)
 
@@ -130,7 +129,7 @@ def test_criterion_6_sandwich():
         if l == 2 and k == n - 1 and n >= 4:
             size = theorem2_construct(n).size
         elif l == 2 and k > ceil(n / 2):
-            size = theorem1_construct(n, k)[1].size
+            size = theorem1_construct(n, k).size
         if size is not None and not (exact <= size and greedy <= size):
             ok = False
     assert _solved, "criteria 1-5 must run first to populate the instance pool"

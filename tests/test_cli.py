@@ -72,8 +72,13 @@ class TestConstructVerify:
                 "members": [{"level": "lower", "elements": [1, 2]},
                             {"level": "lower", "elements": [2, 1]}],
             }).encode(),
+            json.dumps({
+                "n": 4, "k": 3, "l": 2, "provenance": "external",
+                "members": [{"level": "upper", "elements": [1, 1, 2, 3]}],
+            }).encode(),
         ],
-        ids=["bad-provenance", "bad-level", "not-json", "not-utf8", "duplicate-members"],
+        ids=["bad-provenance", "bad-level", "not-json", "not-utf8", "duplicate-members",
+             "repeated-element"],
     )
     def test_malformed_certificate_exits_2(self, capsys, tmp_path, data):
         path = tmp_path / "cert.json"
@@ -83,9 +88,62 @@ class TestConstructVerify:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_repeated_element_in_theorem1_file_exits_2(self, capsys, tmp_path):
+        data = theorem1_file(capsys, tmp_path, 10, 7)
+        data["members"][0]["elements"] = [1, 1, 2, 3, 4, 5, 6, 7]
+        code, out, err = verify_data(capsys, tmp_path, data, "--structural")
+        assert (code, out) == (2, "")
+        assert "repeated element" in err and err.count("\n") == 1
+
     def test_theorem1_needs_k(self, capsys):
         code, _, _ = run(capsys, "construct", "--theorem", "1", "--n", "8")
         assert code == 2
+
+
+def theorem1_file(capsys, tmp_path, n, k):
+    path = tmp_path / "t1.json"
+    code, _, _ = run(capsys, "construct", "--theorem", "1", "--n", str(n), "--k", str(k),
+                     "-o", str(path))
+    assert code == 0
+    return json.loads(path.read_text())
+
+
+def verify_data(capsys, tmp_path, data, *flags):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    return run(capsys, "verify", "--cert", str(path), *flags)
+
+
+class TestVerifyStructural:
+    def test_theorem1_with_extra_pair_verifies(self, capsys, tmp_path):
+        data = theorem1_file(capsys, tmp_path, 10, 7)
+        data["members"].append({"level": "lower", "elements": [1, 3]})
+        assert verify_data(capsys, tmp_path, data, "--structural") == (0, "verified\n", "")
+
+    def test_external_copy_of_greedy_witness_verifies(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "greedy", "--n", "8", "--k", "3", "--l", "2")
+        assert code == 0
+        data = json.loads(out)["witness"]
+        data["provenance"] = "external"
+        assert verify_data(capsys, tmp_path, data, "--structural") == (0, "verified\n", "")
+
+    def test_theorem1_missing_pair_gives_enumerative_witness(self, capsys, tmp_path):
+        data = theorem1_file(capsys, tmp_path, 10, 6)
+        data["members"].remove({"level": "lower", "elements": [3, 4]})
+        structural = verify_data(capsys, tmp_path, data, "--structural")
+        assert structural == verify_data(capsys, tmp_path, data)
+        assert structural == (
+            1, "not dominating; undominated vertex: upper [1, 3, 4, 5, 7, 9]\n", ""
+        )
+
+    def test_level_other_than_2_exits_2(self, capsys, tmp_path):
+        data = {
+            "n": 5, "k": 3, "l": 1, "provenance": "external",
+            "members": [{"level": "lower", "elements": [1]}],
+        }
+        code, out, err = verify_data(capsys, tmp_path, data, "--structural")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSolvers:

@@ -3,10 +3,13 @@ import json
 from math import ceil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubedom.constructions import (
     DominationCertificate,
     Provenance,
+    VerificationResult,
     certificate_from_json,
     certificate_to_json,
     dump_certificate,
@@ -15,11 +18,11 @@ from cubedom.constructions import (
     theorem2_construct,
     theorem2_lower_bound_witness,
     verify_certificate,
-    verify_theorem1_structural,
+    verify_structural,
 )
 from cubedom.errors import InvalidParametersError, TooLargeError
 from cubedom.levelgraph import Level, LevelGraphSpec, VertexRef
-from cubedom.subsets import Subset
+from cubedom.subsets import Subset, spanning_pairs
 
 
 def oracle_undominated(n, k, l, members):
@@ -49,23 +52,47 @@ def cert_as_tuples(cert):
     ]
 
 
+def certificate(n, k, uppers=(), lowers=()):
+    return DominationCertificate(
+        spec=LevelGraphSpec(n, k, 2),
+        members=frozenset(
+            [VertexRef(Level.UPPER, Subset.from_elements(e, n)) for e in uppers]
+            + [VertexRef(Level.LOWER, Subset.from_elements(e, n)) for e in lowers]
+        ),
+        provenance=Provenance.EXTERNAL,
+    )
+
+
 class TestTheorem1Construct:
     def test_worked_example_n6_k4(self):
-        parts, cert = theorem1_construct(6, 4)
-        assert parts.S.elements() == (1, 2, 3, 4)
-        assert parts.T.elements() == (3, 4, 5, 6)
-        assert parts.P1.elements() == (1, 2, 3, 4)
-        assert parts.P2.elements() == (1, 2, 5, 6)
-        assert parts.P3.elements() == (1, 2, 3, 4)  # padded up from {3,4}
-        assert parts.P4.elements() == (3, 4, 5, 6)
-        assert len({p.mask for p in parts.a_family()}) == 3
-        assert [p.elements() for p in parts.B] == [(1, 2), (3, 4), (5, 6)]
+        cert = theorem1_construct(6, 4)
+        # S = P1 = P3 = {1,2,3,4} (P3 padded up from {3,4}), T = P4 = {3,4,5,6},
+        # P2 = {1,2,5,6}; the six k-sets collapse to three members.
+        assert cert_as_tuples(cert) == [
+            ("u", (1, 2, 3, 4)),
+            ("u", (1, 2, 5, 6)),
+            ("u", (3, 4, 5, 6)),
+            ("l", (1, 2)),
+            ("l", (3, 4)),
+            ("l", (5, 6)),
+        ]
         assert cert.size == 6 <= ceil(6 / 2) + 6
         assert verify_certificate(cert).verified
 
     def test_odd_k_pivot(self):
-        parts, cert = theorem1_construct(6, 5)
-        assert parts.l_pivot == 2
+        # The pivot n-k+1 = 2 is in T1 = {2,3,4} and T2 = {2,5,6}; with
+        # S1 = {1,3} and S2 = {4,5}, P1 = P3 = S after padding, P2 = {1,2,3,5,6}
+        # and P4 = {1,2,4,5,6} (padded from {2,4,5,6}).
+        cert = theorem1_construct(6, 5)
+        assert cert_as_tuples(cert) == [
+            ("u", (1, 2, 3, 4, 5)),
+            ("u", (1, 2, 3, 5, 6)),
+            ("u", (1, 2, 4, 5, 6)),
+            ("u", (2, 3, 4, 5, 6)),
+            ("l", (1, 2)),
+            ("l", (3, 4)),
+            ("l", (5, 6)),
+        ]
         assert verify_certificate(cert).verified
 
     def test_out_of_range(self):
@@ -77,16 +104,23 @@ class TestTheorem1Construct:
     @pytest.mark.parametrize("n", range(4, 10))
     def test_dominates_and_respects_bound(self, n):
         for k in range(ceil(n / 2) + 1, n):
-            parts, cert = theorem1_construct(n, k)
+            cert = theorem1_construct(n, k)
             assert cert.size <= ceil(n / 2) + 6
             assert verify_certificate(cert).verified
             assert not oracle_undominated(n, k, 2, cert_as_tuples(cert))
 
     @pytest.mark.parametrize("n", range(4, 61, 7))
     def test_parts_invariants_up_to_n60(self, n):
+        """A holds S = [k] and T = {n-k+1..n} among at most six k-sets; H is
+        the spanning pair family."""
         for k in range(ceil(n / 2) + 1, n):
-            parts, _ = theorem1_construct(n, k)
-            parts.validate()  # raises on violation
+            cert = theorem1_construct(n, k)
+            a = {m.mask for m in cert.members if m.level is Level.UPPER}
+            h = {m.mask for m in cert.members if m.level is Level.LOWER}
+            s, t = (1 << k) - 1, ((1 << k) - 1) << (n - k)
+            assert {s, t} <= a and len(a) <= 6
+            assert all(m.bit_count() == k for m in a)
+            assert h == {p.mask for p in spanning_pairs(n)}
 
 
 class TestTheorem2Construct:
@@ -152,46 +186,82 @@ class TestVerifyCertificate:
             verify_certificate(cert, cap=10)
 
 
+@st.composite
+def l2_families(draw):
+    n = draw(st.integers(min_value=4, max_value=8))
+    k = draw(st.integers(min_value=3, max_value=n - 1))
+    ground = range(1, n + 1)
+    uppers = draw(st.lists(st.sets(st.sampled_from(ground), min_size=k, max_size=k),
+                           max_size=12, unique_by=frozenset))
+    lowers = draw(st.lists(st.sets(st.sampled_from(ground), min_size=2, max_size=2),
+                           max_size=n * (n - 1) // 2, unique_by=frozenset))
+    return certificate(n, k, uppers, lowers)
+
+
 class TestStructuralVerifier:
     def test_accepts_construction(self):
-        parts, _ = theorem1_construct(6, 4)
-        assert verify_theorem1_structural(parts, 6, 4)
+        assert verify_structural(theorem1_construct(6, 4)) == VerificationResult(True)
 
     def test_rejects_non_spanning_pair_family(self):
-        from dataclasses import replace
+        # The theorem-1 k-sets at (6,4) with a pair family that misses element 6:
+        # {1,3,5,6} is independent in H and not a member.
+        cert = theorem1_construct(6, 4)
+        uppers = [m.set.elements() for m in cert.members if m.level is Level.UPPER]
+        broken = certificate(6, 4, uppers, [(1, 2), (3, 4), (4, 5)])
+        result = verify_structural(broken)
+        assert not result.verified
+        assert result == verify_certificate(broken)
+        assert result.witness.set.elements() == (1, 3, 5, 6)
 
-        from cubedom.subsets import PairFamily, Subset as Sub
-
-        parts, _ = theorem1_construct(6, 4)
-        broken = PairFamily(
-            (
-                Sub.from_elements((1, 2), 6),
-                Sub.from_elements((3, 4), 6),
-                Sub.from_elements((4, 5), 6),  # element 6 uncovered
-            ),
-            6,
-        )
-        assert not verify_theorem1_structural(replace(parts, B=broken), 6, 4)
-
-    def test_invalid_parts_raise(self):
-        from dataclasses import replace
-
-        parts, _ = theorem1_construct(6, 4)
-        bad = replace(parts, S1=Subset.from_elements((1,), 6))
+    def test_pair_members_must_be_pairs(self):
         with pytest.raises(InvalidParametersError):
-            verify_theorem1_structural(bad, 6, 4)
+            certificate(6, 4, uppers=[(1, 2, 3, 4)], lowers=[(1,)])
+
+    def test_rejects_level_other_than_2(self):
+        cert = DominationCertificate(
+            spec=LevelGraphSpec(6, 4, 1), members=frozenset(),
+            provenance=Provenance.EXTERNAL,
+        )
+        with pytest.raises(InvalidParametersError):
+            verify_structural(cert)
 
     @pytest.mark.parametrize("n", range(4, 10))
     def test_agrees_with_enumerative_verifier(self, n):
         for k in range(ceil(n / 2) + 1, n):
-            parts, cert = theorem1_construct(n, k)
-            assert verify_theorem1_structural(parts, n, k) == verify_certificate(cert).verified
+            cert = theorem1_construct(n, k)
+            assert verify_structural(cert) == verify_certificate(cert)
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_agrees_on_theorem_certificates_up_to_n12(self, n):
+        certs = [theorem2_construct(n)]
+        certs += [theorem1_construct(n, k) for k in range(ceil(n / 2) + 1, n)]
+        for cert in certs:
+            assert verify_structural(cert) == verify_certificate(cert)
+
+    @settings(max_examples=300, deadline=None)
+    @given(l2_families())
+    def test_agrees_on_random_families(self, cert):
+        assert verify_structural(cert) == verify_certificate(cert)
 
     @pytest.mark.parametrize("n", [20, 33, 40, 55, 63])
     def test_scales_past_enumeration(self, n):
         k = ceil(n / 2) + 1
-        parts, _ = theorem1_construct(n, k)
-        assert verify_theorem1_structural(parts, n, k)
+        assert verify_structural(theorem1_construct(n, k)).verified
+
+    @pytest.mark.parametrize("n", range(4, 65))
+    def test_every_theorem1_certificate_verifies(self, n):
+        for k in range(ceil(n / 2) + 1, n):
+            assert verify_structural(theorem1_construct(n, k)).verified
+
+    def test_disjoint_triangles_settle_at_the_root(self):
+        # 21 disjoint triangles on [63] and no k-sets: alpha(H) = 21 < 30, which
+        # the clique-partition bound sees at once.  The least uncovered pair is
+        # {1,4}.  A matching bound would search for minutes here.
+        triangles = [(3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(21)]
+        pairs = [p for t in triangles for p in itertools.combinations(t, 2)]
+        result = verify_structural(certificate(63, 30, lowers=pairs))
+        assert not result.verified
+        assert result.witness == VertexRef(Level.LOWER, Subset.from_elements((1, 4), 63))
 
 
 class TestTheorem2LowerBoundWitness:
@@ -227,7 +297,7 @@ class TestTheorem2LowerBoundWitness:
 
 class TestSerialization:
     def test_round_trip(self):
-        for cert in [theorem2_construct(7), theorem1_construct(8, 6)[1]]:
+        for cert in [theorem2_construct(7), theorem1_construct(8, 6)]:
             data = certificate_to_json(cert)
             again = certificate_from_json(data)
             assert again == cert

@@ -183,7 +183,7 @@ class TestSandwich:
                 lb = counting_lower_bound(spec)
                 exact = brute_force_gamma(spec).value
                 greedy = greedy_dominate(spec).value
-                size = theorem1_construct(n, k)[1].size
+                size = theorem1_construct(n, k).size
                 assert lb <= exact <= greedy
                 assert exact <= size
 

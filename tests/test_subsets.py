@@ -1,12 +1,13 @@
+import functools
 import itertools
 import math
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cubedom.errors import InvalidParametersError
 from cubedom.subsets import (
-    PairFamily,
     Subset,
     binomial,
     enumerate_k_subsets,
@@ -136,19 +137,15 @@ class TestSpanningPairs:
     def test_odd_case(self):
         fam = spanning_pairs(5)
         assert [p.elements() for p in fam] == [(1, 2), (3, 4), (4, 5)]
-        assert fam.spans()
+        assert functools.reduce(operator.or_, (p.mask for p in fam)) == 0b11111
 
     @pytest.mark.parametrize("n", range(2, 21))
     def test_union_and_count(self, n):
         fam = spanning_pairs(n)
         assert len(fam) == math.ceil(n / 2)
-        assert fam.union_mask() == (1 << n) - 1
-        assert all(p.cardinality == 2 for p in fam)
+        assert functools.reduce(operator.or_, (p.mask for p in fam)) == (1 << n) - 1
+        assert all(p.cardinality == 2 and p.n == n for p in fam)
 
     def test_rejects_small_n(self):
         with pytest.raises(InvalidParametersError):
             spanning_pairs(1)
-
-    def test_pair_family_rejects_non_pairs(self):
-        with pytest.raises(InvalidParametersError):
-            PairFamily((Subset.from_elements([1], 4),), 4)
