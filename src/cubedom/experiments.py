@@ -9,9 +9,8 @@ table carries values and ratios, never a verdict.
 
 from __future__ import annotations
 
-import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from math import ceil
 from typing import Iterable, Optional
 
@@ -27,8 +26,6 @@ THEOREM2_SOLVER_N_CAP = 12
 THEOREM1_SOLVER_N_CAP = 7
 THEOREM1_ENUM_N_CAP = 12
 CONJECTURE_NODE_BUDGET = 200_000
-
-CSV_HEADER = "n,k,gamma_exact,proven,greedy_value,construction_size,lower_bound,conjecture_main_term"
 
 
 @dataclass(frozen=True)
@@ -50,6 +47,9 @@ class ExperimentRow:
                     f"{self.lower_bound}, gamma {self.gamma_exact}, "
                     f"greedy {self.greedy_value}"
                 )
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ExperimentRow))
 
 
 def conjecture_main_term(n: int, k: int) -> float:
@@ -201,6 +201,8 @@ def run_conjecture_table(
     """Solver bounds next to the conjectured main term; report-only."""
     ks = sorted(set(k_range))
     ns = sorted(set(n_range))
+    if not ns or not ks:
+        raise InvalidParametersError("conjecture table needs a non-empty n range and k range")
     if any(k < 3 for k in ks):
         raise InvalidParametersError("conjecture table requires k >= 3")
     rows = []
@@ -238,40 +240,9 @@ def _cell(value) -> str:
 
 
 def rows_to_csv(rows: list[ExperimentRow]) -> str:
-    out = io.StringIO()
-    out.write(CSV_HEADER + "\n")
-    for r in rows:
-        out.write(
-            ",".join(
-                _cell(v)
-                for v in (
-                    r.n,
-                    r.k,
-                    r.gamma_exact,
-                    r.proven,
-                    r.greedy_value,
-                    r.construction_size,
-                    r.lower_bound,
-                    r.conjecture_main_term,
-                )
-            )
-            + "\n"
-        )
-    return out.getvalue()
+    lines = [CSV_HEADER] + [",".join(_cell(v) for v in astuple(r)) for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows: list[ExperimentRow]) -> str:
-    payload = [
-        {
-            "n": r.n,
-            "k": r.k,
-            "gamma_exact": r.gamma_exact,
-            "proven": r.proven,
-            "greedy_value": r.greedy_value,
-            "construction_size": r.construction_size,
-            "lower_bound": r.lower_bound,
-            "conjecture_main_term": r.conjecture_main_term,
-        }
-        for r in rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps([asdict(r) for r in rows], indent=2) + "\n"

@@ -4,7 +4,8 @@ Vertices are the k-subsets (upper level) and l-subsets (lower level) of
 [n]; an upper and a lower vertex are adjacent iff the lower set is
 contained in the upper set.  The graph is implicit: adjacency and
 neighborhoods are computed from bitmasks on demand.  ``materialize``
-builds explicit adjacency lists for the solvers, guarded by a vertex cap.
+builds the closed-neighbourhood bitsets the solvers read, guarded by a
+vertex cap.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CheckFailedError, InvalidParametersError, TooLargeError
-from .subsets import MAX_GROUND_SET, Subset, binomial, enumerate_k_subsets, rank
+from .subsets import MAX_GROUND_SET, Subset, binomial, enumerate_k_subsets
 
 DEFAULT_MATERIALIZE_CAP = 50_000
 
@@ -124,63 +125,50 @@ def graph_stats(spec: LevelGraphSpec) -> dict:
 
 @dataclass(frozen=True)
 class MaterializedGraph:
-    """Explicit adjacency lists; vertex i is upper rank i for i < upper_count,
-    otherwise lower rank i - upper_count.  Ranks are colex."""
+    """Closed-neighbourhood bitsets; vertex i is upper rank i for
+    i < upper_count, otherwise lower rank i - upper_count.  Ranks are colex.
+
+    ``masks[i]`` is the subset mask of vertex i, and bit j of ``closed[i]``
+    is set iff j == i or vertex j is adjacent to vertex i.
+    """
 
     spec: LevelGraphSpec
-    upper_masks: tuple[int, ...]
-    lower_masks: tuple[int, ...]
-    adjacency: tuple[tuple[int, ...], ...]
-
-    @property
-    def upper_count(self) -> int:
-        return len(self.upper_masks)
+    upper_count: int
+    masks: tuple[int, ...]
+    closed: tuple[int, ...]
 
     @property
     def vertex_count(self) -> int:
-        return len(self.adjacency)
+        return len(self.masks)
 
     def vertex(self, index: int) -> VertexRef:
-        if index < self.upper_count:
-            return VertexRef(Level.UPPER, Subset(self.upper_masks[index], self.spec.n))
-        return VertexRef(
-            Level.LOWER, Subset(self.lower_masks[index - self.upper_count], self.spec.n)
-        )
-
-    def index_of(self, v: VertexRef) -> int:
-        _check_vertex(self.spec, v)
-        if v.level is Level.UPPER:
-            return rank(v.set, self.spec.k)
-        return self.upper_count + rank(v.set, self.spec.l)
+        level = Level.UPPER if index < self.upper_count else Level.LOWER
+        return VertexRef(level, Subset(self.masks[index], self.spec.n))
 
 
 def materialize(
     spec: LevelGraphSpec, cap: int = DEFAULT_MATERIALIZE_CAP
 ) -> MaterializedGraph:
-    """Build explicit adjacency lists, refusing graphs above the vertex cap.
+    """Build closed-neighbourhood bitsets, refusing graphs above the vertex cap.
 
     Edges come from mask arithmetic: the lower neighbours of an upper mask
     are the sums of its l-combinations of single-bit masks, each looked up
     in a mask-to-index table built once.
     """
     n, k, l = spec.n, spec.k, spec.l
-    total = binomial(n, k) + binomial(n, l)
+    nu = binomial(n, k)
+    total = nu + binomial(n, l)
     if total > cap:
         raise TooLargeError(f"{total} vertices exceed the cap of {cap}")
-    upper_masks = tuple(s.mask for s in enumerate_k_subsets(n, k))
-    lower_masks = tuple(s.mask for s in enumerate_k_subsets(n, l))
-    nu = len(upper_masks)
-    lower_index = {m: nu + i for i, m in enumerate(lower_masks)}
-    adj: list[list[int]] = [[] for _ in range(total)]
-    for iu, umask in enumerate(upper_masks):
-        bits = [1 << i for i in range(n) if umask >> i & 1]
-        down = sorted(lower_index[sum(c)] for c in combinations(bits, l))
-        adj[iu] = down
-        for il in down:
-            adj[il].append(iu)
-    return MaterializedGraph(
-        spec=spec,
-        upper_masks=upper_masks,
-        lower_masks=lower_masks,
-        adjacency=tuple(tuple(a) for a in adj),
-    )
+    masks = tuple(s.mask for level in (k, l) for s in enumerate_k_subsets(n, level))
+    lower_index = {masks[i]: i for i in range(nu, total)}
+    closed = [1 << i for i in range(total)]
+    for iu, umask in enumerate(masks[:nu]):
+        ubit = 1 << iu
+        down = ubit
+        for c in combinations([1 << i for i in range(n) if umask >> i & 1], l):
+            il = lower_index[sum(c)]
+            down |= 1 << il
+            closed[il] |= ubit
+        closed[iu] = down
+    return MaterializedGraph(spec=spec, upper_count=nu, masks=masks, closed=tuple(closed))

@@ -1,7 +1,7 @@
 """Exact and heuristic minimum dominating set computation.
 
-All solvers work on a materialized graph whose closed neighborhoods are
-packed into Python-int bitsets, so a domination test is one OR/compare.
+All solvers read the closed-neighbourhood bitsets of a materialized
+graph, one Python int per vertex, so a domination test is one OR/compare.
 ``brute_force_gamma`` is the independent oracle: iterative deepening over
 vertex subsets in lexicographic index order, with only admissible
 feasibility pruning, so the first set found at the optimal size is the
@@ -23,7 +23,7 @@ from .constructions import (
     Provenance,
     verify_certificate,
 )
-from .errors import BudgetExceededError, CheckFailedError
+from .errors import BudgetExceededError, CheckFailedError, InvalidParametersError
 from .levelgraph import LevelGraphSpec, MaterializedGraph, materialize
 from .subsets import binomial
 
@@ -104,16 +104,6 @@ def counting_lower_bound(spec: LevelGraphSpec) -> int:
     return best
 
 
-def _closed_neighborhoods(graph: MaterializedGraph) -> list[int]:
-    masks = []
-    for i, nbrs in enumerate(graph.adjacency):
-        m = 1 << i
-        for j in nbrs:
-            m |= 1 << j
-        masks.append(m)
-    return masks
-
-
 def _certificate(graph: MaterializedGraph, chosen, provenance: Provenance):
     members = frozenset(graph.vertex(i) for i in chosen)
     return DominationCertificate(
@@ -131,7 +121,7 @@ def _checked_report(report: SolveReport) -> SolveReport:
     return report
 
 
-def _greedy_cover(masks: list[int]) -> list[int]:
+def _greedy_cover(masks: tuple[int, ...]) -> list[int]:
     """Indices picked by lazy largest-new-coverage-first greedy, in pick order.
 
     ``masks`` are closed-neighbourhood bitsets over their own indices.  Ties
@@ -153,15 +143,15 @@ def _greedy_cover(masks: list[int]) -> list[int]:
     return chosen
 
 
-def greedy_dominate(spec: LevelGraphSpec, cap: int | None = None) -> SolveReport:
+def greedy_dominate(spec: LevelGraphSpec) -> SolveReport:
     """Largest-new-coverage-first greedy, lazy-evaluated on a max-heap.
 
     Ties break toward the smallest vertex index, i.e. upper level first and
     then colex rank, so runs are deterministic.
     """
     start = time.perf_counter()
-    graph = materialize(spec) if cap is None else materialize(spec, cap)
-    chosen = _greedy_cover(_closed_neighborhoods(graph))
+    graph = materialize(spec)
+    chosen = _greedy_cover(graph.closed)
     lb = counting_lower_bound(spec)
     value = len(chosen)
     return _checked_report(
@@ -194,7 +184,7 @@ def brute_force_gamma(
     """
     start = time.perf_counter()
     graph = materialize(spec)
-    masks = _closed_neighborhoods(graph)
+    masks = graph.closed
     nv = graph.vertex_count
     full = (1 << nv) - 1
     if max_size is None:
@@ -275,11 +265,14 @@ def branch_and_bound_gamma(
     ceil(uncovered / best-remaining-coverage) against the incumbent and by
     the counting relaxation at the root.  Exceeding the node budget is a
     normal outcome: the report then carries the incumbent and the root
-    lower bound with proven_optimal=False.
+    lower bound with proven_optimal=False.  A budget below one node is
+    rejected with InvalidParametersError.
     """
+    if node_budget < 1:
+        raise InvalidParametersError(f"node budget must be at least 1, got {node_budget}")
     start = time.perf_counter()
     graph = materialize(spec)
-    masks = _closed_neighborhoods(graph)
+    masks = graph.closed
     nv = graph.vertex_count
     full = (1 << nv) - 1
     root_lb = counting_lower_bound(spec)

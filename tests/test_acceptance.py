@@ -25,7 +25,6 @@ from cubedom.experiments import (
 )
 from cubedom.levelgraph import Level, LevelGraphSpec, materialize
 from cubedom.solver import (
-    _closed_neighborhoods,
     branch_and_bound_gamma,
     brute_force_gamma,
     counting_lower_bound,
@@ -61,7 +60,7 @@ def test_criterion_2_theorem2_lower_bound():
     for n in range(4, 7):
         spec = LevelGraphSpec(n, n - 1, 2)
         g = materialize(spec)
-        masks = _closed_neighborhoods(g)
+        masks = g.closed
         full = (1 << g.vertex_count) - 1
         # No 2-vertex set dominates: exhaustive over all pairs.
         for i, j in itertools.combinations(range(g.vertex_count), 2):

@@ -160,6 +160,15 @@ class TestSolvers:
         assert code == 3
         assert not json.loads(out)["proven_optimal"]
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_exact_budget_below_one_exits_2(self, capsys, budget):
+        code, out, err = run(
+            capsys, "exact", "--n", "6", "--k", "4", "--l", "2", "--node-budget", budget
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "node budget" in err
+
     def test_greedy(self, capsys):
         code, out, _ = run(capsys, "greedy", "--n", "5", "--k", "3", "--l", "2")
         assert code == 0
@@ -208,6 +217,21 @@ class TestSweeps:
     def test_sweep_bad_range_exits_2(self, capsys):
         code, _, _ = run(capsys, "sweep", "--theorem", "2", "--n-min", "3", "--n-max", "5")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [("9", "5", "3", "4"), ("5", "9", "4", "3")],
+        ids=["reversed-n", "reversed-k"],
+    )
+    def test_conjecture_empty_range_exits_2(self, capsys, bounds):
+        n_min, n_max, k_min, k_max = bounds
+        code, out, err = run(
+            capsys, "conjecture", "--n-min", n_min, "--n-max", n_max,
+            "--k-min", k_min, "--k-max", k_max,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "non-empty" in err
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "rows.csv"

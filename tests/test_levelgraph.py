@@ -24,17 +24,21 @@ def lower(spec, *elements):
     return VertexRef(Level.LOWER, Subset.from_elements(elements, spec.n))
 
 
-def reference_adjacency(spec):
-    """Adjacency built edge by edge from neighbors_down and rank."""
+def reference_closed(spec):
+    """Closed-neighbourhood bitsets built edge by edge from neighbors_down and rank."""
     uppers = list(enumerate_k_subsets(spec.n, spec.k))
     nu = len(uppers)
-    adj = [[] for _ in range(nu + binomial(spec.n, spec.l))]
+    closed = [1 << i for i in range(nu + binomial(spec.n, spec.l))]
     for iu, s in enumerate(uppers):
         for w in neighbors_down(spec, VertexRef(Level.UPPER, s)):
             il = nu + rank(w.set, spec.l)
-            adj[iu].append(il)
-            adj[il].append(iu)
-    return tuple(tuple(sorted(a)) for a in adj)
+            closed[iu] |= 1 << il
+            closed[il] |= 1 << iu
+    return tuple(closed)
+
+
+def degree(g, i):
+    return g.closed[i].bit_count() - 1
 
 
 class TestSpec:
@@ -120,9 +124,9 @@ class TestMaterialize:
         g = materialize(LevelGraphSpec(4, 3, 2))
         assert g.vertex_count == 10
         for i in range(g.upper_count):
-            assert len(g.adjacency[i]) == 3
+            assert degree(g, i) == 3
         for i in range(g.upper_count, g.vertex_count):
-            assert len(g.adjacency[i]) == 2
+            assert degree(g, i) == 2
 
     def test_handshake_and_regularity(self):
         for n in range(3, 9):
@@ -131,11 +135,10 @@ class TestMaterialize:
                     spec = LevelGraphSpec(n, k, l)
                     g = materialize(spec)
                     stats = graph_stats(spec)
-                    assert sum(len(a) for a in g.adjacency) == 2 * stats["edge_count"]
-                    degs = {len(g.adjacency[i]) for i in range(g.upper_count)}
-                    assert degs == {stats["upper_degree"]}
-                    degs = {len(g.adjacency[i]) for i in range(g.upper_count, g.vertex_count)}
-                    assert degs == {stats["lower_degree"]}
+                    degs = [degree(g, i) for i in range(g.vertex_count)]
+                    assert sum(degs) == 2 * stats["edge_count"]
+                    assert set(degs[: g.upper_count]) == {stats["upper_degree"]}
+                    assert set(degs[g.upper_count :]) == {stats["lower_degree"]}
 
     def test_random_pairs_agree_with_adjacent(self):
         spec = LevelGraphSpec(8, 4, 2)
@@ -147,20 +150,28 @@ class TestMaterialize:
             if i == j:
                 continue
             u, v = g.vertex(i), g.vertex(j)
-            assert (j in g.adjacency[i]) == adjacent(spec, u, v)
+            assert (g.closed[i] >> j & 1 == 1) == adjacent(spec, u, v)
 
     def test_matches_reference_n_le_10(self):
         for n in range(3, 11):
             for k in range(2, n):
                 for l in range(1, k):
                     spec = LevelGraphSpec(n, k, l)
-                    assert materialize(spec).adjacency == reference_adjacency(spec), spec
+                    assert materialize(spec).closed == reference_closed(spec), spec
 
     def test_cap(self):
         with pytest.raises(TooLargeError):
             materialize(LevelGraphSpec(20, 10, 2))
 
     def test_index_round_trip(self):
-        g = materialize(LevelGraphSpec(6, 4, 2))
+        spec = LevelGraphSpec(6, 4, 2)
+        g = materialize(spec)
+        assert len(set(g.masks)) == g.vertex_count
         for i in range(g.vertex_count):
-            assert g.index_of(g.vertex(i)) == i
+            v = g.vertex(i)
+            assert v.mask == g.masks[i]
+            if i < g.upper_count:
+                assert v.level is Level.UPPER and rank(v.set, spec.k) == i
+            else:
+                assert v.level is Level.LOWER
+                assert rank(v.set, spec.l) == i - g.upper_count

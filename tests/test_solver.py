@@ -85,10 +85,9 @@ class TestBruteForce:
         assert verify_certificate(report.witness).verified
         # Independent check of lex-leastness over all 3-subsets of vertices.
         from cubedom.levelgraph import materialize
-        from cubedom.solver import _closed_neighborhoods
 
         g = materialize(spec)
-        masks = _closed_neighborhoods(g)
+        masks = g.closed
         full = (1 << g.vertex_count) - 1
         dominating = [
             c
@@ -96,7 +95,7 @@ class TestBruteForce:
             if masks[c[0]] | masks[c[1]] | masks[c[2]] == full
         ]
         least = min(dominating)
-        got = sorted(g.index_of(m) for m in report.witness.members)
+        got = sorted(g.masks.index(m.mask) for m in report.witness.members)
         assert tuple(got) == least
 
     def test_budget_exceeded(self):
