@@ -57,6 +57,10 @@ def _cmd_construct(args) -> int:
             raise InvalidParametersError("--k is required for theorem 1")
         cert = theorem1_construct(args.n, args.k)
     else:
+        if args.k is not None and args.k != args.n - 1:
+            raise InvalidParametersError(
+                f"theorem 2 needs k = n-1 = {args.n - 1}, got --k {args.k}"
+            )
         cert = theorem2_construct(args.n)
     _emit(dump_certificate(cert) + "\n", args.output)
     return 0

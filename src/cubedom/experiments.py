@@ -205,6 +205,11 @@ def run_conjecture_table(
         raise InvalidParametersError("conjecture table needs a non-empty n range and k range")
     if any(k < 3 for k in ks):
         raise InvalidParametersError("conjecture table requires k >= 3")
+    if ks[0] >= ns[-1]:
+        raise InvalidParametersError(
+            f"conjecture table has no row: no k in {ks[0]}..{ks[-1]} is below "
+            f"an n in {ns[0]}..{ns[-1]}"
+        )
     rows = []
     for n in ns:
         for k in ks:

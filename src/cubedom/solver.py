@@ -7,8 +7,9 @@ vertex subsets in lexicographic index order, with only admissible
 feasibility pruning, so the first set found at the optimal size is the
 lexicographically least one.  ``branch_and_bound_gamma`` is the workhorse:
 include/exclude search over coverage-ordered candidates with the upper
-vertex [k] fixed in the set, seeded by the greedy solution and bounded
-below by a two-constraint counting relaxation.
+vertex [k] fixed in the set and whole orbits of its stabilizer skipped at
+the root, seeded by the greedy solution and bounded below by a
+two-constraint counting relaxation.
 """
 
 from __future__ import annotations
@@ -261,6 +262,19 @@ def branch_and_bound_gamma(
     since S_n acts transitively on k-sets by automorphisms of the graph,
     some minimum family contains [k].
 
+    At the root the search also branches on orbits of the stabilizer
+    S_k x S_{n-k} of [k], which permutes the other vertices transitively
+    within each class (level, |v & [k]|).  Candidates are sorted by
+    (-degree, -|v & [k]|, index): this keeps the coverage order, and since
+    degree is fixed within a level and upper indices come first, each
+    orbit is a run of positions.  While nothing besides [k] is chosen,
+    excluding an orbit's first vertex excludes the whole orbit.  This
+    loses no optimum: let D be a minimum family containing [k] and O the
+    first orbit that D meets.  Some g in the stabilizer maps a member of D
+    in O to the first vertex of O, and g(D) is a minimum family that
+    contains [k] and that vertex and misses every earlier orbit.  The
+    argument holds for every l.
+
     Initialized with the greedy solution; pruned by size +
     ceil(uncovered / best-remaining-coverage) against the incumbent and by
     the counting relaxation at the root.  Exceeding the node budget is a
@@ -280,9 +294,17 @@ def branch_and_bound_gamma(
     best_set = sorted(_greedy_cover(masks))
     best_size = len(best_set)
 
-    order = sorted(range(1, nv), key=lambda i: (-masks[i].bit_count(), i))
+    # Vertex 0 is [k]; the orbits of its stabilizer are (level, overlap).
+    nu, kmask = graph.upper_count, graph.masks[0]
+    orbit = [(i >= nu, (m & kmask).bit_count()) for i, m in enumerate(graph.masks)]
+    order = sorted(range(1, nv), key=lambda i: (-masks[i].bit_count(), -orbit[i][1], i))
     ordered_masks = [masks[i] for i in order]
     ncand = len(order)
+    # next_orbit[p]: the first position past the run of p's orbit.
+    next_orbit = [ncand] * ncand
+    for p in range(ncand - 2, -1, -1):
+        same = orbit[order[p]] == orbit[order[p + 1]]
+        next_orbit[p] = next_orbit[p + 1] if same else p + 1
     suffix_or = [0] * (ncand + 1)
     suffix_cov = [1] * (ncand + 1)
     for i in range(ncand - 1, -1, -1):
@@ -318,7 +340,8 @@ def branch_and_bound_gamma(
         chosen.append(pos)
         rec(pos + 1, size + 1, cover | ordered_masks[pos])
         chosen.pop()
-        rec(pos + 1, size, cover)
+        # With only [k] chosen, pos starts its orbit: skip the whole orbit.
+        rec(pos + 1 if chosen else next_orbit[pos], size, cover)
 
     if best_size > root_lb:
         try:

@@ -99,6 +99,19 @@ class TestConstructVerify:
         code, _, _ = run(capsys, "construct", "--theorem", "1", "--n", "8")
         assert code == 2
 
+    def test_theorem2_rejects_k_other_than_n_minus_1(self, capsys, tmp_path):
+        path = tmp_path / "t2.json"
+        code, out, err = run(capsys, "construct", "--theorem", "2", "--n", "8",
+                             "--k", "5", "-o", str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "k = n-1 = 7" in err
+        assert not path.exists()
+
+    def test_theorem2_accepts_k_equal_n_minus_1(self, capsys):
+        code, out, _ = run(capsys, "construct", "--theorem", "2", "--n", "8", "--k", "7")
+        assert code == 0
+        assert json.loads(out)["k"] == 7
+
 
 def theorem1_file(capsys, tmp_path, n, k):
     path = tmp_path / "t1.json"
@@ -232,6 +245,15 @@ class TestSweeps:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "non-empty" in err
+
+    def test_conjecture_without_a_row_exits_2(self, capsys):
+        # Both ranges are non-empty, but no k is below any n.
+        code, out, err = run(
+            capsys, "conjecture", "--n-min", "4", "--n-max", "4",
+            "--k-min", "5", "--k-max", "6",
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "no row" in err
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "rows.csv"

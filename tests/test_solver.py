@@ -9,7 +9,7 @@ import pytest
 
 from cubedom.constructions import theorem1_construct, verify_certificate
 from cubedom.errors import BudgetExceededError
-from cubedom.levelgraph import LevelGraphSpec
+from cubedom.levelgraph import LevelGraphSpec, materialize
 from cubedom.solver import (
     Method,
     branch_and_bound_gamma,
@@ -148,12 +148,44 @@ class TestBranchAndBound:
     def test_frozen_n7_k4(self):
         # Frozen from this solver; also below the ceil(7/2)+6 = 10 bound.
         # Fixing [k] in the set cut the search from 2,518,311 nodes to
-        # 406,101; the node count is deterministic.
+        # 406,101, and skipping whole orbits of its stabilizer at the root
+        # cut it to 111,757; the node count is deterministic.
         report = branch_and_bound_gamma(LevelGraphSpec(7, 4, 2))
         assert report.proven_optimal
         assert report.value == 9
         assert report.value <= 10
-        assert report.nodes_explored <= 500_000
+        assert report.nodes_explored <= 150_000
+
+    def test_frozen_n8_k5(self):
+        # 1,249,137 nodes with [k] fixed; 234,897 with the root orbits
+        # skipped.  The bound fails if the orbit rule is lost.
+        report = branch_and_bound_gamma(LevelGraphSpec(8, 5, 2))
+        assert report.proven_optimal
+        assert report.value == 8
+        assert report.nodes_explored <= 300_000
+
+    @pytest.mark.parametrize("n,k,gamma", [(7, 4, 9), (8, 5, 8), (8, 6, 6)])
+    def test_agrees_with_milp(self, n, k, gamma):
+        # A second, independent method for the frozen l=2 values: the
+        # covering program min sum(x) s.t. N[v] . x >= 1 for every vertex v,
+        # solved by HiGHS on the same closed-neighbourhood bitsets.
+        pytest.importorskip("scipy")
+        import numpy as np
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
+        spec = LevelGraphSpec(n, k, 2)
+        closed = materialize(spec).closed
+        nv = len(closed)
+        a = np.array([[c >> j & 1 for j in range(nv)] for c in closed])
+        res = milp(np.ones(nv), integrality=np.ones(nv), bounds=Bounds(0, 1),
+                   constraints=LinearConstraint(a, lb=1))
+        assert res.status == 0  # proven optimal
+        x = np.round(res.x)
+        assert (a @ x >= 1).all()
+        assert round(res.fun) == x.sum() == gamma
+        report = branch_and_bound_gamma(spec)
+        assert report.proven_optimal
+        assert report.value == gamma
 
     def test_budget_returns_heuristic_report(self):
         report = branch_and_bound_gamma(LevelGraphSpec(7, 4, 2), node_budget=100)
@@ -196,7 +228,7 @@ class TestInvariantsUnderOptimize:
             from cubedom.constructions import DominationCertificate, Provenance
             from cubedom.errors import CheckFailedError
             from cubedom.experiments import ExperimentRow
-            from cubedom.levelgraph import LevelGraphSpec
+            from cubedom.levelgraph import LevelGraphSpec, materialize
             from cubedom.solver import Method, SolveReport, _checked_report
 
             assert False, "assert statements must be stripped under -O"
