@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 from .constructions import theorem1_construct, theorem2_construct, verify_certificate, verify_structural
 from .errors import BudgetExceededError, CheckFailedError, InvalidParametersError
-from .levelgraph import LevelGraphSpec
+from .levelgraph import LevelGraphSpec, materialize
 from .solver import DEFAULT_NODE_BUDGET, branch_and_bound_gamma, counting_lower_bound, greedy_dominate
 from .subsets import binomial
 
@@ -80,11 +80,12 @@ def run_theorem2_sweep(
         if not verify_certificate(cert).verified:
             raise CheckFailedError(f"n={n}: theorem-2 certificate fails to dominate")
         spec = cert.spec
-        greedy = greedy_dominate(spec)
+        graph = materialize(spec)
+        greedy = greedy_dominate(graph)
         gamma = None
         proven = False
         if n <= solver_n_cap:
-            report = branch_and_bound_gamma(spec, node_budget=node_budget)
+            report = branch_and_bound_gamma(graph, node_budget=node_budget)
             if report.proven_optimal:
                 gamma, proven = report.value, True
                 if gamma != 3:
@@ -136,10 +137,12 @@ def run_theorem1_sweep(
             greedy_value = None
             gamma = None
             proven = False
+            if n <= max(enum_n_cap, exact_n_cap):
+                graph = materialize(spec)
             if n <= enum_n_cap:
-                greedy_value = greedy_dominate(spec).value
+                greedy_value = greedy_dominate(graph).value
             if n <= exact_n_cap:
-                report = branch_and_bound_gamma(spec, node_budget=node_budget)
+                report = branch_and_bound_gamma(graph, node_budget=node_budget)
                 if report.proven_optimal:
                     gamma, proven = report.value, True
                     if gamma > cert.size:
@@ -171,7 +174,8 @@ def run_gk1_check(n_max: int, node_budget: int = DEFAULT_NODE_BUDGET) -> list[Ex
     for n in range(3, n_max + 1):
         for k in range(2, n):
             spec = LevelGraphSpec(n, k, 1)
-            report = branch_and_bound_gamma(spec, node_budget=node_budget)
+            graph = materialize(spec)
+            report = branch_and_bound_gamma(graph, node_budget=node_budget)
             expected = n - k + 1
             if not report.proven_optimal or report.value != expected:
                 raise CheckFailedError(
@@ -184,7 +188,7 @@ def run_gk1_check(n_max: int, node_budget: int = DEFAULT_NODE_BUDGET) -> list[Ex
                     k=k,
                     gamma_exact=report.value,
                     proven=True,
-                    greedy_value=greedy_dominate(spec).value,
+                    greedy_value=greedy_dominate(graph).value,
                     construction_size=None,
                     lower_bound=counting_lower_bound(spec),
                     conjecture_main_term=None,
@@ -215,9 +219,9 @@ def run_conjecture_table(
         for k in ks:
             if k >= n:
                 continue
-            spec = LevelGraphSpec(n, k, 2)
-            greedy = greedy_dominate(spec)
-            report = branch_and_bound_gamma(spec, node_budget=node_budget)
+            graph = materialize(LevelGraphSpec(n, k, 2))
+            greedy = greedy_dominate(graph)
+            report = branch_and_bound_gamma(graph, node_budget=node_budget)
             size = None
             if k > ceil(n / 2):
                 size = theorem1_construct(n, k).size

@@ -9,7 +9,11 @@ lexicographically least one.  ``branch_and_bound_gamma`` is the workhorse:
 include/exclude search over coverage-ordered candidates with the upper
 vertex [k] fixed in the set and whole orbits of its stabilizer skipped at
 the root, seeded by the greedy solution and bounded below by a
-two-constraint counting relaxation.
+two-constraint counting relaxation.  It runs as one loop over an explicit
+stack of open exclude branches, so its depth is not bounded by Python's
+recursion limit; every position visited counts as one search node.
+Greedy and branch and bound take a spec or a graph materialized once by
+the caller.
 """
 
 from __future__ import annotations
@@ -77,10 +81,6 @@ class SolveReport:
         }
 
 
-class _StopSearch(Exception):
-    """Unwinds the branch-and-bound recursion: budget spent or bound met."""
-
-
 def counting_lower_bound(spec: LevelGraphSpec) -> int:
     """Minimum of a + b over the two-constraint covering relaxation.
 
@@ -144,14 +144,21 @@ def _greedy_cover(masks: tuple[int, ...]) -> list[int]:
     return chosen
 
 
-def greedy_dominate(spec: LevelGraphSpec) -> SolveReport:
+def _graph(problem: LevelGraphSpec | MaterializedGraph) -> MaterializedGraph:
+    """The graph itself, or the graph of a spec, materialized here."""
+    return problem if isinstance(problem, MaterializedGraph) else materialize(problem)
+
+
+def greedy_dominate(problem: LevelGraphSpec | MaterializedGraph) -> SolveReport:
     """Largest-new-coverage-first greedy, lazy-evaluated on a max-heap.
 
-    Ties break toward the smallest vertex index, i.e. upper level first and
-    then colex rank, so runs are deterministic.
+    Takes a spec, or a graph already materialized from one.  Ties break
+    toward the smallest vertex index, i.e. upper level first and then colex
+    rank, so runs are deterministic.
     """
     start = time.perf_counter()
-    graph = materialize(spec)
+    graph = _graph(problem)
+    spec = graph.spec
     chosen = _greedy_cover(graph.closed)
     lb = counting_lower_bound(spec)
     value = len(chosen)
@@ -247,9 +254,12 @@ def brute_force_gamma(
 
 
 def branch_and_bound_gamma(
-    spec: LevelGraphSpec, node_budget: int = DEFAULT_NODE_BUDGET
+    problem: LevelGraphSpec | MaterializedGraph,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SolveReport:
     """Exact search via include/exclude on coverage-ordered candidates.
+
+    Takes a spec, or a graph already materialized from one.
 
     Only families containing the upper vertex [k] = {1..k} (vertex 0, colex
     rank 0) are searched: the search starts with [k] chosen and branches on
@@ -277,15 +287,24 @@ def branch_and_bound_gamma(
 
     Initialized with the greedy solution; pruned by size +
     ceil(uncovered / best-remaining-coverage) against the incumbent and by
-    the counting relaxation at the root.  Exceeding the node budget is a
-    normal outcome: the report then carries the incumbent and the root
-    lower bound with proven_optimal=False.  A budget below one node is
-    rejected with InvalidParametersError.
+    the counting relaxation at the root.  The search is one loop over an
+    explicit stack, not a recursion.  A node that passes both prunes pushes
+    its exclude branch and descends into its include branch; a pruned node
+    resumes the most recent exclude branch.  An exclude branch keeps the
+    size and cover of its node, so the uncovered count is computed once per
+    include, and a run of excludes advances the position in place, counting
+    one node per position visited.  An include child that dominates is
+    settled as a leaf (one node) without a push.
+
+    Exceeding the node budget is a normal outcome: the report then carries
+    the incumbent and the root lower bound with proven_optimal=False.  A
+    budget below one node is rejected with InvalidParametersError.
     """
     if node_budget < 1:
         raise InvalidParametersError(f"node budget must be at least 1, got {node_budget}")
     start = time.perf_counter()
-    graph = materialize(spec)
+    graph = _graph(problem)
+    spec = graph.spec
     masks = graph.closed
     nv = graph.vertex_count
     full = (1 << nv) - 1
@@ -312,45 +331,49 @@ def branch_and_bound_gamma(
         suffix_cov[i] = max(suffix_cov[i + 1], ordered_masks[i].bit_count())
 
     nodes = 0
-    # Search positions chosen besides the fixed vertex 0.
-    chosen: list[int] = []
     exhausted = True
-
-    def rec(pos: int, size: int, cover: int) -> None:
-        nonlocal nodes, best_set, best_size, exhausted
+    # path[:size - 1] holds the positions chosen besides the fixed vertex 0.
+    path = [0] * ncand
+    # Open exclude branches, each the (pos, size, cover, uncovered) of the
+    # node it resumes at; the loop is at the node (pos, size, cover).
+    stack: list[tuple[int, int, int, int]] = []
+    push, pop = stack.append, stack.pop
+    # The root: [k] alone never dominates, since no two uppers are adjacent.
+    pos, size, cover = 0, 1, masks[0]
+    # cover has no bits outside full, so this is (full & ~cover).bit_count().
+    uncovered = nv - cover.bit_count()
+    while best_size > root_lb:
         nodes += 1
         if nodes > node_budget:
             exhausted = False
-            raise _StopSearch
-        if cover == full:
-            if size < best_size:
-                best_size = size
-                best_set = [0] + sorted(order[p] for p in chosen)
-                if best_size == root_lb:
-                    raise _StopSearch
-            return
-        if pos == ncand:
-            return
-        # cover has no bits outside full, so this is (full & ~cover).bit_count().
-        uncovered = nv - cover.bit_count()
-        if size + -(-uncovered // suffix_cov[pos]) >= best_size:
-            return
-        if cover | suffix_or[pos] != full:
-            return
-        chosen.append(pos)
-        rec(pos + 1, size + 1, cover | ordered_masks[pos])
-        chosen.pop()
-        # With only [k] chosen, pos starts its orbit: skip the whole orbit.
-        rec(pos + 1 if chosen else next_orbit[pos], size, cover)
-
-    if best_size > root_lb:
-        try:
-            rec(0, 1, masks[0])
-        except _StopSearch:
-            pass
-    # rec holds itself in its closure; dropping it frees the search arrays
-    # now instead of leaving a reference cycle for the garbage collector.
-    del rec
+            break
+        # suffix_or[ncand] is 0, so the last test also ends a run at ncand.
+        if (size + -(-uncovered // suffix_cov[pos]) >= best_size
+                or cover | suffix_or[pos] != full):
+            if not stack:
+                break
+            pos, size, cover, uncovered = pop()
+            continue
+        # Open the exclude branch; with only [k] chosen, pos starts its
+        # orbit and the branch skips the whole orbit.
+        push((pos + 1 if size > 1 else next_orbit[pos], size, cover, uncovered))
+        # Descend into the include branch.
+        path[size - 1] = pos
+        cover |= ordered_masks[pos]
+        size += 1
+        pos += 1
+        if cover != full:
+            uncovered = nv - cover.bit_count()
+            continue
+        # The include child dominates: settle it as a leaf without a push.
+        nodes += 1
+        if nodes > node_budget:
+            exhausted = False
+            break
+        if size < best_size:
+            best_size = size
+            best_set = [0] + sorted(order[p] for p in path[:size - 1])
+        pos, size, cover, uncovered = pop()
     proven = exhausted or best_size == root_lb
     return _checked_report(
         SolveReport(

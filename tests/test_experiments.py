@@ -1,8 +1,11 @@
 import json
+from collections import Counter
 from math import ceil
 
 import pytest
 
+import cubedom.experiments
+import cubedom.solver
 from cubedom.errors import BudgetExceededError, InvalidParametersError
 from cubedom.experiments import (
     CSV_HEADER,
@@ -109,6 +112,29 @@ class TestConjectureTable:
     def test_rejects_k_below_three(self):
         with pytest.raises(InvalidParametersError):
             run_conjecture_table(range(4, 6), [2, 3])
+
+
+class TestOneGraphPerRow:
+    @pytest.mark.parametrize("run,l", [
+        (lambda: run_conjecture_table(range(5, 8), [3, 4]), 2),
+        (lambda: run_theorem1_sweep(4, 7), 2),
+        (lambda: run_theorem2_sweep(4, 6), 2),
+        (lambda: run_gk1_check(5), 1),
+    ], ids=["conjecture", "theorem1", "theorem2", "gk1"])
+    def test_each_row_materializes_once(self, monkeypatch, run, l):
+        # Greedy and branch and bound share the row's graph: the package
+        # imports materialize by name, so count it in both consumers.
+        built = Counter()
+        real = cubedom.solver.materialize
+
+        def counting(spec, *args, **kwargs):
+            built[(spec.n, spec.k, spec.l)] += 1
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(cubedom.experiments, "materialize", counting, raising=False)
+        monkeypatch.setattr(cubedom.solver, "materialize", counting)
+        rows = run()
+        assert built == Counter((r.n, r.k, l) for r in rows)
 
 
 class TestEmission:

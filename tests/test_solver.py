@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from math import ceil
 
 import pytest
@@ -149,20 +150,57 @@ class TestBranchAndBound:
         # Frozen from this solver; also below the ceil(7/2)+6 = 10 bound.
         # Fixing [k] in the set cut the search from 2,518,311 nodes to
         # 406,101, and skipping whole orbits of its stabilizer at the root
-        # cut it to 111,757; the node count is deterministic.
+        # cut it to 111,757.  The node count is deterministic and pins the
+        # search tree.
         report = branch_and_bound_gamma(LevelGraphSpec(7, 4, 2))
         assert report.proven_optimal
         assert report.value == 9
         assert report.value <= 10
-        assert report.nodes_explored <= 150_000
+        assert report.nodes_explored == 111_757
 
     def test_frozen_n8_k5(self):
         # 1,249,137 nodes with [k] fixed; 234,897 with the root orbits
-        # skipped.  The bound fails if the orbit rule is lost.
+        # skipped.  The count fails if the orbit rule is lost.
         report = branch_and_bound_gamma(LevelGraphSpec(8, 5, 2))
         assert report.proven_optimal
         assert report.value == 8
-        assert report.nodes_explored <= 300_000
+        assert report.nodes_explored == 234_897
+
+    @pytest.mark.parametrize("n,k,gamma,nodes", [(6, 3, 9, 27_143), (8, 6, 6, 24_061)])
+    def test_search_tree_pinned(self, n, k, gamma, nodes):
+        report = branch_and_bound_gamma(LevelGraphSpec(n, k, 2))
+        assert report.proven_optimal
+        assert (report.value, report.nodes_explored) == (gamma, nodes)
+
+    def test_search_tree_pinned_at_budget(self):
+        # (8,4,2) spends the whole budget: the node that exceeds it is
+        # counted, and the report keeps the incumbent and the root bound.
+        report = branch_and_bound_gamma(LevelGraphSpec(8, 4, 2), node_budget=3_000_000)
+        assert not report.proven_optimal
+        assert (report.nodes_explored, report.value, report.lower_bound) == (3_000_001, 12, 9)
+
+    def test_search_depth_is_not_bounded_by_recursion(self):
+        # A recursive search needs about 124 frames here; 40 frames above
+        # the caller leave room only for the calls around the loop.
+        spec = LevelGraphSpec(16, 8, 2)
+        free = branch_and_bound_gamma(spec, node_budget=20_000)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            bounded = branch_and_bound_gamma(spec, node_budget=20_000)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert replace(bounded, elapsed=0.0) == replace(free, elapsed=0.0)
+
+    def test_accepts_a_materialized_graph(self):
+        spec = LevelGraphSpec(6, 4, 2)
+        graph = materialize(spec)
+        for solve in (greedy_dominate, branch_and_bound_gamma):
+            from_spec, from_graph = solve(spec), solve(graph)
+            assert replace(from_graph, elapsed=0.0) == replace(from_spec, elapsed=0.0)
 
     @pytest.mark.parametrize("n,k,gamma", [(7, 4, 9), (8, 5, 8), (8, 6, 6)])
     def test_agrees_with_milp(self, n, k, gamma):
