@@ -22,11 +22,8 @@ from .levelgraph import (
     Level,
     LevelGraphSpec,
     VertexRef,
-    adjacent,
     graph_stats,
     materialize,
-    neighbors_down,
-    neighbors_up,
 )
 from .solver import (
     Method,
@@ -40,9 +37,7 @@ from .subsets import (
     Subset,
     binomial,
     enumerate_k_subsets,
-    rank,
     spanning_pairs,
-    unrank,
 )
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ from .errors import InvalidParametersError, TooLargeError
 from .levelgraph import Level, LevelGraphSpec, VertexRef, _check_vertex
 from .subsets import Subset, binomial, enumerate_k_subsets, spanning_pairs
 
-DEFAULT_VERIFY_CAP = 5_000_000
+VERIFY_CAP = 5_000_000
 
 
 class Provenance(enum.Enum):
@@ -158,9 +158,7 @@ def theorem2_construct(n: int) -> DominationCertificate:
     )
 
 
-def verify_certificate(
-    cert: DominationCertificate, cap: int = DEFAULT_VERIFY_CAP
-) -> VerificationResult:
+def verify_certificate(cert: DominationCertificate) -> VerificationResult:
     """Enumerative check that every vertex is a member or has a member neighbor.
 
     The witness, when verification fails, is the colex-least (smallest mask)
@@ -169,8 +167,8 @@ def verify_certificate(
     spec = cert.spec
     n, k, l = spec.n, spec.k, spec.l
     total = binomial(n, k) + binomial(n, l)
-    if total > cap:
-        raise TooLargeError(f"{total} vertex checks exceed the cap of {cap}")
+    if total > VERIFY_CAP:
+        raise TooLargeError(f"{total} vertex checks exceed the cap of {VERIFY_CAP}")
     upper_members = {m.mask for m in cert.members if m.level is Level.UPPER}
     lower_members = {m.mask for m in cert.members if m.level is Level.LOWER}
 

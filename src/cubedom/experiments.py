@@ -17,12 +17,11 @@ from typing import Iterable, Optional
 from .constructions import theorem1_construct, theorem2_construct, verify_certificate, verify_structural
 from .errors import BudgetExceededError, CheckFailedError, InvalidParametersError
 from .levelgraph import LevelGraphSpec, materialize
-from .solver import DEFAULT_NODE_BUDGET, branch_and_bound_gamma, counting_lower_bound, greedy_dominate
-from .subsets import binomial
+from .solver import branch_and_bound_gamma, counting_lower_bound, greedy_dominate
 
-# Above this n, theorem sweeps stop calling the exact solver; the
-# structural argument still certifies the construction at any n <= 64.
-THEOREM2_SOLVER_N_CAP = 12
+# Above these n, the theorem-1 sweep stops calling the exact solver and
+# the enumerative verifier (solver cap <= enumeration cap); the structural
+# verifier still certifies the construction at any n <= 64.
 THEOREM1_SOLVER_N_CAP = 7
 THEOREM1_ENUM_N_CAP = 12
 CONJECTURE_NODE_BUDGET = 200_000
@@ -63,13 +62,12 @@ def _main_term_or_none(n: int, k: int) -> Optional[float]:
     return conjecture_main_term(n, k) if k >= 3 else None
 
 
-def run_theorem2_sweep(
-    n_min: int,
-    n_max: int,
-    solver_n_cap: int = THEOREM2_SOLVER_N_CAP,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> list[ExperimentRow]:
-    """Per n: build the 3-vertex certificate, verify it, confirm gamma = 3."""
+def run_theorem2_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
+    """Per n: build the 3-vertex certificate, verify it, confirm gamma = 3.
+
+    Greedy meets the counting lower bound of 3 at the root, so branch and
+    bound proves gamma = 3 without search at every n <= 64.
+    """
     if not 4 <= n_min <= n_max:
         raise InvalidParametersError(f"need 4 <= n_min <= n_max, got {n_min}..{n_max}")
     rows = []
@@ -84,12 +82,11 @@ def run_theorem2_sweep(
         greedy = greedy_dominate(graph)
         gamma = None
         proven = False
-        if n <= solver_n_cap:
-            report = branch_and_bound_gamma(graph, node_budget=node_budget)
-            if report.proven_optimal:
-                gamma, proven = report.value, True
-                if gamma != 3:
-                    raise CheckFailedError(f"n={n}: proven gamma {gamma} != 3")
+        report = branch_and_bound_gamma(graph)
+        if report.proven_optimal:
+            gamma, proven = report.value, True
+            if gamma != 3:
+                raise CheckFailedError(f"n={n}: proven gamma {gamma} != 3")
         rows.append(
             ExperimentRow(
                 n=n,
@@ -105,13 +102,7 @@ def run_theorem2_sweep(
     return rows
 
 
-def run_theorem1_sweep(
-    n_min: int,
-    n_max: int,
-    enum_n_cap: int = THEOREM1_ENUM_N_CAP,
-    exact_n_cap: int = THEOREM1_SOLVER_N_CAP,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> list[ExperimentRow]:
+def run_theorem1_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
     """For each n and ceil(n/2) < k < n: construct, verify, record sizes.
 
     Enumerative verification and exact solving are skipped above their n
@@ -128,7 +119,7 @@ def run_theorem1_sweep(
                 raise CheckFailedError(f"(n={n},k={k}): structural verification failed")
             if cert.size > bound:
                 raise CheckFailedError(f"(n={n},k={k}): size {cert.size} > {bound}")
-            if n <= enum_n_cap:
+            if n <= THEOREM1_ENUM_N_CAP:
                 if not verify_certificate(cert).verified:
                     raise CheckFailedError(
                         f"(n={n},k={k}): certificate fails enumerative verification"
@@ -137,18 +128,17 @@ def run_theorem1_sweep(
             greedy_value = None
             gamma = None
             proven = False
-            if n <= max(enum_n_cap, exact_n_cap):
+            if n <= THEOREM1_ENUM_N_CAP:
                 graph = materialize(spec)
-            if n <= enum_n_cap:
                 greedy_value = greedy_dominate(graph).value
-            if n <= exact_n_cap:
-                report = branch_and_bound_gamma(graph, node_budget=node_budget)
-                if report.proven_optimal:
-                    gamma, proven = report.value, True
-                    if gamma > cert.size:
-                        raise CheckFailedError(
-                            f"(n={n},k={k}): gamma {gamma} exceeds construction"
-                        )
+                if n <= THEOREM1_SOLVER_N_CAP:
+                    report = branch_and_bound_gamma(graph)
+                    if report.proven_optimal:
+                        gamma, proven = report.value, True
+                        if gamma > cert.size:
+                            raise CheckFailedError(
+                                f"(n={n},k={k}): gamma {gamma} exceeds construction"
+                            )
             rows.append(
                 ExperimentRow(
                     n=n,
@@ -164,7 +154,7 @@ def run_theorem1_sweep(
     return rows
 
 
-def run_gk1_check(n_max: int, node_budget: int = DEFAULT_NODE_BUDGET) -> list[ExperimentRow]:
+def run_gk1_check(n_max: int) -> list[ExperimentRow]:
     """Prove gamma(G_{k,1}) = n - k + 1 for all 2 <= k < n <= n_max."""
     if n_max > 8:
         raise BudgetExceededError(f"gk1 check is limited to n_max <= 8, got {n_max}")
@@ -175,7 +165,7 @@ def run_gk1_check(n_max: int, node_budget: int = DEFAULT_NODE_BUDGET) -> list[Ex
         for k in range(2, n):
             spec = LevelGraphSpec(n, k, 1)
             graph = materialize(spec)
-            report = branch_and_bound_gamma(graph, node_budget=node_budget)
+            report = branch_and_bound_gamma(graph)
             expected = n - k + 1
             if not report.proven_optimal or report.value != expected:
                 raise CheckFailedError(
@@ -197,11 +187,7 @@ def run_gk1_check(n_max: int, node_budget: int = DEFAULT_NODE_BUDGET) -> list[Ex
     return rows
 
 
-def run_conjecture_table(
-    n_range: Iterable[int],
-    k_range: Iterable[int],
-    node_budget: int = CONJECTURE_NODE_BUDGET,
-) -> list[ExperimentRow]:
+def run_conjecture_table(n_range: Iterable[int], k_range: Iterable[int]) -> list[ExperimentRow]:
     """Solver bounds next to the conjectured main term; report-only."""
     ks = sorted(set(k_range))
     ns = sorted(set(n_range))
@@ -221,7 +207,7 @@ def run_conjecture_table(
                 continue
             graph = materialize(LevelGraphSpec(n, k, 2))
             greedy = greedy_dominate(graph)
-            report = branch_and_bound_gamma(graph, node_budget=node_budget)
+            report = branch_and_bound_gamma(graph, node_budget=CONJECTURE_NODE_BUDGET)
             size = None
             if k > ceil(n / 2):
                 size = theorem1_construct(n, k).size

@@ -2,9 +2,8 @@
 
 Vertices are the k-subsets (upper level) and l-subsets (lower level) of
 [n]; an upper and a lower vertex are adjacent iff the lower set is
-contained in the upper set.  The graph is implicit: adjacency and
-neighborhoods are computed from bitmasks on demand.  ``materialize``
-builds the closed-neighbourhood bitsets the solvers read, guarded by a
+contained in the upper set.  ``materialize`` builds the graph in its one
+form, the closed-neighbourhood bitsets every solver reads, guarded by a
 vertex cap.
 """
 
@@ -17,7 +16,7 @@ from itertools import combinations
 from .errors import CheckFailedError, InvalidParametersError, TooLargeError
 from .subsets import MAX_GROUND_SET, Subset, binomial, enumerate_k_subsets
 
-DEFAULT_MATERIALIZE_CAP = 50_000
+MATERIALIZE_CAP = 50_000
 
 
 class Level(enum.Enum):
@@ -27,13 +26,17 @@ class Level(enum.Enum):
 
 @dataclass(frozen=True)
 class LevelGraphSpec:
-    """Parameters (n, k, l) of the graph; requires n > k > l >= 1."""
+    """Parameters (n, k, l) of the graph; requires integers n > k > l >= 1."""
 
     n: int
     k: int
     l: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "k", "l"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidParametersError(f"{name} must be an integer, got {value!r}")
         if self.n > MAX_GROUND_SET:
             raise InvalidParametersError(f"n={self.n} exceeds {MAX_GROUND_SET}")
         if not self.n > self.k > self.l >= 1:
@@ -68,45 +71,6 @@ def _check_vertex(spec: LevelGraphSpec, v: VertexRef) -> None:
             f"{v.level.value} vertex {v.set} has cardinality "
             f"{v.set.cardinality}, expected {want}"
         )
-
-
-def adjacent(spec: LevelGraphSpec, u: VertexRef, v: VertexRef) -> bool:
-    """True iff one vertex is upper, the other lower, and lower ⊆ upper."""
-    _check_vertex(spec, u)
-    _check_vertex(spec, v)
-    if u.level is v.level:
-        return False
-    upper, lower = (u, v) if u.level is Level.UPPER else (v, u)
-    return lower.set.issubset(upper.set)
-
-
-def neighbors_down(spec: LevelGraphSpec, u: VertexRef):
-    """The C(k,l) lower vertices contained in an upper vertex."""
-    _check_vertex(spec, u)
-    if u.level is not Level.UPPER:
-        raise InvalidParametersError("neighbors_down needs an upper vertex")
-    positions = [i for i in range(spec.n) if u.set.mask >> i & 1]
-    for sub in enumerate_k_subsets(spec.k, spec.l):
-        mask = 0
-        for i in range(spec.k):
-            if sub.mask >> i & 1:
-                mask |= 1 << positions[i]
-        yield VertexRef(Level.LOWER, Subset(mask, spec.n))
-
-
-def neighbors_up(spec: LevelGraphSpec, v: VertexRef):
-    """The C(n-l, k-l) upper vertices containing a lower vertex."""
-    _check_vertex(spec, v)
-    if v.level is not Level.LOWER:
-        raise InvalidParametersError("neighbors_up needs a lower vertex")
-    complement = [i for i in range(spec.n) if not v.set.mask >> i & 1]
-    m = len(complement)
-    for sub in enumerate_k_subsets(m, spec.k - spec.l):
-        mask = v.set.mask
-        for i in range(m):
-            if sub.mask >> i & 1:
-                mask |= 1 << complement[i]
-        yield VertexRef(Level.UPPER, Subset(mask, spec.n))
 
 
 def graph_stats(spec: LevelGraphSpec) -> dict:
@@ -146,9 +110,7 @@ class MaterializedGraph:
         return VertexRef(level, Subset(self.masks[index], self.spec.n))
 
 
-def materialize(
-    spec: LevelGraphSpec, cap: int = DEFAULT_MATERIALIZE_CAP
-) -> MaterializedGraph:
+def materialize(spec: LevelGraphSpec) -> MaterializedGraph:
     """Build closed-neighbourhood bitsets, refusing graphs above the vertex cap.
 
     Edges come from mask arithmetic: the lower neighbours of an upper mask
@@ -158,8 +120,8 @@ def materialize(
     n, k, l = spec.n, spec.k, spec.l
     nu = binomial(n, k)
     total = nu + binomial(n, l)
-    if total > cap:
-        raise TooLargeError(f"{total} vertices exceed the cap of {cap}")
+    if total > MATERIALIZE_CAP:
+        raise TooLargeError(f"{total} vertices exceed the cap of {MATERIALIZE_CAP}")
     masks = tuple(s.mask for level in (k, l) for s in enumerate_k_subsets(n, level))
     lower_index = {masks[i]: i for i in range(nu, total)}
     closed = [1 << i for i in range(total)]

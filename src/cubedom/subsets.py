@@ -3,8 +3,7 @@
 A subset is one machine word: bit i-1 of ``mask`` is set iff element i is
 in the subset.  The ground set is capped at 64 elements so containment
 tests are single AND operations.  k-subsets are enumerated in
-colexicographic order, which coincides with ascending numeric mask order,
-and ranked/unranked with the combinatorial number system.
+colexicographic order, which coincides with ascending numeric mask order.
 """
 
 from __future__ import annotations
@@ -53,12 +52,6 @@ class Subset:
     def cardinality(self) -> int:
         return self.mask.bit_count()
 
-    def issubset(self, other: "Subset") -> bool:
-        return self.mask & other.mask == self.mask
-
-    def __contains__(self, element: int) -> bool:
-        return 1 <= element <= self.n and bool(self.mask >> (element - 1) & 1)
-
     def __str__(self) -> str:
         return "{" + ",".join(str(e) for e in self.elements()) + "}"
 
@@ -89,37 +82,6 @@ def enumerate_k_subsets(n: int, k: int) -> Iterator[Subset]:
         # Gosper's hack: next mask with the same popcount.
         t = v | (v - 1)
         v = (t + 1) | (((((t + 1) & -(t + 1)) // (v & -v)) >> 1) - 1)
-
-
-def rank(s: Subset, k: int) -> int:
-    """Colex rank of a k-subset among all k-subsets of its ground set."""
-    if s.cardinality != k:
-        raise InvalidParametersError(
-            f"subset {s} has cardinality {s.cardinality}, expected {k}"
-        )
-    r = 0
-    for j, e in enumerate(s.elements()):
-        r += math.comb(e - 1, j + 1)
-    return r
-
-
-def unrank(i: int, n: int, k: int) -> Subset:
-    """Inverse of rank: the k-subset of [n] with colex rank i."""
-    total = binomial(n, k)
-    if not 0 <= i < total:
-        raise InvalidParametersError(f"rank {i} outside [0, C({n},{k}))")
-    mask = 0
-    r = i
-    kk = k
-    c = n
-    while kk > 0:
-        c -= 1
-        offset = math.comb(c, kk)
-        if r >= offset:
-            r -= offset
-            mask |= 1 << c
-            kk -= 1
-    return Subset(mask, n)
 
 
 def spanning_pairs(n: int) -> tuple[Subset, ...]:

@@ -88,6 +88,15 @@ class TestConstructVerify:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags", [(), ("--structural",)], ids=["enumerative", "structural"])
+    @pytest.mark.parametrize("field,value", [("n", 6.5), ("n", 6.0), ("k", 4.5), ("l", 2.0)])
+    def test_non_integer_parameter_exits_2(self, capsys, tmp_path, flags, field, value):
+        data = {"n": 6, "k": 4, "l": 2, "provenance": "external", "members": []}
+        data[field] = value
+        code, out, err = verify_data(capsys, tmp_path, data, *flags)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and f"{field} must be an integer, got {value}" in err
+
     def test_repeated_element_in_theorem1_file_exits_2(self, capsys, tmp_path):
         data = theorem1_file(capsys, tmp_path, 10, 7)
         data["members"][0]["elements"] = [1, 1, 2, 3, 4, 5, 6, 7]

@@ -181,9 +181,10 @@ class TestVerifyCertificate:
         assert verify_certificate(theorem2_construct(6)).verified
 
     def test_cap(self):
-        cert = theorem2_construct(12)
-        with pytest.raises(TooLargeError):
-            verify_certificate(cert, cap=10)
+        # C(30,16) + C(30,2) = 145,423,110 checks, over the 5,000,000 cap.
+        cert = theorem1_construct(30, 16)
+        with pytest.raises(TooLargeError, match="145423110 vertex checks exceed the cap"):
+            verify_certificate(cert)
 
 
 @st.composite
@@ -292,7 +293,7 @@ class TestTheorem2LowerBoundWitness:
                 )
                 assert ("l", frozenset(w.set.elements())) in bad
                 assert w.set.elements() != b_elems
-                assert missing in w.set
+                assert missing in w.set.elements()
 
 
 class TestSerialization:

@@ -47,10 +47,11 @@ class TestTheorem2Sweep:
         with pytest.raises(InvalidParametersError):
             run_theorem2_sweep(3, 5)
 
-    def test_beyond_solver_reach_leaves_gamma_open(self):
-        (row,) = run_theorem2_sweep(15, 15)
-        assert row.gamma_exact is None and not row.proven
-        assert row.construction_size == 3
+    @pytest.mark.parametrize("n", [15, 64])
+    def test_proves_gamma_3_at_large_n(self, n):
+        (row,) = run_theorem2_sweep(n, n)
+        assert row.gamma_exact == 3 and row.proven
+        assert row.lower_bound == row.construction_size == row.greedy_value == 3
 
 
 class TestTheorem1Sweep:

@@ -3,37 +3,22 @@ import random
 import pytest
 
 from cubedom.errors import InvalidParametersError, TooLargeError
-from cubedom.levelgraph import (
-    Level,
-    LevelGraphSpec,
-    VertexRef,
-    adjacent,
-    graph_stats,
-    materialize,
-    neighbors_down,
-    neighbors_up,
-)
-from cubedom.subsets import Subset, binomial, enumerate_k_subsets, rank
-
-
-def upper(spec, *elements):
-    return VertexRef(Level.UPPER, Subset.from_elements(elements, spec.n))
-
-
-def lower(spec, *elements):
-    return VertexRef(Level.LOWER, Subset.from_elements(elements, spec.n))
+from cubedom.levelgraph import Level, LevelGraphSpec, graph_stats, materialize
+from cubedom.subsets import binomial, enumerate_k_subsets
 
 
 def reference_closed(spec):
-    """Closed-neighbourhood bitsets built edge by edge from neighbors_down and rank."""
-    uppers = list(enumerate_k_subsets(spec.n, spec.k))
+    """Closed-neighbourhood bitsets from a containment scan over every
+    (upper, lower) pair of the enumerated levels."""
+    uppers = [s.mask for s in enumerate_k_subsets(spec.n, spec.k)]
+    lowers = [s.mask for s in enumerate_k_subsets(spec.n, spec.l)]
     nu = len(uppers)
-    closed = [1 << i for i in range(nu + binomial(spec.n, spec.l))]
-    for iu, s in enumerate(uppers):
-        for w in neighbors_down(spec, VertexRef(Level.UPPER, s)):
-            il = nu + rank(w.set, spec.l)
-            closed[iu] |= 1 << il
-            closed[il] |= 1 << iu
+    closed = [1 << i for i in range(nu + len(lowers))]
+    for iu, u in enumerate(uppers):
+        for j, w in enumerate(lowers):
+            if w & u == w:
+                closed[iu] |= 1 << (nu + j)
+                closed[nu + j] |= 1 << iu
     return tuple(closed)
 
 
@@ -47,53 +32,11 @@ class TestSpec:
             with pytest.raises(InvalidParametersError):
                 LevelGraphSpec(n, k, l)
 
-
-class TestAdjacent:
-    def test_containment(self):
-        spec = LevelGraphSpec(4, 3, 2)
-        assert adjacent(spec, upper(spec, 1, 2, 3), lower(spec, 1, 3))
-        assert not adjacent(spec, upper(spec, 1, 2, 3), lower(spec, 1, 4))
-
-    def test_same_level_never_adjacent(self):
-        spec = LevelGraphSpec(4, 3, 2)
-        assert not adjacent(spec, upper(spec, 1, 2, 3), upper(spec, 1, 2, 4))
-        assert not adjacent(spec, lower(spec, 1, 2), lower(spec, 1, 2))
-
-    def test_rejects_wrong_cardinality(self):
-        spec = LevelGraphSpec(4, 3, 2)
-        with pytest.raises(InvalidParametersError):
-            adjacent(spec, upper(spec, 1, 2), lower(spec, 1, 2))
-
-
-class TestNeighborhoods:
-    def test_neighbors_down_example(self):
-        spec = LevelGraphSpec(5, 3, 2)
-        got = {v.set.elements() for v in neighbors_down(spec, upper(spec, 1, 2, 5))}
-        assert got == {(1, 2), (1, 5), (2, 5)}
-
-    def test_neighbors_down_count(self):
-        spec = LevelGraphSpec(8, 5, 2)
-        u = upper(spec, 2, 3, 5, 7, 8)
-        nbrs = list(neighbors_down(spec, u))
-        assert len(nbrs) == binomial(5, 2)
-        assert all(adjacent(spec, u, v) for v in nbrs)
-
-    def test_neighbors_up_example(self):
-        spec = LevelGraphSpec(4, 3, 2)
-        got = {v.set.elements() for v in neighbors_up(spec, lower(spec, 1, 4))}
-        assert got == {(1, 2, 4), (1, 3, 4)}
-
-    def test_neighbors_up_count(self):
-        spec = LevelGraphSpec(6, 4, 2)
-        nbrs = list(neighbors_up(spec, lower(spec, 2, 5)))
-        assert len(nbrs) == binomial(4, 2) == 6
-
-    @pytest.mark.parametrize("n,k,l", [(5, 3, 2), (6, 4, 2), (7, 4, 3), (7, 3, 1)])
-    def test_up_down_symmetry(self, n, k, l):
-        spec = LevelGraphSpec(n, k, l)
-        for u in (VertexRef(Level.UPPER, s) for s in enumerate_k_subsets(n, k)):
-            for v in neighbors_down(spec, u):
-                assert u in set(neighbors_up(spec, v))
+    def test_rejects_non_integers(self):
+        for n, k, l in [(6.5, 4, 2), (6.0, 4, 2), (6, 4.5, 2), (6, 4, 2.0), (6, 4, True),
+                        (True, 4, 2), ("6", 4, 2), (None, 4, 2)]:
+            with pytest.raises(InvalidParametersError, match="must be an integer"):
+                LevelGraphSpec(n, k, l)
 
 
 class TestStats:
@@ -150,7 +93,9 @@ class TestMaterialize:
             if i == j:
                 continue
             u, v = g.vertex(i), g.vertex(j)
-            assert (g.closed[i] >> j & 1 == 1) == adjacent(spec, u, v)
+            upper, lower = (u, v) if u.level is Level.UPPER else (v, u)
+            adjacent = upper.level is not lower.level and lower.mask & upper.mask == lower.mask
+            assert (g.closed[i] >> j & 1 == 1) == adjacent
 
     def test_matches_reference_n_le_10(self):
         for n in range(3, 11):
@@ -167,11 +112,15 @@ class TestMaterialize:
         spec = LevelGraphSpec(6, 4, 2)
         g = materialize(spec)
         assert len(set(g.masks)) == g.vertex_count
+        uppers = list(enumerate_k_subsets(spec.n, spec.k))
+        lowers = list(enumerate_k_subsets(spec.n, spec.l))
+        assert g.upper_count == len(uppers)
+        assert g.vertex_count == len(uppers) + len(lowers)
         for i in range(g.vertex_count):
             v = g.vertex(i)
             assert v.mask == g.masks[i]
             if i < g.upper_count:
-                assert v.level is Level.UPPER and rank(v.set, spec.k) == i
+                assert v.level is Level.UPPER and v.set == uppers[i]
             else:
                 assert v.level is Level.LOWER
-                assert rank(v.set, spec.l) == i - g.upper_count
+                assert v.set == lowers[i - g.upper_count]
