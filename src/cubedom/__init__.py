@@ -34,9 +34,10 @@ from .solver import (
     greedy_dominate,
 )
 from .subsets import (
-    Subset,
     binomial,
+    elements,
     enumerate_k_subsets,
+    mask_of,
     spanning_pairs,
 )
 

@@ -35,6 +35,7 @@ from .experiments import (
 )
 from .levelgraph import LevelGraphSpec, graph_stats
 from .solver import branch_and_bound_gamma, greedy_dominate, DEFAULT_NODE_BUDGET
+from .subsets import elements
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -74,7 +75,7 @@ def _cmd_verify(args) -> int:
         print("verified")
         return 0
     print(f"not dominating; undominated vertex: "
-          f"{result.witness.level.value} {list(result.witness.set.elements())}")
+          f"{result.witness.level.value} {list(elements(result.witness.mask))}")
     return 1
 
 

@@ -32,7 +32,7 @@ from typing import Optional
 
 from .errors import InvalidParametersError, TooLargeError
 from .levelgraph import Level, LevelGraphSpec, VertexRef, _check_vertex
-from .subsets import Subset, binomial, enumerate_k_subsets, spanning_pairs
+from .subsets import binomial, elements, enumerate_k_subsets, mask_of, spanning_pairs
 
 VERIFY_CAP = 5_000_000
 
@@ -82,28 +82,28 @@ class VerificationResult:
     witness: Optional[VertexRef] = None
 
 
-def _interval(lo: int, hi: int, n: int) -> Subset:
-    return Subset.from_elements(range(lo, hi + 1), n)
+def _interval(lo: int, hi: int) -> int:
+    """The mask of {lo, ..., hi}."""
+    return ((1 << (hi - lo + 1)) - 1) << (lo - 1)
 
 
-def _lowest(mask: int, count: int, n: int) -> Subset:
+def _lowest(mask: int, count: int) -> int:
+    """The mask of the ``count`` smallest elements of ``mask``."""
     out = 0
-    for i in range(n):
-        if count == 0:
-            break
-        if mask >> i & 1:
-            out |= 1 << i
-            count -= 1
-    return Subset(out, n)
+    for _ in range(count):
+        low = mask & -mask
+        out |= low
+        mask ^= low
+    return out
 
 
-def _pad_to_k(mask: int, k: int, n: int) -> Subset:
+def _pad_to_k(mask: int, k: int, n: int) -> int:
     """Grow a set to k elements with the smallest absent elements of [n]."""
     for i in range(n):
         if mask.bit_count() >= k:
             break
         mask |= 1 << i
-    return Subset(mask, n)
+    return mask
 
 
 def theorem1_construct(n: int, k: int) -> DominationCertificate:
@@ -113,27 +113,27 @@ def theorem1_construct(n: int, k: int) -> DominationCertificate:
             f"construction needs ceil(n/2) < k < n, got n={n}, k={k}"
         )
     spec = LevelGraphSpec(n, k, 2)
-    S = _interval(1, k, n)
-    T = _interval(n - k + 1, n, n)
+    S = _interval(1, k)
+    T = _interval(n - k + 1, n)
     if k % 2 == 0:
         half = k // 2
-        S1 = _lowest(S.mask, half, n)
-        S2 = Subset(S.mask & ~S1.mask, n)
-        T1 = _lowest(T.mask, half, n)
-        T2 = Subset(T.mask & ~T1.mask, n)
+        S1 = _lowest(S, half)
+        S2 = S & ~S1
+        T1 = _lowest(T, half)
+        T2 = T & ~T1
     else:
         # The pivot is n-k+1: 2k >= n+1, so S ∩ T = {n-k+1, ..., k} is nonempty.
         pivot_bit = 1 << (n - k)
-        s_rest = S.mask & ~pivot_bit
-        S1 = _lowest(s_rest, (k - 1) // 2, n)
-        S2 = Subset(s_rest & ~S1.mask, n)
-        t_rest = T.mask & ~pivot_bit
-        T1 = Subset(pivot_bit | _lowest(t_rest, (k - 1) // 2, n).mask, n)
-        T2 = Subset(pivot_bit | (t_rest & ~T1.mask), n)
-    P1 = _pad_to_k(S1.mask | T1.mask, k, n)
-    P2 = _pad_to_k(S1.mask | T2.mask, k, n)
-    P3 = _pad_to_k(S2.mask | T1.mask, k, n)
-    P4 = _pad_to_k(S2.mask | T2.mask, k, n)
+        s_rest = S & ~pivot_bit
+        S1 = _lowest(s_rest, (k - 1) // 2)
+        S2 = s_rest & ~S1
+        t_rest = T & ~pivot_bit
+        T1 = pivot_bit | _lowest(t_rest, (k - 1) // 2)
+        T2 = pivot_bit | (t_rest & ~T1)
+    P1 = _pad_to_k(S1 | T1, k, n)
+    P2 = _pad_to_k(S1 | T2, k, n)
+    P3 = _pad_to_k(S2 | T1, k, n)
+    P4 = _pad_to_k(S2 | T2, k, n)
     members = {VertexRef(Level.UPPER, p) for p in (S, T, P1, P2, P3, P4)}
     members |= {VertexRef(Level.LOWER, p) for p in spanning_pairs(n)}
     return DominationCertificate(
@@ -148,14 +148,23 @@ def theorem2_construct(n: int) -> DominationCertificate:
     spec = LevelGraphSpec(n, n - 1, 2)
     members = frozenset(
         {
-            VertexRef(Level.UPPER, _interval(1, n - 1, n)),
-            VertexRef(Level.UPPER, _interval(2, n, n)),
-            VertexRef(Level.LOWER, Subset.from_elements((1, n), n)),
+            VertexRef(Level.UPPER, _interval(1, n - 1)),
+            VertexRef(Level.UPPER, _interval(2, n)),
+            VertexRef(Level.LOWER, mask_of((1, n), n)),
         }
     )
     return DominationCertificate(
         spec=spec, members=members, provenance=Provenance.THEOREM2
     )
+
+
+def _result(bad_lower: Optional[int], bad_upper: Optional[int]) -> VerificationResult:
+    """Verified if neither level has an undominated mask, else the least one."""
+    if bad_lower is None and bad_upper is None:
+        return VerificationResult(True)
+    if bad_upper is None or (bad_lower is not None and bad_lower < bad_upper):
+        return VerificationResult(False, VertexRef(Level.LOWER, bad_lower))
+    return VerificationResult(False, VertexRef(Level.UPPER, bad_upper))
 
 
 def verify_certificate(cert: DominationCertificate) -> VerificationResult:
@@ -174,30 +183,21 @@ def verify_certificate(cert: DominationCertificate) -> VerificationResult:
 
     bad_lower = None
     for v in enumerate_k_subsets(n, l):
-        if v.mask in lower_members:
+        if v in lower_members:
             continue
-        if any(v.mask & u == v.mask for u in upper_members):
+        if any(v & u == v for u in upper_members):
             continue
-        bad_lower = VertexRef(Level.LOWER, v)
+        bad_lower = v
         break
     bad_upper = None
     for u in enumerate_k_subsets(n, k):
-        if u.mask in upper_members:
+        if u in upper_members:
             continue
-        if any(b & u.mask == b for b in lower_members):
+        if any(b & u == b for b in lower_members):
             continue
-        bad_upper = VertexRef(Level.UPPER, u)
+        bad_upper = u
         break
-
-    if bad_lower is None and bad_upper is None:
-        return VerificationResult(True)
-    if bad_lower is None:
-        witness = bad_upper
-    elif bad_upper is None:
-        witness = bad_lower
-    else:
-        witness = bad_lower if bad_lower.mask < bad_upper.mask else bad_upper
-    return VerificationResult(False, witness)
+    return _result(bad_lower, bad_upper)
 
 
 def verify_structural(cert: DominationCertificate) -> VerificationResult:
@@ -223,11 +223,7 @@ def verify_structural(cert: DominationCertificate) -> VerificationResult:
 
     bad_lower = _uncovered_pair(n, upper, nbr)
     bad_upper = _least_independent_k_set(n, k, upper, nbr)
-    if bad_lower is None and bad_upper is None:
-        return VerificationResult(True)
-    if bad_upper is None or (bad_lower is not None and bad_lower < bad_upper):
-        return VerificationResult(False, VertexRef(Level.LOWER, Subset(bad_lower, n)))
-    return VerificationResult(False, VertexRef(Level.UPPER, Subset(bad_upper, n)))
+    return _result(bad_lower, bad_upper)
 
 
 def _uncovered_pair(n: int, upper: set[int], nbr: list[int]) -> Optional[int]:
@@ -303,8 +299,8 @@ def theorem2_lower_bound_witness(n: int, a: VertexRef, b: VertexRef) -> VertexRe
     for x in range(1, n + 1):
         if x == i:
             continue
-        candidate = Subset.from_elements((i, x), n)
-        if candidate.mask != b.mask:
+        candidate = mask_of((i, x), n)
+        if candidate != b.mask:
             return VertexRef(Level.LOWER, candidate)
     raise InvalidParametersError(f"no witness pair exists at n={n}")
 
@@ -316,7 +312,7 @@ def certificate_to_json(cert: DominationCertificate) -> dict:
         "l": cert.spec.l,
         "provenance": cert.provenance.value,
         "members": [
-            {"level": m.level.value, "elements": list(m.set.elements())}
+            {"level": m.level.value, "elements": list(elements(m.mask))}
             for m in cert.sorted_members()
         ],
     }
@@ -326,13 +322,10 @@ def certificate_from_json(data: dict) -> DominationCertificate:
     try:
         spec = LevelGraphSpec(data["n"], data["k"], data["l"])
         provenance = Provenance(data["provenance"])
-        listed = []
-        for m in data["members"]:
-            elements = m["elements"]
-            subset = Subset.from_elements(elements, spec.n)
-            if subset.cardinality != len(elements):
-                raise InvalidParametersError(f"repeated element in {elements}")
-            listed.append(VertexRef(Level(m["level"]), subset))
+        listed = [
+            VertexRef(Level(m["level"]), mask_of(m["elements"], spec.n))
+            for m in data["members"]
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParametersError(f"malformed certificate: {exc}") from exc
     members = frozenset(listed)
@@ -349,6 +342,6 @@ def load_certificate(text: str | bytes) -> DominationCertificate:
     """Parse a certificate; bytes are decoded as UTF-8, UTF-16 or UTF-32."""
     try:
         data = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidParametersError(f"certificate is not JSON: {exc}") from exc
     return certificate_from_json(data)

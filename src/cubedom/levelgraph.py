@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CheckFailedError, InvalidParametersError, TooLargeError
-from .subsets import MAX_GROUND_SET, Subset, binomial, enumerate_k_subsets
+from .subsets import MAX_GROUND_SET, binomial, elements, enumerate_k_subsets
 
 MATERIALIZE_CAP = 50_000
 
@@ -50,26 +50,23 @@ class LevelGraphSpec:
 
 @dataclass(frozen=True)
 class VertexRef:
-    """A vertex: a subset tagged with the level it lives on."""
+    """A vertex: a subset mask tagged with the level it lives on."""
 
     level: Level
-    set: Subset
-
-    @property
-    def mask(self) -> int:
-        return self.set.mask
+    mask: int
 
 
 def _check_vertex(spec: LevelGraphSpec, v: VertexRef) -> None:
-    if v.set.n != spec.n:
+    if v.mask < 0 or v.mask >> spec.n:
         raise InvalidParametersError(
-            f"vertex ground set {v.set.n} does not match spec n={spec.n}"
+            f"{v.level.value} vertex mask {v.mask:#x} has bits outside [{spec.n}]"
         )
     want = spec.level_cardinality(v.level)
-    if v.set.cardinality != want:
+    if v.mask.bit_count() != want:
+        shown = "{" + ",".join(map(str, elements(v.mask))) + "}"
         raise InvalidParametersError(
-            f"{v.level.value} vertex {v.set} has cardinality "
-            f"{v.set.cardinality}, expected {want}"
+            f"{v.level.value} vertex {shown} has cardinality "
+            f"{v.mask.bit_count()}, expected {want}"
         )
 
 
@@ -107,7 +104,7 @@ class MaterializedGraph:
 
     def vertex(self, index: int) -> VertexRef:
         level = Level.UPPER if index < self.upper_count else Level.LOWER
-        return VertexRef(level, Subset(self.masks[index], self.spec.n))
+        return VertexRef(level, self.masks[index])
 
 
 def materialize(spec: LevelGraphSpec) -> MaterializedGraph:
@@ -122,7 +119,7 @@ def materialize(spec: LevelGraphSpec) -> MaterializedGraph:
     total = nu + binomial(n, l)
     if total > MATERIALIZE_CAP:
         raise TooLargeError(f"{total} vertices exceed the cap of {MATERIALIZE_CAP}")
-    masks = tuple(s.mask for level in (k, l) for s in enumerate_k_subsets(n, level))
+    masks = (*enumerate_k_subsets(n, k), *enumerate_k_subsets(n, l))
     lower_index = {masks[i]: i for i in range(nu, total)}
     closed = [1 << i for i in range(total)]
     for iu, umask in enumerate(masks[:nu]):

@@ -104,6 +104,25 @@ class TestConstructVerify:
         assert (code, out) == (2, "")
         assert "repeated element" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags", [(), ("--structural",)], ids=["enumerative", "structural"])
+    def test_boolean_element_exits_2(self, capsys, tmp_path, flags):
+        # The theorem-2 file at n = 4 with true in place of 1: true == 1 in
+        # Python, but a JSON boolean is not an element of [n].
+        run(capsys, "construct", "--theorem", "2", "--n", "4", "-o", str(tmp_path / "t2.json"))
+        data = json.loads((tmp_path / "t2.json").read_text())
+        for m in data["members"]:
+            m["elements"] = [True if e == 1 else e for e in m["elements"]]
+        code, out, err = verify_data(capsys, tmp_path, data, *flags)
+        assert (code, out) == (2, "")
+        assert "not an integer" in err and err.count("\n") == 1
+
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_bytes(b"[" * 200_000 + b"]" * 200_000)
+        code, out, err = run(capsys, "verify", "--cert", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_theorem1_needs_k(self, capsys):
         code, _, _ = run(capsys, "construct", "--theorem", "1", "--n", "8")
         assert code == 2

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from math import ceil
@@ -22,7 +23,7 @@ from cubedom.constructions import (
 )
 from cubedom.errors import InvalidParametersError, TooLargeError
 from cubedom.levelgraph import Level, LevelGraphSpec, VertexRef
-from cubedom.subsets import Subset, spanning_pairs
+from cubedom.subsets import elements, mask_of, spanning_pairs
 
 
 def oracle_undominated(n, k, l, members):
@@ -47,7 +48,7 @@ def oracle_undominated(n, k, l, members):
 
 def cert_as_tuples(cert):
     return [
-        ("u" if m.level is Level.UPPER else "l", m.set.elements())
+        ("u" if m.level is Level.UPPER else "l", elements(m.mask))
         for m in cert.sorted_members()
     ]
 
@@ -56,8 +57,8 @@ def certificate(n, k, uppers=(), lowers=()):
     return DominationCertificate(
         spec=LevelGraphSpec(n, k, 2),
         members=frozenset(
-            [VertexRef(Level.UPPER, Subset.from_elements(e, n)) for e in uppers]
-            + [VertexRef(Level.LOWER, Subset.from_elements(e, n)) for e in lowers]
+            [VertexRef(Level.UPPER, mask_of(e, n)) for e in uppers]
+            + [VertexRef(Level.LOWER, mask_of(e, n)) for e in lowers]
         ),
         provenance=Provenance.EXTERNAL,
     )
@@ -120,7 +121,28 @@ class TestTheorem1Construct:
             s, t = (1 << k) - 1, ((1 << k) - 1) << (n - k)
             assert {s, t} <= a and len(a) <= 6
             assert all(m.bit_count() == k for m in a)
-            assert h == {p.mask for p in spanning_pairs(n)}
+            assert h == set(spanning_pairs(n))
+
+
+class TestPinnedOutput:
+    """sha256 of the certificate JSON, fixed so a rewrite of the constructions
+    cannot silently change the files that ``cubedom construct`` writes."""
+
+    @pytest.mark.parametrize("build, digest", [
+        (lambda: theorem1_construct(20, 12),
+         "d20dcf695c0cd6e8bf7f8d5e37e68b33375cda898a73137c2364bd4eb8b05995"),
+        (lambda: theorem1_construct(21, 12),
+         "bdf0e50e461da75a9711b48263c532e82283655a1abb3877adcf95652d278c9b"),
+        (lambda: theorem1_construct(64, 33),
+         "909a10b18b931b0aa5ec6d60f4ca62ccedd7a19928c0f487143d798f29b2fb88"),
+        (lambda: theorem2_construct(9),
+         "8484ab34316eeaa60d35a258cc874280e8de8628877f6b7363119923ff2a4d88"),
+        (lambda: theorem2_construct(64),
+         "2991f3ed480f305378fc8ea2b4c3ad92913f8f6ca37e0af22a3a2ab206862d68"),
+    ], ids=["t1-20-12", "t1-21-12", "t1-64-33", "t2-9", "t2-64"])
+    def test_certificate_json_digest(self, build, digest):
+        text = dump_certificate(build())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestTheorem2Construct:
@@ -158,17 +180,27 @@ class TestVerifyCertificate:
         spec = LevelGraphSpec(4, 3, 2)
         cert = DominationCertificate(
             spec=spec,
-            members=frozenset({VertexRef(Level.UPPER, Subset.from_elements((1, 2, 3), 4))}),
+            members=frozenset({VertexRef(Level.UPPER, mask_of((1, 2, 3), 4))}),
             provenance=Provenance.EXTERNAL,
         )
         result = verify_certificate(cert)
         assert not result.verified
         assert result.witness.level is Level.LOWER
-        assert result.witness.set.elements() == (1, 4)
+        assert elements(result.witness.mask) == (1, 4)
         # Cross-check: the oracle's least undominated vertex agrees.
         bad = oracle_undominated(4, 3, 2, [("u", (1, 2, 3))])
         masks = sorted(sum(1 << (e - 1) for e in v) for _, v in bad)
-        assert masks[0] == result.witness.set.mask
+        assert masks[0] == result.witness.mask
+
+    # {1,2,5} has the right size for k = 3, but element 5 is outside [4].
+    @pytest.mark.parametrize("mask", [0b10011, -0b111], ids=["bit-above-n", "negative"])
+    def test_member_with_bits_outside_ground_set_rejected(self, mask):
+        with pytest.raises(InvalidParametersError, match="outside"):
+            DominationCertificate(
+                spec=LevelGraphSpec(4, 3, 2),
+                members=frozenset({VertexRef(Level.UPPER, mask)}),
+                provenance=Provenance.EXTERNAL,
+            )
 
     def test_empty_certificate_fails(self):
         spec = LevelGraphSpec(5, 3, 2)
@@ -207,12 +239,12 @@ class TestStructuralVerifier:
         # The theorem-1 k-sets at (6,4) with a pair family that misses element 6:
         # {1,3,5,6} is independent in H and not a member.
         cert = theorem1_construct(6, 4)
-        uppers = [m.set.elements() for m in cert.members if m.level is Level.UPPER]
+        uppers = [elements(m.mask) for m in cert.members if m.level is Level.UPPER]
         broken = certificate(6, 4, uppers, [(1, 2), (3, 4), (4, 5)])
         result = verify_structural(broken)
         assert not result.verified
         assert result == verify_certificate(broken)
-        assert result.witness.set.elements() == (1, 3, 5, 6)
+        assert elements(result.witness.mask) == (1, 3, 5, 6)
 
     def test_pair_members_must_be_pairs(self):
         with pytest.raises(InvalidParametersError):
@@ -262,23 +294,23 @@ class TestStructuralVerifier:
         pairs = [p for t in triangles for p in itertools.combinations(t, 2)]
         result = verify_structural(certificate(63, 30, lowers=pairs))
         assert not result.verified
-        assert result.witness == VertexRef(Level.LOWER, Subset.from_elements((1, 4), 63))
+        assert result.witness == VertexRef(Level.LOWER, mask_of((1, 4), 63))
 
 
 class TestTheorem2LowerBoundWitness:
     def witness(self, n, a_elems, b_elems):
-        a = VertexRef(Level.UPPER, Subset.from_elements(a_elems, n))
-        b = VertexRef(Level.LOWER, Subset.from_elements(b_elems, n))
+        a = VertexRef(Level.UPPER, mask_of(a_elems, n))
+        b = VertexRef(Level.LOWER, mask_of(b_elems, n))
         return theorem2_lower_bound_witness(n, a, b)
 
     def test_smallest_x_examples(self):
-        assert self.witness(5, (1, 2, 3, 4), (1, 2)).set.elements() == (1, 5)
-        assert self.witness(5, (2, 3, 4, 5), (1, 2)).set.elements() == (1, 3)
+        assert elements(self.witness(5, (1, 2, 3, 4), (1, 2)).mask) == (1, 5)
+        assert elements(self.witness(5, (2, 3, 4, 5), (1, 2)).mask) == (1, 3)
 
     def test_rejects_malformed_inputs(self):
         with pytest.raises(InvalidParametersError):
             self.witness(5, (1, 2, 3), (1, 2))
-        a = VertexRef(Level.LOWER, Subset.from_elements((1, 2), 5))
+        a = VertexRef(Level.LOWER, mask_of((1, 2), 5))
         with pytest.raises(InvalidParametersError):
             theorem2_lower_bound_witness(5, a, a)
 
@@ -291,9 +323,9 @@ class TestTheorem2LowerBoundWitness:
                 bad = oracle_undominated(
                     n, n - 1, 2, [("u", a_elems), ("l", b_elems)]
                 )
-                assert ("l", frozenset(w.set.elements())) in bad
-                assert w.set.elements() != b_elems
-                assert missing in w.set.elements()
+                assert ("l", frozenset(elements(w.mask))) in bad
+                assert elements(w.mask) != b_elems
+                assert missing in elements(w.mask)
 
 
 class TestSerialization:

@@ -3,15 +3,15 @@ import random
 import pytest
 
 from cubedom.errors import InvalidParametersError, TooLargeError
-from cubedom.levelgraph import Level, LevelGraphSpec, graph_stats, materialize
+from cubedom.levelgraph import Level, LevelGraphSpec, VertexRef, graph_stats, materialize
 from cubedom.subsets import binomial, enumerate_k_subsets
 
 
 def reference_closed(spec):
     """Closed-neighbourhood bitsets from a containment scan over every
     (upper, lower) pair of the enumerated levels."""
-    uppers = [s.mask for s in enumerate_k_subsets(spec.n, spec.k)]
-    lowers = [s.mask for s in enumerate_k_subsets(spec.n, spec.l)]
+    uppers = list(enumerate_k_subsets(spec.n, spec.k))
+    lowers = list(enumerate_k_subsets(spec.n, spec.l))
     nu = len(uppers)
     closed = [1 << i for i in range(nu + len(lowers))]
     for iu, u in enumerate(uppers):
@@ -120,7 +120,6 @@ class TestMaterialize:
             v = g.vertex(i)
             assert v.mask == g.masks[i]
             if i < g.upper_count:
-                assert v.level is Level.UPPER and v.set == uppers[i]
+                assert v == VertexRef(Level.UPPER, uppers[i])
             else:
-                assert v.level is Level.LOWER
-                assert v.set == lowers[i - g.upper_count]
+                assert v == VertexRef(Level.LOWER, lowers[i - g.upper_count])

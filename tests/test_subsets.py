@@ -6,7 +6,7 @@ import operator
 import pytest
 
 from cubedom.errors import InvalidParametersError
-from cubedom.subsets import Subset, binomial, enumerate_k_subsets, spanning_pairs
+from cubedom.subsets import binomial, elements, enumerate_k_subsets, mask_of, spanning_pairs
 
 
 def combos(n, k):
@@ -15,19 +15,30 @@ def combos(n, k):
 
 
 class TestSubset:
+    """Subsets as int masks: ``mask_of`` and ``elements``."""
+
     def test_elements_round_trip(self):
-        s = Subset.from_elements([1, 3, 4], 6)
-        assert s.elements() == (1, 3, 4)
-        assert s.cardinality == 3
-        assert 3 in s.elements() and 2 not in s.elements()
+        mask = mask_of([1, 3, 4], 6)
+        assert mask == 0b1101
+        assert elements(mask) == (1, 3, 4)
+        assert mask_of(reversed(elements(mask)), 6) == mask
+        assert elements(0) == () and mask_of([], 6) == 0
+        assert elements((1 << 64) - 1) == tuple(range(1, 65))
 
     def test_rejects_out_of_range_bits(self):
-        with pytest.raises(InvalidParametersError):
-            Subset(1 << 4, 4)
-        with pytest.raises(InvalidParametersError):
-            Subset(0, 65)
-        with pytest.raises(InvalidParametersError):
-            Subset.from_elements([5], 4)
+        with pytest.raises(InvalidParametersError, match="outside"):
+            mask_of([5], 4)
+        with pytest.raises(InvalidParametersError, match="outside"):
+            mask_of([0, 1], 4)
+
+    def test_rejects_repeated_element(self):
+        with pytest.raises(InvalidParametersError, match="repeated"):
+            mask_of([1, 2, 2, 3], 4)
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, "1", None])
+    def test_rejects_non_integers(self, bad):
+        with pytest.raises(InvalidParametersError, match="not an integer"):
+            mask_of([bad, 2, 3], 4)
 
 
 class TestBinomial:
@@ -53,30 +64,27 @@ class TestBinomial:
 
 class TestEnumeration:
     def test_k_zero_single_empty_set(self):
-        assert [s.elements() for s in enumerate_k_subsets(3, 0)] == [()]
+        assert list(enumerate_k_subsets(3, 0)) == [0]
 
     def test_all_three_subsets_of_four(self):
-        got = [set(s.elements()) for s in enumerate_k_subsets(4, 3)]
-        assert got == [{1, 2, 3}, {1, 2, 4}, {1, 3, 4}, {2, 3, 4}]
+        assert list(enumerate_k_subsets(4, 3)) == [0b0111, 0b1011, 0b1101, 0b1110]
 
     def test_six_choose_three_extremes(self):
         subs = list(enumerate_k_subsets(6, 3))
         assert len(subs) == 20
-        assert subs[0].elements() == (1, 2, 3)
-        assert subs[-1].elements() == (4, 5, 6)
-        assert sorted(map(set, combos(6, 3)), key=lambda s: sum(1 << (e - 1) for e in s)) == [
-            set(s.elements()) for s in subs
-        ]
+        assert elements(subs[0]) == (1, 2, 3)
+        assert elements(subs[-1]) == (4, 5, 6)
+        assert sorted(mask_of(c, 6) for c in combos(6, 3)) == subs
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_counts_distinct_and_cardinality(self, n):
         for k in range(n + 1):
             subs = list(enumerate_k_subsets(n, k))
             assert len(subs) == binomial(n, k)
-            assert len({s.mask for s in subs}) == len(subs)
-            assert all(s.cardinality == k for s in subs)
+            assert len(set(subs)) == len(subs)
+            assert all(m.bit_count() == k and 0 <= m < 1 << n for m in subs)
             # Ascending mask = colex order.
-            assert all(a.mask < b.mask for a, b in zip(subs, subs[1:]))
+            assert all(a < b for a, b in zip(subs, subs[1:]))
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidParametersError):
@@ -87,20 +95,19 @@ class TestEnumeration:
 
 class TestSpanningPairs:
     def test_even_case(self):
-        fam = spanning_pairs(4)
-        assert [p.elements() for p in fam] == [(1, 2), (3, 4)]
+        assert [elements(p) for p in spanning_pairs(4)] == [(1, 2), (3, 4)]
 
     def test_odd_case(self):
         fam = spanning_pairs(5)
-        assert [p.elements() for p in fam] == [(1, 2), (3, 4), (4, 5)]
-        assert functools.reduce(operator.or_, (p.mask for p in fam)) == 0b11111
+        assert [elements(p) for p in fam] == [(1, 2), (3, 4), (4, 5)]
+        assert functools.reduce(operator.or_, fam) == 0b11111
 
     @pytest.mark.parametrize("n", range(2, 21))
     def test_union_and_count(self, n):
         fam = spanning_pairs(n)
         assert len(fam) == math.ceil(n / 2)
-        assert functools.reduce(operator.or_, (p.mask for p in fam)) == (1 << n) - 1
-        assert all(p.cardinality == 2 and p.n == n for p in fam)
+        assert functools.reduce(operator.or_, fam) == (1 << n) - 1
+        assert all(p.bit_count() == 2 and 0 < p < 1 << n for p in fam)
 
     def test_rejects_small_n(self):
         with pytest.raises(InvalidParametersError):
