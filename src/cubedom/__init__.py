@@ -18,13 +18,7 @@ from .errors import (
     InvalidParametersError,
     TooLargeError,
 )
-from .levelgraph import (
-    Level,
-    LevelGraphSpec,
-    VertexRef,
-    graph_stats,
-    materialize,
-)
+from .levelgraph import LevelGraphSpec, graph_stats, materialize
 from .solver import (
     Method,
     SolveReport,

@@ -74,8 +74,9 @@ def _cmd_verify(args) -> int:
     if result.verified:
         print("verified")
         return 0
-    print(f"not dominating; undominated vertex: "
-          f"{result.witness.level.value} {list(elements(result.witness.mask))}")
+    witness = result.witness
+    level = "upper" if witness.bit_count() == cert.spec.k else "lower"
+    print(f"not dominating; undominated vertex: {level} {list(elements(witness))}")
     return 1
 
 

@@ -5,6 +5,10 @@ pair) plus a spanning family of ceil(n/2) pairs (covering every k-set),
 of total size at most ceil(n/2) + 6; and for k = n-1 the fixed
 three-vertex family {[n-1], [n]\\{1}, {1,n}}.
 
+A certificate holds its family as two sets of masks, the upper members
+(k-sets) and the lower members (l-sets); since k > l, a mask's size names
+its level.
+
 Verification comes in two flavours.  The enumerative verifier walks every
 vertex of the graph.  The structural verifier handles any l = 2 family
 D = A ∪ H, where A is the set of k-set members and H the set of pair
@@ -19,7 +23,7 @@ k-clique in the complement of H, bounded by a clique partition of H
 the construction above.  So the structural verifier scales to any n within
 the 64-element cap.  Both verifiers report the same witness on failure:
 the undominated vertex of least mask, that is the colex-least one, over
-both levels.
+both levels, reported as its mask.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from math import ceil
 from typing import Optional
 
 from .errors import InvalidParametersError, TooLargeError
-from .levelgraph import Level, LevelGraphSpec, VertexRef, _check_vertex
+from .levelgraph import LevelGraphSpec
 from .subsets import binomial, elements, enumerate_k_subsets, mask_of, spanning_pairs
 
 VERIFY_CAP = 5_000_000
@@ -47,39 +51,49 @@ class Provenance(enum.Enum):
 
 @dataclass(frozen=True)
 class DominationCertificate:
-    """A family of vertices claimed to dominate the graph."""
+    """A family claimed to dominate the graph: its k-set and l-set masks."""
 
     spec: LevelGraphSpec
-    members: frozenset[VertexRef]
+    uppers: frozenset[int]
+    lowers: frozenset[int]
     provenance: Provenance
 
     def __post_init__(self) -> None:
-        for m in self.members:
-            _check_vertex(self.spec, m)
+        n = self.spec.n
+        for level, masks, want in (
+            ("upper", self.uppers, self.spec.k),
+            ("lower", self.lowers, self.spec.l),
+        ):
+            for m in masks:
+                if m < 0 or m >> n:
+                    raise InvalidParametersError(
+                        f"{level} vertex mask {m:#x} has bits outside [{n}]"
+                    )
+                if m.bit_count() != want:
+                    shown = "{" + ",".join(map(str, elements(m))) + "}"
+                    raise InvalidParametersError(
+                        f"{level} vertex {shown} has cardinality "
+                        f"{m.bit_count()}, expected {want}"
+                    )
         if self.provenance is Provenance.THEOREM1:
-            bound = ceil(self.spec.n / 2) + 6
-            if len(self.members) > bound:
+            bound = ceil(n / 2) + 6
+            if self.size > bound:
                 raise InvalidParametersError(
-                    f"theorem-1 certificate has {len(self.members)} members, "
+                    f"theorem-1 certificate has {self.size} members, "
                     f"bound is {bound}"
                 )
-        if self.provenance is Provenance.THEOREM2 and len(self.members) != 3:
+        if self.provenance is Provenance.THEOREM2 and self.size != 3:
             raise InvalidParametersError("theorem-2 certificate must have 3 members")
 
     @property
     def size(self) -> int:
-        return len(self.members)
-
-    def sorted_members(self) -> list[VertexRef]:
-        return sorted(
-            self.members, key=lambda v: (v.level is not Level.UPPER, v.mask)
-        )
+        return len(self.uppers) + len(self.lowers)
 
 
 @dataclass(frozen=True)
 class VerificationResult:
     verified: bool
-    witness: Optional[VertexRef] = None
+    witness: Optional[int] = None
 
 
 def _interval(lo: int, hi: int) -> int:
@@ -134,11 +148,9 @@ def theorem1_construct(n: int, k: int) -> DominationCertificate:
     P2 = _pad_to_k(S1 | T2, k, n)
     P3 = _pad_to_k(S2 | T1, k, n)
     P4 = _pad_to_k(S2 | T2, k, n)
-    members = {VertexRef(Level.UPPER, p) for p in (S, T, P1, P2, P3, P4)}
-    members |= {VertexRef(Level.LOWER, p) for p in spanning_pairs(n)}
-    return DominationCertificate(
-        spec=spec, members=frozenset(members), provenance=Provenance.THEOREM1
-    )
+    uppers = frozenset((S, T, P1, P2, P3, P4))
+    lowers = frozenset(spanning_pairs(n))
+    return DominationCertificate(spec, uppers, lowers, Provenance.THEOREM1)
 
 
 def theorem2_construct(n: int) -> DominationCertificate:
@@ -146,16 +158,9 @@ def theorem2_construct(n: int) -> DominationCertificate:
     if n < 4:
         raise InvalidParametersError(f"need n >= 4 for G_{{n-1,2}}, got n={n}")
     spec = LevelGraphSpec(n, n - 1, 2)
-    members = frozenset(
-        {
-            VertexRef(Level.UPPER, _interval(1, n - 1)),
-            VertexRef(Level.UPPER, _interval(2, n)),
-            VertexRef(Level.LOWER, mask_of((1, n), n)),
-        }
-    )
-    return DominationCertificate(
-        spec=spec, members=members, provenance=Provenance.THEOREM2
-    )
+    uppers = frozenset({_interval(1, n - 1), _interval(2, n)})
+    lowers = frozenset({mask_of((1, n), n)})
+    return DominationCertificate(spec, uppers, lowers, Provenance.THEOREM2)
 
 
 def _result(bad_lower: Optional[int], bad_upper: Optional[int]) -> VerificationResult:
@@ -163,8 +168,8 @@ def _result(bad_lower: Optional[int], bad_upper: Optional[int]) -> VerificationR
     if bad_lower is None and bad_upper is None:
         return VerificationResult(True)
     if bad_upper is None or (bad_lower is not None and bad_lower < bad_upper):
-        return VerificationResult(False, VertexRef(Level.LOWER, bad_lower))
-    return VerificationResult(False, VertexRef(Level.UPPER, bad_upper))
+        return VerificationResult(False, bad_lower)
+    return VerificationResult(False, bad_upper)
 
 
 def verify_certificate(cert: DominationCertificate) -> VerificationResult:
@@ -178,22 +183,21 @@ def verify_certificate(cert: DominationCertificate) -> VerificationResult:
     total = binomial(n, k) + binomial(n, l)
     if total > VERIFY_CAP:
         raise TooLargeError(f"{total} vertex checks exceed the cap of {VERIFY_CAP}")
-    upper_members = {m.mask for m in cert.members if m.level is Level.UPPER}
-    lower_members = {m.mask for m in cert.members if m.level is Level.LOWER}
+    uppers, lowers = cert.uppers, cert.lowers
 
     bad_lower = None
     for v in enumerate_k_subsets(n, l):
-        if v in lower_members:
+        if v in lowers:
             continue
-        if any(v & u == v for u in upper_members):
+        if any(v & u == v for u in uppers):
             continue
         bad_lower = v
         break
     bad_upper = None
     for u in enumerate_k_subsets(n, k):
-        if u in upper_members:
+        if u in uppers:
             continue
-        if any(b & u == b for b in lower_members):
+        if any(b & u == b for b in lowers):
             continue
         bad_upper = u
         break
@@ -212,21 +216,19 @@ def verify_structural(cert: DominationCertificate) -> VerificationResult:
         raise InvalidParametersError(
             f"structural verification needs l = 2, got l = {spec.l}"
         )
-    upper = {m.mask for m in cert.members if m.level is Level.UPPER}
     # H as a graph on [n]: bit b of nbr[a] is set iff {a+1, b+1} is a member.
     nbr = [0] * n
-    for m in cert.members:
-        if m.level is Level.LOWER:
-            a, b = (i for i in range(n) if m.mask >> i & 1)
-            nbr[a] |= 1 << b
-            nbr[b] |= 1 << a
+    for m in cert.lowers:
+        a, b = (i for i in range(n) if m >> i & 1)
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
 
-    bad_lower = _uncovered_pair(n, upper, nbr)
-    bad_upper = _least_independent_k_set(n, k, upper, nbr)
+    bad_lower = _uncovered_pair(n, cert.uppers, nbr)
+    bad_upper = _least_independent_k_set(n, k, cert.uppers, nbr)
     return _result(bad_lower, bad_upper)
 
 
-def _uncovered_pair(n: int, upper: set[int], nbr: list[int]) -> Optional[int]:
+def _uncovered_pair(n: int, upper: frozenset[int], nbr: list[int]) -> Optional[int]:
     """Condition (i): the least pair mask neither in H nor inside a member of A."""
     joined = list(nbr)
     for u in upper:
@@ -241,7 +243,7 @@ def _uncovered_pair(n: int, upper: set[int], nbr: list[int]) -> Optional[int]:
 
 
 def _least_independent_k_set(
-    n: int, k: int, upper: set[int], nbr: list[int]
+    n: int, k: int, upper: frozenset[int], nbr: list[int]
 ) -> Optional[int]:
     """Condition (ii): the least k-set mask independent in H and not in A.
 
@@ -282,26 +284,25 @@ def _least_independent_k_set(
     return search(0, (1 << n) - 1, k)
 
 
-def theorem2_lower_bound_witness(n: int, a: VertexRef, b: VertexRef) -> VertexRef:
-    """A pair dominated by neither an (n-1)-set nor another pair.
+def theorem2_lower_bound_witness(n: int, a: int, b: int) -> int:
+    """A pair mask dominated by neither the (n-1)-set a nor the pair b.
 
     With a = [n] \\ {i}, any pair {i, x} is non-adjacent to a, and pairs are
     never adjacent to pairs; the smallest x with {i, x} != b works.
     """
-    spec = LevelGraphSpec(n, n - 1, 2)
-    if a.level is not Level.UPPER or b.level is not Level.LOWER:
-        raise InvalidParametersError("expected an upper (n-1)-set and a lower pair")
-    _check_vertex(spec, a)
-    _check_vertex(spec, b)
+    # Rejects a bad n, an a that is not an (n-1)-set and a b that is not a pair.
+    DominationCertificate(
+        LevelGraphSpec(n, n - 1, 2), frozenset({a}), frozenset({b}), Provenance.EXTERNAL
+    )
     full = (1 << n) - 1
-    missing = full & ~a.mask
+    missing = full & ~a
     i = missing.bit_length()  # the single absent element, 1-based
     for x in range(1, n + 1):
         if x == i:
             continue
         candidate = mask_of((i, x), n)
-        if candidate != b.mask:
-            return VertexRef(Level.LOWER, candidate)
+        if candidate != b:
+            return candidate
     raise InvalidParametersError(f"no witness pair exists at n={n}")
 
 
@@ -312,8 +313,9 @@ def certificate_to_json(cert: DominationCertificate) -> dict:
         "l": cert.spec.l,
         "provenance": cert.provenance.value,
         "members": [
-            {"level": m.level.value, "elements": list(elements(m.mask))}
-            for m in cert.sorted_members()
+            {"level": level, "elements": list(elements(m))}
+            for level, masks in (("upper", cert.uppers), ("lower", cert.lowers))
+            for m in sorted(masks)
         ],
     }
 
@@ -322,16 +324,19 @@ def certificate_from_json(data: dict) -> DominationCertificate:
     try:
         spec = LevelGraphSpec(data["n"], data["k"], data["l"])
         provenance = Provenance(data["provenance"])
-        listed = [
-            VertexRef(Level(m["level"]), mask_of(m["elements"], spec.n))
-            for m in data["members"]
-        ]
+        listed: dict[str, list[int]] = {"upper": [], "lower": []}
+        for m in data["members"]:
+            level = m["level"]
+            # A membership test by ==, so an unhashable level is named too.
+            if level not in ("upper", "lower"):
+                raise ValueError(f"member level {level!r} is not 'upper' or 'lower'")
+            listed[level].append(mask_of(m["elements"], spec.n))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParametersError(f"malformed certificate: {exc}") from exc
-    members = frozenset(listed)
-    if len(members) != len(listed):
+    uppers, lowers = frozenset(listed["upper"]), frozenset(listed["lower"])
+    if len(uppers) + len(lowers) != len(data["members"]):
         raise InvalidParametersError("malformed certificate: duplicate members")
-    return DominationCertificate(spec=spec, members=members, provenance=provenance)
+    return DominationCertificate(spec, uppers, lowers, provenance)
 
 
 def dump_certificate(cert: DominationCertificate) -> str:

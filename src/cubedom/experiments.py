@@ -18,6 +18,7 @@ from .constructions import theorem1_construct, theorem2_construct, verify_certif
 from .errors import BudgetExceededError, CheckFailedError, InvalidParametersError
 from .levelgraph import LevelGraphSpec, materialize
 from .solver import branch_and_bound_gamma, counting_lower_bound, greedy_dominate
+from .subsets import MAX_GROUND_SET
 
 # Above these n, the theorem-1 sweep stops calling the exact solver and
 # the enumerative verifier (solver cap <= enumeration cap); the structural
@@ -62,6 +63,12 @@ def _main_term_or_none(n: int, k: int) -> Optional[float]:
     return conjecture_main_term(n, k) if k >= 3 else None
 
 
+def _check_n_max(n_max: int) -> None:
+    """Reject a range that ends past the ground-set cap before any row runs."""
+    if n_max > MAX_GROUND_SET:
+        raise InvalidParametersError(f"n={n_max} exceeds {MAX_GROUND_SET}")
+
+
 def run_theorem2_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
     """Per n: build the 3-vertex certificate, verify it, confirm gamma = 3.
 
@@ -70,6 +77,7 @@ def run_theorem2_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
     """
     if not 4 <= n_min <= n_max:
         raise InvalidParametersError(f"need 4 <= n_min <= n_max, got {n_min}..{n_max}")
+    _check_n_max(n_max)
     rows = []
     for n in range(n_min, n_max + 1):
         cert = theorem2_construct(n)
@@ -110,6 +118,7 @@ def run_theorem1_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
     """
     if not 4 <= n_min <= n_max:
         raise InvalidParametersError(f"need 4 <= n_min <= n_max, got {n_min}..{n_max}")
+    _check_n_max(n_max)
     rows = []
     for n in range(n_min, n_max + 1):
         bound = ceil(n / 2) + 6
@@ -200,6 +209,7 @@ def run_conjecture_table(n_range: Iterable[int], k_range: Iterable[int]) -> list
             f"conjecture table has no row: no k in {ks[0]}..{ks[-1]} is below "
             f"an n in {ns[0]}..{ns[-1]}"
         )
+    _check_n_max(ns[-1])
     rows = []
     for n in ns:
         for k in ks:

@@ -9,19 +9,13 @@ vertex cap.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CheckFailedError, InvalidParametersError, TooLargeError
-from .subsets import MAX_GROUND_SET, binomial, elements, enumerate_k_subsets
+from .subsets import MAX_GROUND_SET, binomial, enumerate_k_subsets
 
 MATERIALIZE_CAP = 50_000
-
-
-class Level(enum.Enum):
-    UPPER = "upper"
-    LOWER = "lower"
 
 
 @dataclass(frozen=True)
@@ -43,31 +37,6 @@ class LevelGraphSpec:
             raise InvalidParametersError(
                 f"need n > k > l >= 1, got n={self.n}, k={self.k}, l={self.l}"
             )
-
-    def level_cardinality(self, level: Level) -> int:
-        return self.k if level is Level.UPPER else self.l
-
-
-@dataclass(frozen=True)
-class VertexRef:
-    """A vertex: a subset mask tagged with the level it lives on."""
-
-    level: Level
-    mask: int
-
-
-def _check_vertex(spec: LevelGraphSpec, v: VertexRef) -> None:
-    if v.mask < 0 or v.mask >> spec.n:
-        raise InvalidParametersError(
-            f"{v.level.value} vertex mask {v.mask:#x} has bits outside [{spec.n}]"
-        )
-    want = spec.level_cardinality(v.level)
-    if v.mask.bit_count() != want:
-        shown = "{" + ",".join(map(str, elements(v.mask))) + "}"
-        raise InvalidParametersError(
-            f"{v.level.value} vertex {shown} has cardinality "
-            f"{v.mask.bit_count()}, expected {want}"
-        )
 
 
 def graph_stats(spec: LevelGraphSpec) -> dict:
@@ -101,10 +70,6 @@ class MaterializedGraph:
     @property
     def vertex_count(self) -> int:
         return len(self.masks)
-
-    def vertex(self, index: int) -> VertexRef:
-        level = Level.UPPER if index < self.upper_count else Level.LOWER
-        return VertexRef(level, self.masks[index])
 
 
 def materialize(spec: LevelGraphSpec) -> MaterializedGraph:

@@ -22,10 +22,12 @@ import enum
 import heapq
 import time
 from dataclasses import dataclass
+from itertools import count
 
 from .constructions import (
     DominationCertificate,
     Provenance,
+    certificate_to_json,
     verify_certificate,
 )
 from .errors import BudgetExceededError, CheckFailedError, InvalidParametersError
@@ -65,8 +67,6 @@ class SolveReport:
             )
 
     def to_json(self) -> dict:
-        from .constructions import certificate_to_json
-
         return {
             "n": self.spec.n,
             "k": self.spec.k,
@@ -106,9 +106,13 @@ def counting_lower_bound(spec: LevelGraphSpec) -> int:
 
 
 def _certificate(graph: MaterializedGraph, chosen, provenance: Provenance):
-    members = frozenset(graph.vertex(i) for i in chosen)
+    """The chosen vertex indices as a certificate, split at the upper count."""
+    nu, masks = graph.upper_count, graph.masks
     return DominationCertificate(
-        spec=graph.spec, members=members, provenance=provenance
+        spec=graph.spec,
+        uppers=frozenset(masks[i] for i in chosen if i < nu),
+        lowers=frozenset(masks[i] for i in chosen if i >= nu),
+        provenance=provenance,
     )
 
 
@@ -177,15 +181,14 @@ def greedy_dominate(problem: LevelGraphSpec | MaterializedGraph) -> SolveReport:
 
 
 def brute_force_gamma(
-    spec: LevelGraphSpec,
-    max_size: int | None = None,
-    node_budget: int = DEFAULT_BRUTE_FORCE_BUDGET,
+    spec: LevelGraphSpec, node_budget: int = DEFAULT_BRUTE_FORCE_BUDGET
 ) -> SolveReport:
     """Iterative deepening over vertex subsets; proven optimal by exhaustion.
 
     Level s enumerates s-subsets of the vertex indices in lexicographic
-    order.  Two admissible prunes keep this tractable: a branch dies when
-    the vertices still available cannot jointly cover the gap, or when the
+    order; the whole vertex set dominates, so some level s <= nv succeeds.
+    Two admissible prunes keep this tractable: a branch dies when the
+    vertices still available cannot jointly cover the gap, or when the
     remaining picks times the best remaining coverage fall short of the
     uncovered count.  Neither prune can skip a feasible completion, so the
     first dominating set found is the lexicographically least at its size.
@@ -195,8 +198,6 @@ def brute_force_gamma(
     masks = graph.closed
     nv = graph.vertex_count
     full = (1 << nv) - 1
-    if max_size is None:
-        max_size = nv
     suffix_or = [0] * (nv + 1)
     suffix_cov = [0] * (nv + 1)
     for i in range(nv - 1, -1, -1):
@@ -233,7 +234,7 @@ def brute_force_gamma(
 
         return rec(0, 0, 0)
 
-    for s in range(1, max_size + 1):
+    for s in count(1):
         chosen.clear()
         if level(s):
             return _checked_report(
@@ -248,9 +249,6 @@ def brute_force_gamma(
                     elapsed=time.perf_counter() - start,
                 )
             )
-    raise BudgetExceededError(
-        f"no dominating set of size <= {max_size} found for {spec}"
-    )
 
 
 def branch_and_bound_gamma(

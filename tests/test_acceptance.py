@@ -23,7 +23,7 @@ from cubedom.experiments import (
     run_theorem1_sweep,
     run_theorem2_sweep,
 )
-from cubedom.levelgraph import Level, LevelGraphSpec, materialize
+from cubedom.levelgraph import LevelGraphSpec, materialize
 from cubedom.solver import (
     branch_and_bound_gamma,
     brute_force_gamma,
@@ -67,15 +67,15 @@ def test_criterion_2_theorem2_lower_bound():
             if masks[i] | masks[j] == full:
                 ok = False
         # The witness pair is undominated for every ((n-1)-set, 2-set) choice.
-        uppers = [g.vertex(i) for i in range(g.upper_count)]
-        lowers = [g.vertex(i) for i in range(g.upper_count, g.vertex_count)]
+        uppers = g.masks[: g.upper_count]
+        lowers = g.masks[g.upper_count :]
         for a in uppers:
             for b in lowers:
                 w = theorem2_lower_bound_witness(n, a, b)
-                if w.level is not Level.LOWER or w.mask == b.mask:
+                if w not in lowers or w == b:
                     ok = False
                 # Undominated: not a member and not inside the upper member.
-                if w.mask & a.mask == w.mask:
+                if w & a == w:
                     ok = False
     _report(2, "no 2-vertex dominating set exists and witnesses are valid, n in 4..6", ok)
 

@@ -89,6 +89,16 @@ class TestConstructVerify:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flags", [(), ("--structural",)], ids=["enumerative", "structural"])
+    @pytest.mark.parametrize("level", ["middle", ["x"], "UPPER", None, 5],
+                             ids=["middle", "list", "capitals", "null", "number"])
+    def test_unknown_member_level_exits_2(self, capsys, tmp_path, flags, level):
+        data = {"n": 4, "k": 3, "l": 2, "provenance": "external",
+                "members": [{"level": level, "elements": [1, 2, 3]}]}
+        code, out, err = verify_data(capsys, tmp_path, data, *flags)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and repr(level) in err
+
+    @pytest.mark.parametrize("flags", [(), ("--structural",)], ids=["enumerative", "structural"])
     @pytest.mark.parametrize("field,value", [("n", 6.5), ("n", 6.0), ("k", 4.5), ("l", 2.0)])
     def test_non_integer_parameter_exits_2(self, capsys, tmp_path, flags, field, value):
         data = {"n": 6, "k": 4, "l": 2, "provenance": "external", "members": []}

@@ -22,7 +22,7 @@ from cubedom.constructions import (
     verify_structural,
 )
 from cubedom.errors import InvalidParametersError, TooLargeError
-from cubedom.levelgraph import Level, LevelGraphSpec, VertexRef
+from cubedom.levelgraph import LevelGraphSpec
 from cubedom.subsets import elements, mask_of, spanning_pairs
 
 
@@ -47,19 +47,17 @@ def oracle_undominated(n, k, l, members):
 
 
 def cert_as_tuples(cert):
-    return [
-        ("u" if m.level is Level.UPPER else "l", elements(m.mask))
-        for m in cert.sorted_members()
+    """Members as (level_char, elements), uppers then lowers, each by mask."""
+    return [("u", elements(m)) for m in sorted(cert.uppers)] + [
+        ("l", elements(m)) for m in sorted(cert.lowers)
     ]
 
 
 def certificate(n, k, uppers=(), lowers=()):
     return DominationCertificate(
         spec=LevelGraphSpec(n, k, 2),
-        members=frozenset(
-            [VertexRef(Level.UPPER, mask_of(e, n)) for e in uppers]
-            + [VertexRef(Level.LOWER, mask_of(e, n)) for e in lowers]
-        ),
+        uppers=frozenset(mask_of(e, n) for e in uppers),
+        lowers=frozenset(mask_of(e, n) for e in lowers),
         provenance=Provenance.EXTERNAL,
     )
 
@@ -116,8 +114,7 @@ class TestTheorem1Construct:
         the spanning pair family."""
         for k in range(ceil(n / 2) + 1, n):
             cert = theorem1_construct(n, k)
-            a = {m.mask for m in cert.members if m.level is Level.UPPER}
-            h = {m.mask for m in cert.members if m.level is Level.LOWER}
+            a, h = cert.uppers, cert.lowers
             s, t = (1 << k) - 1, ((1 << k) - 1) << (n - k)
             assert {s, t} <= a and len(a) <= 6
             assert all(m.bit_count() == k for m in a)
@@ -177,35 +174,40 @@ class TestTheorem2Construct:
 
 class TestVerifyCertificate:
     def test_single_upper_witness(self):
-        spec = LevelGraphSpec(4, 3, 2)
-        cert = DominationCertificate(
-            spec=spec,
-            members=frozenset({VertexRef(Level.UPPER, mask_of((1, 2, 3), 4))}),
-            provenance=Provenance.EXTERNAL,
-        )
+        cert = certificate(4, 3, uppers=[(1, 2, 3)])
         result = verify_certificate(cert)
         assert not result.verified
-        assert result.witness.level is Level.LOWER
-        assert elements(result.witness.mask) == (1, 4)
+        # The witness is the pair {1,4}: a mask of size l = 2 names the lower level.
+        assert elements(result.witness) == (1, 4)
         # Cross-check: the oracle's least undominated vertex agrees.
         bad = oracle_undominated(4, 3, 2, [("u", (1, 2, 3))])
-        masks = sorted(sum(1 << (e - 1) for e in v) for _, v in bad)
-        assert masks[0] == result.witness.mask
+        level, least = min(bad, key=lambda b: sum(1 << (e - 1) for e in b[1]))
+        assert (level, mask_of(least, 4)) == ("l", result.witness)
 
-    # {1,2,5} has the right size for k = 3, but element 5 is outside [4].
-    @pytest.mark.parametrize("mask", [0b10011, -0b111], ids=["bit-above-n", "negative"])
-    def test_member_with_bits_outside_ground_set_rejected(self, mask):
+    # {1,2,5} has the right size for k = 3, and {1,5} for l = 2, but element
+    # 5 is outside [4].
+    @pytest.mark.parametrize("level,mask", [
+        ("uppers", 0b10011), ("uppers", -0b111), ("lowers", 0b10001), ("lowers", -0b11),
+    ], ids=["bit-above-n", "negative", "lower-bit-above-n", "lower-negative"])
+    def test_member_with_bits_outside_ground_set_rejected(self, level, mask):
+        members = {"uppers": frozenset(), "lowers": frozenset(), level: frozenset({mask})}
         with pytest.raises(InvalidParametersError, match="outside"):
             DominationCertificate(
-                spec=LevelGraphSpec(4, 3, 2),
-                members=frozenset({VertexRef(Level.UPPER, mask)}),
-                provenance=Provenance.EXTERNAL,
+                spec=LevelGraphSpec(4, 3, 2), **members, provenance=Provenance.EXTERNAL
             )
+
+    @pytest.mark.parametrize("uppers,lowers", [
+        ([(1, 2)], []), ([(1, 2, 3, 4)], []), ([], [(1, 2, 3)]),
+    ], ids=["upper-too-small", "upper-too-big", "lower-too-big"])
+    def test_member_of_the_wrong_size_rejected(self, uppers, lowers):
+        with pytest.raises(InvalidParametersError, match="has cardinality"):
+            certificate(4, 3, uppers, lowers)
 
     def test_empty_certificate_fails(self):
         spec = LevelGraphSpec(5, 3, 2)
         cert = DominationCertificate(
-            spec=spec, members=frozenset(), provenance=Provenance.EXTERNAL
+            spec=spec, uppers=frozenset(), lowers=frozenset(),
+            provenance=Provenance.EXTERNAL,
         )
         assert not verify_certificate(cert).verified
 
@@ -239,12 +241,12 @@ class TestStructuralVerifier:
         # The theorem-1 k-sets at (6,4) with a pair family that misses element 6:
         # {1,3,5,6} is independent in H and not a member.
         cert = theorem1_construct(6, 4)
-        uppers = [elements(m.mask) for m in cert.members if m.level is Level.UPPER]
+        uppers = [elements(m) for m in cert.uppers]
         broken = certificate(6, 4, uppers, [(1, 2), (3, 4), (4, 5)])
         result = verify_structural(broken)
         assert not result.verified
         assert result == verify_certificate(broken)
-        assert elements(result.witness.mask) == (1, 3, 5, 6)
+        assert elements(result.witness) == (1, 3, 5, 6)
 
     def test_pair_members_must_be_pairs(self):
         with pytest.raises(InvalidParametersError):
@@ -252,7 +254,7 @@ class TestStructuralVerifier:
 
     def test_rejects_level_other_than_2(self):
         cert = DominationCertificate(
-            spec=LevelGraphSpec(6, 4, 1), members=frozenset(),
+            spec=LevelGraphSpec(6, 4, 1), uppers=frozenset(), lowers=frozenset(),
             provenance=Provenance.EXTERNAL,
         )
         with pytest.raises(InvalidParametersError):
@@ -294,25 +296,29 @@ class TestStructuralVerifier:
         pairs = [p for t in triangles for p in itertools.combinations(t, 2)]
         result = verify_structural(certificate(63, 30, lowers=pairs))
         assert not result.verified
-        assert result.witness == VertexRef(Level.LOWER, mask_of((1, 4), 63))
+        assert result.witness == mask_of((1, 4), 63)
 
 
 class TestTheorem2LowerBoundWitness:
     def witness(self, n, a_elems, b_elems):
-        a = VertexRef(Level.UPPER, mask_of(a_elems, n))
-        b = VertexRef(Level.LOWER, mask_of(b_elems, n))
-        return theorem2_lower_bound_witness(n, a, b)
+        return theorem2_lower_bound_witness(n, mask_of(a_elems, n), mask_of(b_elems, n))
 
     def test_smallest_x_examples(self):
-        assert elements(self.witness(5, (1, 2, 3, 4), (1, 2)).mask) == (1, 5)
-        assert elements(self.witness(5, (2, 3, 4, 5), (1, 2)).mask) == (1, 3)
+        assert elements(self.witness(5, (1, 2, 3, 4), (1, 2))) == (1, 5)
+        assert elements(self.witness(5, (2, 3, 4, 5), (1, 2))) == (1, 3)
 
     def test_rejects_malformed_inputs(self):
         with pytest.raises(InvalidParametersError):
             self.witness(5, (1, 2, 3), (1, 2))
-        a = VertexRef(Level.LOWER, mask_of((1, 2), 5))
+        pair = mask_of((1, 2), 5)
         with pytest.raises(InvalidParametersError):
-            theorem2_lower_bound_witness(5, a, a)
+            theorem2_lower_bound_witness(5, pair, pair)
+        with pytest.raises(InvalidParametersError):
+            self.witness(5, (1, 2, 3, 4), (1, 2, 3))
+        with pytest.raises(InvalidParametersError, match="outside"):
+            theorem2_lower_bound_witness(5, mask_of((1, 2, 3, 4), 5), 0b100001)
+        with pytest.raises(InvalidParametersError):
+            self.witness(3, (1, 2), (1, 3))
 
     def test_exhaustive_n6(self):
         n = 6
@@ -323,9 +329,9 @@ class TestTheorem2LowerBoundWitness:
                 bad = oracle_undominated(
                     n, n - 1, 2, [("u", a_elems), ("l", b_elems)]
                 )
-                assert ("l", frozenset(elements(w.mask))) in bad
-                assert elements(w.mask) != b_elems
-                assert missing in elements(w.mask)
+                assert ("l", frozenset(elements(w))) in bad
+                assert elements(w) != b_elems
+                assert missing in elements(w)
 
 
 class TestSerialization:

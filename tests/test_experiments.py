@@ -138,6 +138,29 @@ class TestOneGraphPerRow:
         assert built == Counter((r.n, r.k, l) for r in rows)
 
 
+class TestRangeCheckedFirst:
+    @pytest.mark.parametrize("run", [
+        lambda: run_conjecture_table(range(64, 66), [3]),
+        lambda: run_theorem1_sweep(63, 65),
+        lambda: run_theorem2_sweep(4, 65),
+    ], ids=["conjecture", "theorem1", "theorem2"])
+    def test_n_above_64_builds_no_row(self, monkeypatch, run):
+        # The range is rejected before its first row, not after computing
+        # every row below n = 65.
+        built = Counter()
+        for name in ("materialize", "theorem1_construct", "theorem2_construct"):
+            real = getattr(cubedom.experiments, name)
+
+            def counting(*args, name=name, real=real, **kwargs):
+                built[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cubedom.experiments, name, counting)
+        with pytest.raises(InvalidParametersError, match="n=65 exceeds 64"):
+            run()
+        assert built == Counter()
+
+
 class TestEmission:
     def test_csv_header_and_values(self):
         text = rows_to_csv(run_theorem2_sweep(4, 5))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cubedom.errors import InvalidParametersError, TooLargeError
-from cubedom.levelgraph import Level, LevelGraphSpec, VertexRef, graph_stats, materialize
+from cubedom.levelgraph import LevelGraphSpec, graph_stats, materialize
 from cubedom.subsets import binomial, enumerate_k_subsets
 
 
@@ -92,9 +92,10 @@ class TestMaterialize:
             j = rng.randrange(g.vertex_count)
             if i == j:
                 continue
-            u, v = g.vertex(i), g.vertex(j)
-            upper, lower = (u, v) if u.level is Level.UPPER else (v, u)
-            adjacent = upper.level is not lower.level and lower.mask & upper.mask == lower.mask
+            # Adjacent iff on different levels with the lower inside the upper.
+            upper, lower = sorted((i, j))
+            adjacent = (upper < g.upper_count <= lower
+                        and g.masks[lower] & g.masks[upper] == g.masks[lower])
             assert (g.closed[i] >> j & 1 == 1) == adjacent
 
     def test_matches_reference_n_le_10(self):
@@ -116,10 +117,4 @@ class TestMaterialize:
         lowers = list(enumerate_k_subsets(spec.n, spec.l))
         assert g.upper_count == len(uppers)
         assert g.vertex_count == len(uppers) + len(lowers)
-        for i in range(g.vertex_count):
-            v = g.vertex(i)
-            assert v.mask == g.masks[i]
-            if i < g.upper_count:
-                assert v == VertexRef(Level.UPPER, uppers[i])
-            else:
-                assert v == VertexRef(Level.LOWER, lowers[i - g.upper_count])
+        assert g.masks == tuple(uppers + lowers)

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -96,16 +98,13 @@ class TestBruteForce:
             if masks[c[0]] | masks[c[1]] | masks[c[2]] == full
         ]
         least = min(dominating)
-        got = sorted(g.masks.index(m.mask) for m in report.witness.members)
+        witness = report.witness
+        got = sorted(g.masks.index(m) for m in witness.uppers | witness.lowers)
         assert tuple(got) == least
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceededError):
             brute_force_gamma(LevelGraphSpec(6, 3, 2), node_budget=50)
-
-    def test_max_size_too_small(self):
-        with pytest.raises(BudgetExceededError):
-            brute_force_gamma(LevelGraphSpec(4, 3, 2), max_size=2)
 
 
 class TestGreedy:
@@ -244,6 +243,41 @@ class TestBranchAndBound:
         assert a.witness == b.witness
 
 
+class TestPinnedReport:
+    """sha256 of the report JSON without ``elapsed_seconds``, fixed so a
+    rewrite of how witnesses are built cannot silently change what the
+    ``exact`` and ``greedy`` commands print."""
+
+    @pytest.mark.parametrize("solve, spec, digest", [
+        (branch_and_bound_gamma, (6, 3, 2),
+         "0866ff4e6a56e5bff56f81ce0c0c83e344db94760b2a89afd39dbb5283f79d75"),
+        (branch_and_bound_gamma, (7, 4, 2),
+         "29bc97bedb48010c19259a07b17073775257c5bd41484e84d1e07a920e158fd4"),
+        (branch_and_bound_gamma, (8, 6, 2),
+         "a8b387e12430c465e20b42696a037313bb4b8d6aa810a0a9e36c0e702d3231a8"),
+        (branch_and_bound_gamma, (6, 4, 3),
+         "42437a862ca7974b9ec859c8d14704f8b83940454870fb23f10d088c0f0b2433"),
+        (branch_and_bound_gamma, (7, 3, 1),
+         "df7a1b52ac0ba24fa8eb25069e69e6ed0a96de4070bf23e710dbeb97fa264b41"),
+        (greedy_dominate, (6, 3, 2),
+         "d4d5bc221e6f84af0c15797d7d3bb60b9415286408c39ea414581879e27dc8af"),
+        (greedy_dominate, (7, 4, 2),
+         "32b75b9367696c5496a8d398576365cc9cb3aae279d9ddf4d720f9b59b411aee"),
+        (greedy_dominate, (8, 6, 2),
+         "29d1a3ea8088ca508ec52c4bed0823a2363c762f522274e61597793743c38a51"),
+        (greedy_dominate, (6, 4, 3),
+         "4ceb743c70fb6f2a8a777e4f6a53d4152aec27030b52d2998cac008226e09c81"),
+        (greedy_dominate, (7, 3, 1),
+         "735fe0a0fb2b00fdcb21176953a82420f88fa808089cf96c06e2de9c14d373e1"),
+    ], ids=[f"{m}-{n}-{k}-{l}" for m in ("exact", "greedy")
+            for n, k, l in [(6, 3, 2), (7, 4, 2), (8, 6, 2), (6, 4, 3), (7, 3, 1)]])
+    def test_report_json_digest(self, solve, spec, digest):
+        data = solve(LevelGraphSpec(*spec)).to_json()
+        del data["elapsed_seconds"]
+        text = json.dumps(data, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestSandwich:
     def test_bounds_nest(self):
         for n in range(4, 7):
@@ -272,7 +306,8 @@ class TestInvariantsUnderOptimize:
             assert False, "assert statements must be stripped under -O"
             spec = LevelGraphSpec(6, 4, 2)
             empty = DominationCertificate(
-                spec=spec, members=frozenset(), provenance=Provenance.EXACT
+                spec=spec, uppers=frozenset(), lowers=frozenset(),
+                provenance=Provenance.EXACT,
             )
             fields = dict(spec=spec, method=Method.BRANCH_AND_BOUND,
                           witness=empty, nodes_explored=0, elapsed=0.0)
