@@ -320,17 +320,24 @@ def certificate_to_json(cert: DominationCertificate) -> dict:
     }
 
 
+def _check_list(what: str, value):
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 def certificate_from_json(data: dict) -> DominationCertificate:
     try:
         spec = LevelGraphSpec(data["n"], data["k"], data["l"])
         provenance = Provenance(data["provenance"])
         listed: dict[str, list[int]] = {"upper": [], "lower": []}
+        _check_list("members", data["members"])
         for m in data["members"]:
             level = m["level"]
             # A membership test by ==, so an unhashable level is named too.
             if level not in ("upper", "lower"):
                 raise ValueError(f"member level {level!r} is not 'upper' or 'lower'")
-            listed[level].append(mask_of(m["elements"], spec.n))
+            listed[level].append(mask_of(_check_list("member elements", m["elements"]), spec.n))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParametersError(f"malformed certificate: {exc}") from exc
     uppers, lowers = frozenset(listed["upper"]), frozenset(listed["lower"])

@@ -46,11 +46,10 @@ class Method(enum.Enum):
 
 @dataclass(frozen=True)
 class SolveReport:
-    spec: LevelGraphSpec
+    """A re-verified witness and a lower bound; proven when they meet."""
+
     method: Method
-    value: int
     witness: DominationCertificate
-    proven_optimal: bool
     lower_bound: int
     nodes_explored: int
     elapsed: float
@@ -60,11 +59,18 @@ class SolveReport:
             raise ValueError(
                 f"lower bound {self.lower_bound} exceeds value {self.value}"
             )
-        if self.proven_optimal and self.lower_bound != self.value:
-            raise ValueError(
-                f"proven optimal, but lower bound {self.lower_bound} "
-                f"!= value {self.value}"
-            )
+
+    @property
+    def spec(self) -> LevelGraphSpec:
+        return self.witness.spec
+
+    @property
+    def value(self) -> int:
+        return self.witness.size
+
+    @property
+    def proven_optimal(self) -> bool:
+        return self.lower_bound == self.value
 
     def to_json(self) -> dict:
         return {
@@ -105,23 +111,21 @@ def counting_lower_bound(spec: LevelGraphSpec) -> int:
     return best
 
 
-def _certificate(graph: MaterializedGraph, chosen, provenance: Provenance):
-    """The chosen vertex indices as a certificate, split at the upper count."""
+def _report(
+    graph: MaterializedGraph, method: Method, chosen, lower_bound: int, nodes: int, start: float
+) -> SolveReport:
+    """The report on the chosen vertex indices, its witness re-verified."""
     nu, masks = graph.upper_count, graph.masks
-    return DominationCertificate(
+    witness = DominationCertificate(
         spec=graph.spec,
         uppers=frozenset(masks[i] for i in chosen if i < nu),
         lowers=frozenset(masks[i] for i in chosen if i >= nu),
-        provenance=provenance,
+        provenance=Provenance.GREEDY if method is Method.GREEDY else Provenance.EXACT,
     )
-
-
-def _checked_report(report: SolveReport) -> SolveReport:
-    result = verify_certificate(report.witness)
-    if not result.verified:
+    report = SolveReport(method, witness, lower_bound, nodes, time.perf_counter() - start)
+    if not verify_certificate(witness).verified:
         raise CheckFailedError(
-            f"{report.method.value} produced a non-dominating witness for "
-            f"{report.spec}"
+            f"{method.value} produced a non-dominating witness for {graph.spec}"
         )
     return report
 
@@ -162,22 +166,9 @@ def greedy_dominate(problem: LevelGraphSpec | MaterializedGraph) -> SolveReport:
     """
     start = time.perf_counter()
     graph = _graph(problem)
-    spec = graph.spec
     chosen = _greedy_cover(graph.closed)
-    lb = counting_lower_bound(spec)
-    value = len(chosen)
-    return _checked_report(
-        SolveReport(
-            spec=spec,
-            method=Method.GREEDY,
-            value=value,
-            witness=_certificate(graph, chosen, Provenance.GREEDY),
-            proven_optimal=value == lb,
-            lower_bound=lb,
-            nodes_explored=value,
-            elapsed=time.perf_counter() - start,
-        )
-    )
+    lb = counting_lower_bound(graph.spec)
+    return _report(graph, Method.GREEDY, chosen, lb, len(chosen), start)
 
 
 def brute_force_gamma(
@@ -237,18 +228,7 @@ def brute_force_gamma(
     for s in count(1):
         chosen.clear()
         if level(s):
-            return _checked_report(
-                SolveReport(
-                    spec=spec,
-                    method=Method.BRUTE_FORCE,
-                    value=s,
-                    witness=_certificate(graph, chosen, Provenance.EXACT),
-                    proven_optimal=True,
-                    lower_bound=s,
-                    nodes_explored=nodes,
-                    elapsed=time.perf_counter() - start,
-                )
-            )
+            return _report(graph, Method.BRUTE_FORCE, chosen, s, nodes, start)
 
 
 def branch_and_bound_gamma(
@@ -302,13 +282,12 @@ def branch_and_bound_gamma(
         raise InvalidParametersError(f"node budget must be at least 1, got {node_budget}")
     start = time.perf_counter()
     graph = _graph(problem)
-    spec = graph.spec
     masks = graph.closed
     nv = graph.vertex_count
     full = (1 << nv) - 1
-    root_lb = counting_lower_bound(spec)
+    root_lb = counting_lower_bound(graph.spec)
 
-    best_set = sorted(_greedy_cover(masks))
+    best_set = _greedy_cover(masks)
     best_size = len(best_set)
 
     # Vertex 0 is [k]; the orbits of its stabilizer are (level, overlap).
@@ -370,18 +349,7 @@ def branch_and_bound_gamma(
             break
         if size < best_size:
             best_size = size
-            best_set = [0] + sorted(order[p] for p in path[:size - 1])
+            best_set = [0] + [order[p] for p in path[:size - 1]]
         pos, size, cover, uncovered = pop()
-    proven = exhausted or best_size == root_lb
-    return _checked_report(
-        SolveReport(
-            spec=spec,
-            method=Method.BRANCH_AND_BOUND,
-            value=best_size,
-            witness=_certificate(graph, best_set, Provenance.EXACT),
-            proven_optimal=proven,
-            lower_bound=best_size if proven else root_lb,
-            nodes_explored=nodes,
-            elapsed=time.perf_counter() - start,
-        )
-    )
+    lower_bound = best_size if exhausted else root_lb
+    return _report(graph, Method.BRANCH_AND_BOUND, best_set, lower_bound, nodes, start)

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +99,19 @@ class TestConstructVerify:
         code, out, err = verify_data(capsys, tmp_path, data, *flags)
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and repr(level) in err
+
+    @pytest.mark.parametrize("flags", [(), ("--structural",)], ids=["enumerative", "structural"])
+    @pytest.mark.parametrize("members", [
+        {},
+        "",
+        [{"level": "upper", "elements": ""}],
+        [{"level": "lower", "elements": {"1": 1, "2": 2}}],
+    ], ids=["members-object", "members-string", "elements-string", "elements-object"])
+    def test_members_and_elements_not_arrays_exit_2(self, capsys, tmp_path, flags, members):
+        data = {"n": 4, "k": 3, "l": 2, "provenance": "external", "members": members}
+        code, out, err = verify_data(capsys, tmp_path, data, *flags)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "must be a JSON array" in err
 
     @pytest.mark.parametrize("flags", [(), ("--structural",)], ids=["enumerative", "structural"])
     @pytest.mark.parametrize("field,value", [("n", 6.5), ("n", 6.0), ("k", 4.5), ("l", 2.0)])
@@ -301,3 +316,16 @@ class TestSweeps:
         )
         assert code == 0
         assert path.read_text().startswith("n,k,")
+
+
+class TestReadme:
+    def test_cli_examples_run(self, capsys, tmp_path, monkeypatch):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        section = readme.read_text().split("\n## CLI\n", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("cubedom ")]
+        assert len(lines) == 10
+        monkeypatch.chdir(tmp_path)
+        for line in lines:
+            code, _, err = run(capsys, *shlex.split(line)[1:])
+            assert code == 0, (line, err)

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
+from dataclasses import fields, replace
 from math import ceil
 
 import pytest
@@ -15,6 +15,7 @@ from cubedom.errors import BudgetExceededError
 from cubedom.levelgraph import LevelGraphSpec, materialize
 from cubedom.solver import (
     Method,
+    SolveReport,
     branch_and_bound_gamma,
     brute_force_gamma,
     counting_lower_bound,
@@ -246,7 +247,8 @@ class TestBranchAndBound:
 class TestPinnedReport:
     """sha256 of the report JSON without ``elapsed_seconds``, fixed so a
     rewrite of how witnesses are built cannot silently change what the
-    ``exact`` and ``greedy`` commands print."""
+    ``exact`` and ``greedy`` commands print, or what the brute-force
+    oracle reports."""
 
     @pytest.mark.parametrize("solve, spec, digest", [
         (branch_and_bound_gamma, (6, 3, 2),
@@ -269,13 +271,28 @@ class TestPinnedReport:
          "4ceb743c70fb6f2a8a777e4f6a53d4152aec27030b52d2998cac008226e09c81"),
         (greedy_dominate, (7, 3, 1),
          "735fe0a0fb2b00fdcb21176953a82420f88fa808089cf96c06e2de9c14d373e1"),
+        (brute_force_gamma, (5, 3, 2),
+         "0814a34e87778992fd6cf605c686f505066528deabbd49f285010fb7d57460e5"),
+        (brute_force_gamma, (6, 4, 2),
+         "da7d0872e3031801fc4ddcefa2f86752249265c48128c9b1bb3920a315ec55cc"),
+        (brute_force_gamma, (5, 2, 1),
+         "e264664bd45eb513b0075e6894348f5d4145c002d8146cad7b1a62503ebd8811"),
     ], ids=[f"{m}-{n}-{k}-{l}" for m in ("exact", "greedy")
-            for n, k, l in [(6, 3, 2), (7, 4, 2), (8, 6, 2), (6, 4, 3), (7, 3, 1)]])
+            for n, k, l in [(6, 3, 2), (7, 4, 2), (8, 6, 2), (6, 4, 3), (7, 3, 1)]]
+        + ["brute-5-3-2", "brute-6-4-2", "brute-5-2-1"])
     def test_report_json_digest(self, solve, spec, digest):
         data = solve(LevelGraphSpec(*spec)).to_json()
         del data["elapsed_seconds"]
         text = json.dumps(data, indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_report_stores_witness_and_bound_only(self):
+        assert [f.name for f in fields(SolveReport)] == [
+            "method", "witness", "lower_bound", "nodes_explored", "elapsed"]
+        report = branch_and_bound_gamma(LevelGraphSpec(8, 4, 2), node_budget=1000)
+        assert report.spec == report.witness.spec
+        assert report.value == report.witness.size
+        assert report.lower_bound < report.value and not report.proven_optimal
 
 
 class TestSandwich:
@@ -297,11 +314,13 @@ class TestInvariantsUnderOptimize:
         # still raise, since the witness re-check is the only guard on what
         # a solver reports.
         script = textwrap.dedent("""
+            import time
+
             from cubedom.constructions import DominationCertificate, Provenance
             from cubedom.errors import CheckFailedError
             from cubedom.experiments import ExperimentRow
             from cubedom.levelgraph import LevelGraphSpec, materialize
-            from cubedom.solver import Method, SolveReport, _checked_report
+            from cubedom.solver import Method, SolveReport, _report
 
             assert False, "assert statements must be stripped under -O"
             spec = LevelGraphSpec(6, 4, 2)
@@ -309,16 +328,13 @@ class TestInvariantsUnderOptimize:
                 spec=spec, uppers=frozenset(), lowers=frozenset(),
                 provenance=Provenance.EXACT,
             )
-            fields = dict(spec=spec, method=Method.BRANCH_AND_BOUND,
-                          witness=empty, nodes_explored=0, elapsed=0.0)
-            for bad in (dict(value=0, lower_bound=5, proven_optimal=False),
-                        dict(value=6, lower_bound=5, proven_optimal=True)):
-                try:
-                    SolveReport(**fields, **bad)
-                except ValueError:
-                    pass
-                else:
-                    raise SystemExit(f"accepted {bad}")
+            try:
+                SolveReport(Method.BRANCH_AND_BOUND, empty, lower_bound=5,
+                            nodes_explored=0, elapsed=0.0)
+            except ValueError:
+                pass
+            else:
+                raise SystemExit("accepted a lower bound above the value")
             try:
                 ExperimentRow(n=6, k=4, gamma_exact=6, proven=True,
                               greedy_value=7, construction_size=None,
@@ -327,10 +343,9 @@ class TestInvariantsUnderOptimize:
                 pass
             else:
                 raise SystemExit("accepted an experiment row with lower > gamma")
-            report = SolveReport(**fields, value=0, lower_bound=0,
-                                 proven_optimal=True)
             try:
-                _checked_report(report)
+                _report(materialize(spec), Method.BRANCH_AND_BOUND, [], 0, 0,
+                        time.perf_counter())
             except CheckFailedError:
                 pass
             else:
