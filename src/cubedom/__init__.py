@@ -8,7 +8,6 @@ from .constructions import (
     certificate_to_json,
     theorem1_construct,
     theorem2_construct,
-    theorem2_lower_bound_witness,
     verify_certificate,
     verify_structural,
 )

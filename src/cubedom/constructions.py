@@ -284,28 +284,6 @@ def _least_independent_k_set(
     return search(0, (1 << n) - 1, k)
 
 
-def theorem2_lower_bound_witness(n: int, a: int, b: int) -> int:
-    """A pair mask dominated by neither the (n-1)-set a nor the pair b.
-
-    With a = [n] \\ {i}, any pair {i, x} is non-adjacent to a, and pairs are
-    never adjacent to pairs; the smallest x with {i, x} != b works.
-    """
-    # Rejects a bad n, an a that is not an (n-1)-set and a b that is not a pair.
-    DominationCertificate(
-        LevelGraphSpec(n, n - 1, 2), frozenset({a}), frozenset({b}), Provenance.EXTERNAL
-    )
-    full = (1 << n) - 1
-    missing = full & ~a
-    i = missing.bit_length()  # the single absent element, 1-based
-    for x in range(1, n + 1):
-        if x == i:
-            continue
-        candidate = mask_of((i, x), n)
-        if candidate != b:
-            return candidate
-    raise InvalidParametersError(f"no witness pair exists at n={n}")
-
-
 def certificate_to_json(cert: DominationCertificate) -> dict:
     return {
         "n": cert.spec.n,
@@ -320,25 +298,30 @@ def certificate_to_json(cert: DominationCertificate) -> dict:
     }
 
 
-def _check_list(what: str, value):
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a JSON array, got {type(value).__name__}")
+def _checked(what: str, value, kind: type):
+    if not isinstance(value, kind):
+        name = "array" if kind is list else "object"
+        raise ValueError(f"{what} must be a JSON {name}, got {type(value).__name__}")
     return value
 
 
 def certificate_from_json(data: dict) -> DominationCertificate:
     try:
+        _checked("certificate", data, dict)
         spec = LevelGraphSpec(data["n"], data["k"], data["l"])
         provenance = Provenance(data["provenance"])
         listed: dict[str, list[int]] = {"upper": [], "lower": []}
-        _check_list("members", data["members"])
-        for m in data["members"]:
-            level = m["level"]
+        for m in _checked("members", data["members"], list):
+            level = _checked("member", m, dict)["level"]
             # A membership test by ==, so an unhashable level is named too.
             if level not in ("upper", "lower"):
                 raise ValueError(f"member level {level!r} is not 'upper' or 'lower'")
-            listed[level].append(mask_of(_check_list("member elements", m["elements"]), spec.n))
-    except (KeyError, TypeError, ValueError) as exc:
+            listed[level].append(
+                mask_of(_checked("member elements", m["elements"], list), spec.n)
+            )
+    except KeyError as exc:
+        raise InvalidParametersError(f"malformed certificate: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise InvalidParametersError(f"malformed certificate: {exc}") from exc
     uppers, lowers = frozenset(listed["upper"]), frozenset(listed["lower"])
     if len(uppers) + len(lowers) != len(data["members"]):

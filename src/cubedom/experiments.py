@@ -16,8 +16,8 @@ from typing import Iterable, Optional
 
 from .constructions import theorem1_construct, theorem2_construct, verify_certificate, verify_structural
 from .errors import BudgetExceededError, CheckFailedError, InvalidParametersError
-from .levelgraph import LevelGraphSpec, materialize
-from .solver import branch_and_bound_gamma, counting_lower_bound, greedy_dominate
+from .levelgraph import LevelGraphSpec, MaterializedGraph, materialize
+from .solver import SolveReport, branch_and_bound_gamma, counting_lower_bound, greedy_dominate
 from .subsets import MAX_GROUND_SET
 
 # Above these n, the theorem-1 sweep stops calling the exact solver and
@@ -59,8 +59,25 @@ def conjecture_main_term(n: int, k: int) -> float:
     return (k + 3) * n * n / (2 * (k - 1) * (k + 1))
 
 
-def _main_term_or_none(n: int, k: int) -> Optional[float]:
-    return conjecture_main_term(n, k) if k >= 3 else None
+def _row(spec: LevelGraphSpec, construction_size: Optional[int],
+         graph: Optional[MaterializedGraph], report: Optional[SolveReport]) -> ExperimentRow:
+    """The table row of one spec; every runner builds its rows here.
+
+    A graph gives the row its greedy value.  A branch-and-bound report gives
+    gamma when proven, and the lower bound; with no report the lower bound
+    is the counting bound.  The main term is filled on l = 2 rows.
+    """
+    proven = report is not None and report.proven_optimal
+    return ExperimentRow(
+        n=spec.n,
+        k=spec.k,
+        gamma_exact=report.value if proven else None,
+        proven=proven,
+        greedy_value=None if graph is None else greedy_dominate(graph).value,
+        construction_size=construction_size,
+        lower_bound=counting_lower_bound(spec) if report is None else report.lower_bound,
+        conjecture_main_term=conjecture_main_term(spec.n, spec.k) if spec.l == 2 else None,
+    )
 
 
 def _check_n_max(n_max: int) -> None:
@@ -85,28 +102,11 @@ def run_theorem2_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
             raise CheckFailedError(f"n={n}: construction size {cert.size} != 3")
         if not verify_certificate(cert).verified:
             raise CheckFailedError(f"n={n}: theorem-2 certificate fails to dominate")
-        spec = cert.spec
-        graph = materialize(spec)
-        greedy = greedy_dominate(graph)
-        gamma = None
-        proven = False
+        graph = materialize(cert.spec)
         report = branch_and_bound_gamma(graph)
-        if report.proven_optimal:
-            gamma, proven = report.value, True
-            if gamma != 3:
-                raise CheckFailedError(f"n={n}: proven gamma {gamma} != 3")
-        rows.append(
-            ExperimentRow(
-                n=n,
-                k=n - 1,
-                gamma_exact=gamma,
-                proven=proven,
-                greedy_value=greedy.value,
-                construction_size=3,
-                lower_bound=counting_lower_bound(spec),
-                conjecture_main_term=_main_term_or_none(n, n - 1),
-            )
-        )
+        if report.proven_optimal and report.value != 3:
+            raise CheckFailedError(f"n={n}: proven gamma {report.value} != 3")
+        rows.append(_row(cert.spec, 3, graph, report))
     return rows
 
 
@@ -128,38 +128,20 @@ def run_theorem1_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
                 raise CheckFailedError(f"(n={n},k={k}): structural verification failed")
             if cert.size > bound:
                 raise CheckFailedError(f"(n={n},k={k}): size {cert.size} > {bound}")
+            graph = report = None
             if n <= THEOREM1_ENUM_N_CAP:
                 if not verify_certificate(cert).verified:
                     raise CheckFailedError(
                         f"(n={n},k={k}): certificate fails enumerative verification"
                     )
-            spec = cert.spec
-            greedy_value = None
-            gamma = None
-            proven = False
-            if n <= THEOREM1_ENUM_N_CAP:
-                graph = materialize(spec)
-                greedy_value = greedy_dominate(graph).value
+                graph = materialize(cert.spec)
                 if n <= THEOREM1_SOLVER_N_CAP:
                     report = branch_and_bound_gamma(graph)
-                    if report.proven_optimal:
-                        gamma, proven = report.value, True
-                        if gamma > cert.size:
-                            raise CheckFailedError(
-                                f"(n={n},k={k}): gamma {gamma} exceeds construction"
-                            )
-            rows.append(
-                ExperimentRow(
-                    n=n,
-                    k=k,
-                    gamma_exact=gamma,
-                    proven=proven,
-                    greedy_value=greedy_value,
-                    construction_size=cert.size,
-                    lower_bound=counting_lower_bound(spec),
-                    conjecture_main_term=_main_term_or_none(n, k),
-                )
-            )
+                    if report.proven_optimal and report.value > cert.size:
+                        raise CheckFailedError(
+                            f"(n={n},k={k}): gamma {report.value} exceeds construction"
+                        )
+            rows.append(_row(cert.spec, cert.size, graph, report))
     return rows
 
 
@@ -181,18 +163,7 @@ def run_gk1_check(n_max: int) -> list[ExperimentRow]:
                     f"(n={n},k={k},l=1): got {report.value} "
                     f"(proven={report.proven_optimal}), expected {expected}"
                 )
-            rows.append(
-                ExperimentRow(
-                    n=n,
-                    k=k,
-                    gamma_exact=report.value,
-                    proven=True,
-                    greedy_value=greedy_dominate(graph).value,
-                    construction_size=None,
-                    lower_bound=counting_lower_bound(spec),
-                    conjecture_main_term=None,
-                )
-            )
+            rows.append(_row(spec, None, graph, report))
     return rows
 
 
@@ -215,24 +186,11 @@ def run_conjecture_table(n_range: Iterable[int], k_range: Iterable[int]) -> list
         for k in ks:
             if k >= n:
                 continue
-            graph = materialize(LevelGraphSpec(n, k, 2))
-            greedy = greedy_dominate(graph)
+            spec = LevelGraphSpec(n, k, 2)
+            graph = materialize(spec)
             report = branch_and_bound_gamma(graph, node_budget=CONJECTURE_NODE_BUDGET)
-            size = None
-            if k > ceil(n / 2):
-                size = theorem1_construct(n, k).size
-            rows.append(
-                ExperimentRow(
-                    n=n,
-                    k=k,
-                    gamma_exact=report.value if report.proven_optimal else None,
-                    proven=report.proven_optimal,
-                    greedy_value=greedy.value,
-                    construction_size=size,
-                    lower_bound=report.lower_bound,
-                    conjecture_main_term=conjecture_main_term(n, k),
-                )
-            )
+            size = theorem1_construct(n, k).size if k > ceil(n / 2) else None
+            rows.append(_row(spec, size, graph, report))
     return rows
 
 

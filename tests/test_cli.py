@@ -6,6 +6,9 @@ import pytest
 
 from cubedom.cli import main
 
+# The fields of a certificate file before its members.
+HEAD = {"n": 4, "k": 3, "l": 2, "provenance": "external"}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -112,6 +115,21 @@ class TestConstructVerify:
         code, out, err = verify_data(capsys, tmp_path, data, *flags)
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and "must be a JSON array" in err
+
+    @pytest.mark.parametrize("flags", [(), ("--structural",)], ids=["enumerative", "structural"])
+    @pytest.mark.parametrize("data,problem", [
+        ([], "certificate must be a JSON object, got list"),
+        ("x", "certificate must be a JSON object, got str"),
+        ({**HEAD, "members": [5]}, "member must be a JSON object, got int"),
+        ({**HEAD, "members": [{"level": "upper"}]}, "missing key 'elements'"),
+        ({**HEAD, "members": [{"elements": [1, 2, 3]}]}, "missing key 'level'"),
+        (HEAD, "missing key 'members'"),
+    ], ids=["top-array", "top-string", "member-number", "no-elements", "no-level",
+            "no-members"])
+    def test_malformed_structure_is_named(self, capsys, tmp_path, flags, data, problem):
+        code, out, err = verify_data(capsys, tmp_path, data, *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed certificate: {problem}\n"
 
     @pytest.mark.parametrize("flags", [(), ("--structural",)], ids=["enumerative", "structural"])
     @pytest.mark.parametrize("field,value", [("n", 6.5), ("n", 6.0), ("k", 4.5), ("l", 2.0)])

@@ -17,7 +17,6 @@ from cubedom.constructions import (
     load_certificate,
     theorem1_construct,
     theorem2_construct,
-    theorem2_lower_bound_witness,
     verify_certificate,
     verify_structural,
 )
@@ -297,41 +296,6 @@ class TestStructuralVerifier:
         result = verify_structural(certificate(63, 30, lowers=pairs))
         assert not result.verified
         assert result.witness == mask_of((1, 4), 63)
-
-
-class TestTheorem2LowerBoundWitness:
-    def witness(self, n, a_elems, b_elems):
-        return theorem2_lower_bound_witness(n, mask_of(a_elems, n), mask_of(b_elems, n))
-
-    def test_smallest_x_examples(self):
-        assert elements(self.witness(5, (1, 2, 3, 4), (1, 2))) == (1, 5)
-        assert elements(self.witness(5, (2, 3, 4, 5), (1, 2))) == (1, 3)
-
-    def test_rejects_malformed_inputs(self):
-        with pytest.raises(InvalidParametersError):
-            self.witness(5, (1, 2, 3), (1, 2))
-        pair = mask_of((1, 2), 5)
-        with pytest.raises(InvalidParametersError):
-            theorem2_lower_bound_witness(5, pair, pair)
-        with pytest.raises(InvalidParametersError):
-            self.witness(5, (1, 2, 3, 4), (1, 2, 3))
-        with pytest.raises(InvalidParametersError, match="outside"):
-            theorem2_lower_bound_witness(5, mask_of((1, 2, 3, 4), 5), 0b100001)
-        with pytest.raises(InvalidParametersError):
-            self.witness(3, (1, 2), (1, 3))
-
-    def test_exhaustive_n6(self):
-        n = 6
-        for missing in range(1, n + 1):
-            a_elems = tuple(e for e in range(1, n + 1) if e != missing)
-            for b_elems in itertools.combinations(range(1, n + 1), 2):
-                w = self.witness(n, a_elems, b_elems)
-                bad = oracle_undominated(
-                    n, n - 1, 2, [("u", a_elems), ("l", b_elems)]
-                )
-                assert ("l", frozenset(elements(w))) in bad
-                assert elements(w) != b_elems
-                assert missing in elements(w)
 
 
 class TestSerialization:

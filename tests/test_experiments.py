@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import json
 from collections import Counter
 from math import ceil
@@ -17,6 +19,8 @@ from cubedom.experiments import (
     run_theorem1_sweep,
     run_theorem2_sweep,
 )
+from cubedom.levelgraph import LevelGraphSpec
+from cubedom.solver import counting_lower_bound
 
 
 class TestMainTerm:
@@ -186,3 +190,43 @@ class TestEmission:
         assert rows_to_json(run_conjecture_table(range(4, 7), [3])) == rows_to_json(
             run_conjecture_table(range(4, 7), [3])
         )
+
+
+TABLES = {
+    "theorem2": lambda: run_theorem2_sweep(4, 12),
+    "conjecture": lambda: run_conjecture_table(range(5, 10), range(3, 6)),
+    "theorem1": lambda: run_theorem1_sweep(4, 12),
+    "gk1": lambda: run_gk1_check(8),
+}
+
+
+@functools.cache
+def table(name):
+    return TABLES[name]()
+
+
+class TestPinnedTables:
+    # sha256 of each table's CSV.  The theorem-2 and conjecture digests were
+    # taken at b9db81b.  The theorem-1 and gk1 ones were taken once every row
+    # came from one row builder: against b9db81b they differ in five
+    # lower_bound cells, theorem 1 (6,4) 5 -> 6 and (7,5) 4 -> 6, gk1 (8,2)
+    # 6 -> 7, (8,3) 5 -> 6 and (8,4) 4 -> 5, each now the proven gamma.
+    DIGESTS = {
+        "theorem2": "c170bd52bb4ce54c89734969a7ffaaed2a69f47abb5de7cecb170c76cb2ca14a",
+        "conjecture": "1f0d61d17aa7858cc9697b77e1868cb57cf5a316524395d6a63115c28371dd15",
+        "theorem1": "2628d138051ac99bfb3b09566d48f2c599f32a8a5ababd07ebbcdf49d064dbc4",
+        "gk1": "2a5bfc7231af08f697c021ba5f6f32749b73486cbf1fe8a208cb68cba40078b1",
+    }
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_csv_digest(self, name):
+        text = rows_to_csv(table(name))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[name]
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_lower_bound_is_gamma_on_proven_rows(self, name):
+        for row in table(name):
+            spec = LevelGraphSpec(row.n, row.k, 1 if name == "gk1" else 2)
+            assert row.lower_bound >= counting_lower_bound(spec)
+            if row.proven:
+                assert row.lower_bound == row.gamma_exact
