@@ -12,7 +12,6 @@ from .constructions import (
     verify_structural,
 )
 from .errors import (
-    BudgetExceededError,
     CheckFailedError,
     InvalidParametersError,
     TooLargeError,

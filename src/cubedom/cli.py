@@ -19,12 +19,7 @@ from .constructions import (
     verify_certificate,
     verify_structural,
 )
-from .errors import (
-    BudgetExceededError,
-    CheckFailedError,
-    InvalidParametersError,
-    TooLargeError,
-)
+from .errors import CheckFailedError, InvalidParametersError, TooLargeError
 from .experiments import (
     rows_to_csv,
     rows_to_json,
@@ -114,9 +109,7 @@ def _cmd_gk1(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    rows = run_conjecture_table(
-        range(args.n_min, args.n_max + 1), range(args.k_min, args.k_max + 1)
-    )
+    rows = run_conjecture_table(args.n_min, args.n_max, args.k_min, args.k_max)
     _emit_rows(rows, args)
     return 0
 
@@ -204,7 +197,7 @@ def main(argv=None) -> int:
     except CheckFailedError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (TooLargeError, BudgetExceededError) as exc:
+    except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

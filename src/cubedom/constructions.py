@@ -92,8 +92,13 @@ class DominationCertificate:
 
 @dataclass(frozen=True)
 class VerificationResult:
-    verified: bool
-    witness: Optional[int] = None
+    """The least undominated vertex mask, or None when the family dominates."""
+
+    witness: Optional[int]
+
+    @property
+    def verified(self) -> bool:
+        return self.witness is None
 
 
 def _interval(lo: int, hi: int) -> int:
@@ -163,13 +168,9 @@ def theorem2_construct(n: int) -> DominationCertificate:
     return DominationCertificate(spec, uppers, lowers, Provenance.THEOREM2)
 
 
-def _result(bad_lower: Optional[int], bad_upper: Optional[int]) -> VerificationResult:
-    """Verified if neither level has an undominated mask, else the least one."""
-    if bad_lower is None and bad_upper is None:
-        return VerificationResult(True)
-    if bad_upper is None or (bad_lower is not None and bad_lower < bad_upper):
-        return VerificationResult(False, bad_lower)
-    return VerificationResult(False, bad_upper)
+def _result(*bad: Optional[int]) -> VerificationResult:
+    """The least of the levels' undominated masks; verified if there is none."""
+    return VerificationResult(min((m for m in bad if m is not None), default=None))
 
 
 def verify_certificate(cert: DominationCertificate) -> VerificationResult:
@@ -301,7 +302,7 @@ def certificate_to_json(cert: DominationCertificate) -> dict:
 def _checked(what: str, value, kind: type):
     if not isinstance(value, kind):
         name = "array" if kind is list else "object"
-        raise ValueError(f"{what} must be a JSON {name}, got {type(value).__name__}")
+        raise TypeError(f"{what} must be a JSON {name}, got {type(value).__name__}")
     return value
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per non-zero exit code."""
 
 
 class InvalidParametersError(ValueError):
@@ -6,13 +6,10 @@ class InvalidParametersError(ValueError):
 
 
 class TooLargeError(RuntimeError):
-    """An enumeration or materialization cap would be exceeded."""
-
-
-class BudgetExceededError(RuntimeError):
-    """A search exhausted its node budget without an answer."""
+    """An enumeration, materialization or search-node cap would be exceeded."""
 
 
 class CheckFailedError(RuntimeError):
     """A computed result contradicts a check: a theorem check in a sweep, a
-    solver witness that fails re-verification, or a counting identity."""
+    solver witness that fails re-verification, bounds that do not nest, or
+    a counting identity."""

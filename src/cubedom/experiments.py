@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, astuple, dataclass, fields
 from math import ceil
-from typing import Iterable, Optional
+from typing import Optional
 
 from .constructions import theorem1_construct, theorem2_construct, verify_certificate, verify_structural
-from .errors import BudgetExceededError, CheckFailedError, InvalidParametersError
+from .errors import CheckFailedError, InvalidParametersError, TooLargeError
 from .levelgraph import LevelGraphSpec, MaterializedGraph, materialize
 from .solver import SolveReport, branch_and_bound_gamma, counting_lower_bound, greedy_dominate
 from .subsets import MAX_GROUND_SET
@@ -42,7 +42,7 @@ class ExperimentRow:
     def __post_init__(self) -> None:
         if self.gamma_exact is not None and self.greedy_value is not None:
             if not self.lower_bound <= self.gamma_exact <= self.greedy_value:
-                raise ValueError(
+                raise CheckFailedError(
                     f"(n={self.n},k={self.k}): bounds do not nest: lower "
                     f"{self.lower_bound}, gamma {self.gamma_exact}, "
                     f"greedy {self.greedy_value}"
@@ -80,8 +80,11 @@ def _row(spec: LevelGraphSpec, construction_size: Optional[int],
     )
 
 
-def _check_n_max(n_max: int) -> None:
-    """Reject a range that ends past the ground-set cap before any row runs."""
+def _check_range(n_min: int, n_max: int) -> None:
+    """Reject a range of n before any row runs: one that is empty, starts
+    below 4 or ends past the ground-set cap."""
+    if not 4 <= n_min <= n_max:
+        raise InvalidParametersError(f"need 4 <= n_min <= n_max, got {n_min}..{n_max}")
     if n_max > MAX_GROUND_SET:
         raise InvalidParametersError(f"n={n_max} exceeds {MAX_GROUND_SET}")
 
@@ -92,14 +95,10 @@ def run_theorem2_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
     Greedy meets the counting lower bound of 3 at the root, so branch and
     bound proves gamma = 3 without search at every n <= 64.
     """
-    if not 4 <= n_min <= n_max:
-        raise InvalidParametersError(f"need 4 <= n_min <= n_max, got {n_min}..{n_max}")
-    _check_n_max(n_max)
+    _check_range(n_min, n_max)
     rows = []
     for n in range(n_min, n_max + 1):
         cert = theorem2_construct(n)
-        if cert.size != 3:
-            raise CheckFailedError(f"n={n}: construction size {cert.size} != 3")
         if not verify_certificate(cert).verified:
             raise CheckFailedError(f"n={n}: theorem-2 certificate fails to dominate")
         graph = materialize(cert.spec)
@@ -114,20 +113,16 @@ def run_theorem1_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
     """For each n and ceil(n/2) < k < n: construct, verify, record sizes.
 
     Enumerative verification and exact solving are skipped above their n
-    caps; the structural verifier runs for every row.
+    caps; the structural verifier runs for every row.  The size bound
+    ceil(n/2) + 6 is checked by the certificate itself.
     """
-    if not 4 <= n_min <= n_max:
-        raise InvalidParametersError(f"need 4 <= n_min <= n_max, got {n_min}..{n_max}")
-    _check_n_max(n_max)
+    _check_range(n_min, n_max)
     rows = []
     for n in range(n_min, n_max + 1):
-        bound = ceil(n / 2) + 6
         for k in range(ceil(n / 2) + 1, n):
             cert = theorem1_construct(n, k)
             if not verify_structural(cert).verified:
                 raise CheckFailedError(f"(n={n},k={k}): structural verification failed")
-            if cert.size > bound:
-                raise CheckFailedError(f"(n={n},k={k}): size {cert.size} > {bound}")
             graph = report = None
             if n <= THEOREM1_ENUM_N_CAP:
                 if not verify_certificate(cert).verified:
@@ -148,7 +143,7 @@ def run_theorem1_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
 def run_gk1_check(n_max: int) -> list[ExperimentRow]:
     """Prove gamma(G_{k,1}) = n - k + 1 for all 2 <= k < n <= n_max."""
     if n_max > 8:
-        raise BudgetExceededError(f"gk1 check is limited to n_max <= 8, got {n_max}")
+        raise TooLargeError(f"gk1 check is limited to n_max <= 8, got {n_max}")
     if n_max < 3:
         raise InvalidParametersError(f"need n_max >= 3, got {n_max}")
     rows = []
@@ -167,25 +162,28 @@ def run_gk1_check(n_max: int) -> list[ExperimentRow]:
     return rows
 
 
-def run_conjecture_table(n_range: Iterable[int], k_range: Iterable[int]) -> list[ExperimentRow]:
-    """Solver bounds next to the conjectured main term; report-only."""
-    ks = sorted(set(k_range))
-    ns = sorted(set(n_range))
-    if not ns or not ks:
+def run_conjecture_table(n_min: int, n_max: int, k_min: int, k_max: int) -> list[ExperimentRow]:
+    """Solver bounds next to the conjectured main term; report-only.
+
+    One row per n_min <= n <= n_max and k_min <= k <= k_max with k < n.
+    Only those rows are visited, so the work does not grow with bounds
+    past them.
+    """
+    if n_min > n_max or k_min > k_max:
         raise InvalidParametersError("conjecture table needs a non-empty n range and k range")
-    if any(k < 3 for k in ks):
+    if k_min < 3:
         raise InvalidParametersError("conjecture table requires k >= 3")
-    if ks[0] >= ns[-1]:
+    if k_min >= n_max:
         raise InvalidParametersError(
-            f"conjecture table has no row: no k in {ks[0]}..{ks[-1]} is below "
-            f"an n in {ns[0]}..{ns[-1]}"
+            f"conjecture table has no row: no k in {k_min}..{k_max} is below "
+            f"an n in {n_min}..{n_max}"
         )
-    _check_n_max(ns[-1])
+    # The first n with a row; the checks above give 4 <= n_min <= n_max.
+    n_min = max(n_min, k_min + 1)
+    _check_range(n_min, n_max)
     rows = []
-    for n in ns:
-        for k in ks:
-            if k >= n:
-                continue
+    for n in range(n_min, n_max + 1):
+        for k in range(k_min, min(k_max, n - 1) + 1):
             spec = LevelGraphSpec(n, k, 2)
             graph = materialize(spec)
             report = branch_and_bound_gamma(graph, node_budget=CONJECTURE_NODE_BUDGET)

@@ -30,7 +30,7 @@ from .constructions import (
     certificate_to_json,
     verify_certificate,
 )
-from .errors import BudgetExceededError, CheckFailedError, InvalidParametersError
+from .errors import CheckFailedError, InvalidParametersError, TooLargeError
 from .levelgraph import LevelGraphSpec, MaterializedGraph, materialize
 from .subsets import binomial
 
@@ -56,7 +56,7 @@ class SolveReport:
 
     def __post_init__(self) -> None:
         if self.lower_bound > self.value:
-            raise ValueError(
+            raise CheckFailedError(
                 f"lower bound {self.lower_bound} exceeds value {self.value}"
             )
 
@@ -203,7 +203,7 @@ def brute_force_gamma(
             nonlocal nodes
             nodes += 1
             if nodes > node_budget:
-                raise BudgetExceededError(
+                raise TooLargeError(
                     f"brute force exceeded {node_budget} nodes at level {s}"
                 )
             if cover == full:

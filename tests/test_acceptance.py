@@ -124,7 +124,7 @@ def test_criterion_6_sandwich():
 
 
 def test_criterion_7_conjecture_table():
-    rows = run_conjecture_table(range(4, 9), [3])
+    rows = run_conjecture_table(4, 8, 3, 3)
     terms = [r.conjecture_main_term for r in rows]
     ok = terms == [6.0, 9.375, 13.5, 18.375, 24.0]
     for r in rows:
@@ -142,7 +142,7 @@ def test_criterion_8_determinism(tmp_path):
     for tag, make in [
         ("theorem2", lambda: rows_to_csv(run_theorem2_sweep(4, 9))),
         ("theorem1", lambda: rows_to_csv(run_theorem1_sweep(4, 9))),
-        ("conjecture", lambda: rows_to_csv(run_conjecture_table(range(4, 9), [3]))),
+        ("conjecture", lambda: rows_to_csv(run_conjecture_table(4, 8, 3, 3))),
     ]:
         first = tmp_path / f"{tag}_1.csv"
         second = tmp_path / f"{tag}_2.csv"

@@ -1,10 +1,15 @@
 import json
 import shlex
+import types
 from pathlib import Path
 
 import pytest
 
-from cubedom.cli import main
+import cubedom.errors
+import cubedom.experiments
+import cubedom.solver
+from cubedom.cli import build_parser, main
+from cubedom.errors import CheckFailedError, InvalidParametersError, TooLargeError
 
 # The fields of a certificate file before its members.
 HEAD = {"n": 4, "k": 3, "l": 2, "provenance": "external"}
@@ -326,6 +331,24 @@ class TestSweeps:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and "no row" in err
 
+    @pytest.mark.parametrize("wide,clipped", [
+        (("--n-min", "5", "--n-max", "6", "--k-min", "3", "--k-max", "1000000000"),
+         ("--n-min", "5", "--n-max", "6", "--k-min", "3", "--k-max", "5")),
+        (("--n-min", "-1000000000", "--n-max", "6", "--k-min", "3", "--k-max", "4"),
+         ("--n-min", "4", "--n-max", "6", "--k-min", "3", "--k-max", "4")),
+    ], ids=["huge-k-max", "negative-n-min"])
+    def test_conjecture_bounds_past_the_rows(self, capsys, wide, clipped):
+        # Rows need 3 <= k < n: bounds past them give the same rows, and
+        # cost no time or memory for the values no row has.
+        code, out, err = run(capsys, "conjecture", *wide)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run(capsys, "conjecture", *clipped)
+
+    def test_conjecture_huge_n_max_exits_2(self, capsys):
+        code, out, err = run(capsys, "conjecture", "--n-min", "5", "--n-max", "1000000000",
+                             "--k-min", "3", "--k-max", "4")
+        assert (code, out, err) == (2, "", "error: n=1000000000 exceeds 64\n")
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "rows.csv"
         code, _, _ = run(
@@ -347,3 +370,42 @@ class TestReadme:
         for line in lines:
             code, _, err = run(capsys, *shlex.split(line)[1:])
             assert code == 0, (line, err)
+
+
+# For each class in cubedom.errors: its exit code, and commands that raise
+# it, with the attribute patched (if any) to force the fault.
+EXIT_CODES = {
+    InvalidParametersError: (2, [(None, ("stats", "--n", "4", "--k", "4", "--l", "2"))]),
+    TooLargeError: (3, [(None, ("gk1-check", "--n-max", "9"))]),
+    CheckFailedError: (1, [
+        # SolveReport: a lower bound above the witness's size.
+        ((cubedom.solver, "counting_lower_bound", lambda spec: 10**6),
+         ("greedy", "--n", "5", "--k", "3", "--l", "2")),
+        # ExperimentRow: a greedy value below the proven gamma.
+        ((cubedom.experiments, "greedy_dominate", lambda g: types.SimpleNamespace(value=1)),
+         ("gk1-check", "--n-max", "3")),
+    ]),
+}
+
+
+class TestExitCodes:
+    def test_every_error_class_has_an_exit_code(self):
+        classes = {c for c in vars(cubedom.errors).values()
+                   if isinstance(c, type) and c.__module__ == "cubedom.errors"}
+        assert classes == set(EXIT_CODES)
+        assert sorted(code for code, _ in EXIT_CODES.values()) == [1, 2, 3]
+
+    @pytest.mark.parametrize("cls,case", [
+        (cls, case) for cls, (_, cases) in EXIT_CODES.items() for case in cases
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else v[1][0])
+    def test_raised_class_gives_its_code_and_one_line(self, capsys, monkeypatch, cls, case):
+        patch, argv = case
+        if patch is not None:
+            monkeypatch.setattr(*patch)
+        args = build_parser().parse_args(argv)
+        with pytest.raises(cls):
+            args.func(args)
+        capsys.readouterr()
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_CODES[cls][0]
+        assert out == "" and err.count("\n") == 1

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from dataclasses import fields
 from math import ceil
 
 import pytest
@@ -213,6 +214,14 @@ class TestVerifyCertificate:
     def test_theorem2_verifies(self):
         assert verify_certificate(theorem2_construct(6)).verified
 
+    def test_result_stores_only_its_witness(self):
+        # No stored flag can disagree with the witness: a result is
+        # verified exactly when it has no undominated vertex.
+        assert [f.name for f in fields(VerificationResult)] == ["witness"]
+        assert VerificationResult(None).verified
+        assert not VerificationResult(0).verified
+        assert not VerificationResult(0b11).verified
+
     def test_cap(self):
         # C(30,16) + C(30,2) = 145,423,110 checks, over the 5,000,000 cap.
         cert = theorem1_construct(30, 16)
@@ -234,7 +243,7 @@ def l2_families(draw):
 
 class TestStructuralVerifier:
     def test_accepts_construction(self):
-        assert verify_structural(theorem1_construct(6, 4)) == VerificationResult(True)
+        assert verify_structural(theorem1_construct(6, 4)) == VerificationResult(None)
 
     def test_rejects_non_spanning_pair_family(self):
         # The theorem-1 k-sets at (6,4) with a pair family that misses element 6:

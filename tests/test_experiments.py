@@ -8,7 +8,7 @@ import pytest
 
 import cubedom.experiments
 import cubedom.solver
-from cubedom.errors import BudgetExceededError, InvalidParametersError
+from cubedom.errors import InvalidParametersError, TooLargeError
 from cubedom.experiments import (
     CSV_HEADER,
     conjecture_main_term,
@@ -93,35 +93,54 @@ class TestGk1Check:
         assert by_nk[(4, 3)] == 2
 
     def test_rejects_large_n(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(TooLargeError):
             run_gk1_check(9)
 
 
 class TestConjectureTable:
     def test_main_terms_k3(self):
-        rows = run_conjecture_table(range(4, 8), [3])
+        rows = run_conjecture_table(4, 7, 3, 3)
         assert [r.conjecture_main_term for r in rows] == [6.0, 9.375, 13.5, 18.375]
 
     def test_sandwich_per_row(self):
-        for row in run_conjecture_table(range(4, 8), [3]):
+        for row in run_conjecture_table(4, 7, 3, 3):
             assert row.lower_bound <= row.greedy_value
             if row.gamma_exact is not None:
                 assert row.lower_bound <= row.gamma_exact <= row.greedy_value
 
     def test_exact_values_match_frozen_constants(self):
-        rows = {(r.n, r.k): r for r in run_conjecture_table(range(4, 7), [3])}
+        rows = {(r.n, r.k): r for r in run_conjecture_table(4, 6, 3, 3)}
         assert rows[(4, 3)].gamma_exact == 3
         assert rows[(5, 3)].gamma_exact == 6
         assert rows[(6, 3)].gamma_exact == 9
 
     def test_rejects_k_below_three(self):
         with pytest.raises(InvalidParametersError):
-            run_conjecture_table(range(4, 6), [2, 3])
+            run_conjecture_table(4, 5, 2, 3)
+
+    @pytest.mark.parametrize("bounds", [
+        (4, 6, 3, 5), (4, 6, 3, 10**9), (-10**9, 6, 3, 5), (-10**9, 6, 3, 10**9),
+    ], ids=["clipped", "huge-k-max", "negative-n-min", "both"])
+    def test_bounds_past_the_rows_add_no_work(self, monkeypatch, bounds):
+        # Rows need 3 <= k < n, so every bound set here has the six rows of
+        # n 4..6, and builds one graph per row and nothing more.
+        expected = run_conjecture_table(4, 6, 3, 5)
+        built = []
+        real = cubedom.experiments.materialize
+
+        def counting(spec):
+            built.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(cubedom.experiments, "materialize", counting)
+        rows = run_conjecture_table(*bounds)
+        assert rows == expected
+        assert len(built) == len(rows) == 6
 
 
 class TestOneGraphPerRow:
     @pytest.mark.parametrize("run,l", [
-        (lambda: run_conjecture_table(range(5, 8), [3, 4]), 2),
+        (lambda: run_conjecture_table(5, 7, 3, 4), 2),
         (lambda: run_theorem1_sweep(4, 7), 2),
         (lambda: run_theorem2_sweep(4, 6), 2),
         (lambda: run_gk1_check(5), 1),
@@ -144,7 +163,7 @@ class TestOneGraphPerRow:
 
 class TestRangeCheckedFirst:
     @pytest.mark.parametrize("run", [
-        lambda: run_conjecture_table(range(64, 66), [3]),
+        lambda: run_conjecture_table(64, 65, 3, 3),
         lambda: run_theorem1_sweep(63, 65),
         lambda: run_theorem2_sweep(4, 65),
     ], ids=["conjecture", "theorem1", "theorem2"])
@@ -187,14 +206,14 @@ class TestEmission:
         a = rows_to_csv(run_theorem2_sweep(4, 8))
         b = rows_to_csv(run_theorem2_sweep(4, 8))
         assert a == b
-        assert rows_to_json(run_conjecture_table(range(4, 7), [3])) == rows_to_json(
-            run_conjecture_table(range(4, 7), [3])
+        assert rows_to_json(run_conjecture_table(4, 6, 3, 3)) == rows_to_json(
+            run_conjecture_table(4, 6, 3, 3)
         )
 
 
 TABLES = {
     "theorem2": lambda: run_theorem2_sweep(4, 12),
-    "conjecture": lambda: run_conjecture_table(range(5, 10), range(3, 6)),
+    "conjecture": lambda: run_conjecture_table(5, 9, 3, 5),
     "theorem1": lambda: run_theorem1_sweep(4, 12),
     "gk1": lambda: run_gk1_check(8),
 }
