@@ -26,7 +26,6 @@ from .solver import (
     greedy_dominate,
 )
 from .subsets import (
-    binomial,
     elements,
     enumerate_k_subsets,
     mask_of,

@@ -28,7 +28,7 @@ from .experiments import (
     run_theorem1_sweep,
     run_theorem2_sweep,
 )
-from .levelgraph import LevelGraphSpec, graph_stats
+from .levelgraph import LevelGraphSpec, graph_stats, materialize
 from .solver import branch_and_bound_gamma, greedy_dominate, DEFAULT_NODE_BUDGET
 from .subsets import elements
 
@@ -77,14 +77,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_exact(args) -> int:
     spec = LevelGraphSpec(args.n, args.k, args.l)
-    report = branch_and_bound_gamma(spec, node_budget=args.node_budget)
+    # Checked before the graph is built, so a bad budget exits 2 at any size.
+    if args.node_budget < 1:
+        raise InvalidParametersError(f"node budget must be at least 1, got {args.node_budget}")
+    report = branch_and_bound_gamma(materialize(spec), node_budget=args.node_budget)
     _emit(json.dumps(report.to_json(), indent=2) + "\n", args.output)
     return 0 if report.proven_optimal else 3
 
 
 def _cmd_greedy(args) -> int:
-    spec = LevelGraphSpec(args.n, args.k, args.l)
-    report = greedy_dominate(spec)
+    report = greedy_dominate(materialize(LevelGraphSpec(args.n, args.k, args.l)))
     _emit(json.dumps(report.to_json(), indent=2) + "\n", args.output)
     return 0
 

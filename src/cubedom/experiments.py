@@ -99,13 +99,15 @@ def run_theorem2_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
     rows = []
     for n in range(n_min, n_max + 1):
         cert = theorem2_construct(n)
+        if cert.size != 3:
+            raise CheckFailedError(f"n={n}: theorem-2 construction has {cert.size} members")
         if not verify_certificate(cert).verified:
             raise CheckFailedError(f"n={n}: theorem-2 certificate fails to dominate")
         graph = materialize(cert.spec)
         report = branch_and_bound_gamma(graph)
         if report.proven_optimal and report.value != 3:
             raise CheckFailedError(f"n={n}: proven gamma {report.value} != 3")
-        rows.append(_row(cert.spec, 3, graph, report))
+        rows.append(_row(cert.spec, cert.size, graph, report))
     return rows
 
 
@@ -113,14 +115,19 @@ def run_theorem1_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
     """For each n and ceil(n/2) < k < n: construct, verify, record sizes.
 
     Enumerative verification and exact solving are skipped above their n
-    caps; the structural verifier runs for every row.  The size bound
-    ceil(n/2) + 6 is checked by the certificate itself.
+    caps; the structural verifier and the size bound ceil(n/2) + 6 are
+    checked on every row.
     """
     _check_range(n_min, n_max)
     rows = []
     for n in range(n_min, n_max + 1):
+        bound = ceil(n / 2) + 6
         for k in range(ceil(n / 2) + 1, n):
             cert = theorem1_construct(n, k)
+            if cert.size > bound:
+                raise CheckFailedError(
+                    f"(n={n},k={k}): construction has {cert.size} members, bound is {bound}"
+                )
             if not verify_structural(cert).verified:
                 raise CheckFailedError(f"(n={n},k={k}): structural verification failed")
             graph = report = None

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .errors import CheckFailedError, InvalidParametersError, TooLargeError
-from .subsets import MAX_GROUND_SET, binomial, enumerate_k_subsets
+from .subsets import MAX_GROUND_SET, enumerate_k_subsets
 
 MATERIALIZE_CAP = 50_000
 
@@ -43,12 +44,12 @@ def graph_stats(spec: LevelGraphSpec) -> dict:
     """Vertex/edge counts and the two degrees, by double counting."""
     n, k, l = spec.n, spec.k, spec.l
     stats = {
-        "vertex_count": binomial(n, k) + binomial(n, l),
-        "edge_count": binomial(n, k) * binomial(k, l),
-        "upper_degree": binomial(k, l),
-        "lower_degree": binomial(n - l, k - l),
+        "vertex_count": comb(n, k) + comb(n, l),
+        "edge_count": comb(n, k) * comb(k, l),
+        "upper_degree": comb(k, l),
+        "lower_degree": comb(n - l, k - l),
     }
-    if binomial(n, k) * binomial(k, l) != binomial(n, l) * binomial(n - l, k - l):
+    if comb(n, k) * comb(k, l) != comb(n, l) * comb(n - l, k - l):
         raise CheckFailedError(f"edge double count disagrees for {spec}")
     return stats
 
@@ -80,8 +81,8 @@ def materialize(spec: LevelGraphSpec) -> MaterializedGraph:
     in a mask-to-index table built once.
     """
     n, k, l = spec.n, spec.k, spec.l
-    nu = binomial(n, k)
-    total = nu + binomial(n, l)
+    nu = comb(n, k)
+    total = nu + comb(n, l)
     if total > MATERIALIZE_CAP:
         raise TooLargeError(f"{total} vertices exceed the cap of {MATERIALIZE_CAP}")
     masks = (*enumerate_k_subsets(n, k), *enumerate_k_subsets(n, l))

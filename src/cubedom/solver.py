@@ -12,8 +12,8 @@ the root, seeded by the greedy solution and bounded below by a
 two-constraint counting relaxation.  It runs as one loop over an explicit
 stack of open exclude branches, so its depth is not bounded by Python's
 recursion limit; every position visited counts as one search node.
-Greedy and branch and bound take a spec or a graph materialized once by
-the caller.
+Every solver takes a graph materialized by the caller, and its report's
+``elapsed`` is the solve time alone.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import heapq
 import time
 from dataclasses import dataclass
 from itertools import count
+from math import comb
 
 from .constructions import (
     DominationCertificate,
@@ -31,11 +32,10 @@ from .constructions import (
     verify_certificate,
 )
 from .errors import CheckFailedError, InvalidParametersError, TooLargeError
-from .levelgraph import LevelGraphSpec, MaterializedGraph, materialize
-from .subsets import binomial
+from .levelgraph import LevelGraphSpec, MaterializedGraph
 
 DEFAULT_NODE_BUDGET = 10_000_000
-DEFAULT_BRUTE_FORCE_BUDGET = 100_000_000
+BRUTE_FORCE_NODE_BUDGET = 100_000_000
 
 
 class Method(enum.Enum):
@@ -98,10 +98,10 @@ def counting_lower_bound(spec: LevelGraphSpec) -> int:
     trade 1:1 against b.
     """
     n, k, l = spec.n, spec.k, spec.l
-    lowers = binomial(n, l)
-    uppers = binomial(n, k)
-    cov_low = binomial(k, l)
-    cov_up = binomial(n - l, k - l)
+    lowers = comb(n, l)
+    uppers = comb(n, k)
+    cov_low = comb(k, l)
+    cov_up = comb(n - l, k - l)
     best = lowers + uppers
     for a in range(-(-lowers // cov_low) + 1):
         b_low = lowers - a * cov_low
@@ -152,28 +152,19 @@ def _greedy_cover(masks: tuple[int, ...]) -> list[int]:
     return chosen
 
 
-def _graph(problem: LevelGraphSpec | MaterializedGraph) -> MaterializedGraph:
-    """The graph itself, or the graph of a spec, materialized here."""
-    return problem if isinstance(problem, MaterializedGraph) else materialize(problem)
-
-
-def greedy_dominate(problem: LevelGraphSpec | MaterializedGraph) -> SolveReport:
+def greedy_dominate(graph: MaterializedGraph) -> SolveReport:
     """Largest-new-coverage-first greedy, lazy-evaluated on a max-heap.
 
-    Takes a spec, or a graph already materialized from one.  Ties break
-    toward the smallest vertex index, i.e. upper level first and then colex
-    rank, so runs are deterministic.
+    Ties break toward the smallest vertex index, i.e. upper level first and
+    then colex rank, so runs are deterministic.
     """
     start = time.perf_counter()
-    graph = _graph(problem)
     chosen = _greedy_cover(graph.closed)
     lb = counting_lower_bound(graph.spec)
     return _report(graph, Method.GREEDY, chosen, lb, len(chosen), start)
 
 
-def brute_force_gamma(
-    spec: LevelGraphSpec, node_budget: int = DEFAULT_BRUTE_FORCE_BUDGET
-) -> SolveReport:
+def brute_force_gamma(graph: MaterializedGraph) -> SolveReport:
     """Iterative deepening over vertex subsets; proven optimal by exhaustion.
 
     Level s enumerates s-subsets of the vertex indices in lexicographic
@@ -183,9 +174,10 @@ def brute_force_gamma(
     remaining picks times the best remaining coverage fall short of the
     uncovered count.  Neither prune can skip a feasible completion, so the
     first dominating set found is the lexicographically least at its size.
+    More than BRUTE_FORCE_NODE_BUDGET nodes raise TooLargeError.
     """
     start = time.perf_counter()
-    graph = materialize(spec)
+    node_budget = BRUTE_FORCE_NODE_BUDGET
     masks = graph.closed
     nv = graph.vertex_count
     full = (1 << nv) - 1
@@ -232,12 +224,9 @@ def brute_force_gamma(
 
 
 def branch_and_bound_gamma(
-    problem: LevelGraphSpec | MaterializedGraph,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    graph: MaterializedGraph, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> SolveReport:
     """Exact search via include/exclude on coverage-ordered candidates.
-
-    Takes a spec, or a graph already materialized from one.
 
     Only families containing the upper vertex [k] = {1..k} (vertex 0, colex
     rank 0) are searched: the search starts with [k] chosen and branches on
@@ -281,7 +270,6 @@ def branch_and_bound_gamma(
     if node_budget < 1:
         raise InvalidParametersError(f"node budget must be at least 1, got {node_budget}")
     start = time.perf_counter()
-    graph = _graph(problem)
     masks = graph.closed
     nv = graph.vertex_count
     full = (1 << nv) - 1

@@ -8,7 +8,6 @@ colexicographic order, which coincides with ascending numeric mask order.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Iterator
 
 from .errors import InvalidParametersError
@@ -34,13 +33,6 @@ def mask_of(elements: Iterable[int], n: int) -> int:
             raise InvalidParametersError(f"repeated element {e}")
         mask |= bit
     return mask
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact C(n, k); 0 when k > n.  Below 2**64 since n <= 64."""
-    if n < 0 or k < 0 or n > MAX_GROUND_SET:
-        raise InvalidParametersError(f"binomial out of range: C({n},{k})")
-    return math.comb(n, k)
 
 
 def enumerate_k_subsets(n: int, k: int) -> Iterator[int]:

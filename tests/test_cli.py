@@ -1,15 +1,18 @@
 import json
 import shlex
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import cubedom.constructions
 import cubedom.errors
 import cubedom.experiments
 import cubedom.solver
 from cubedom.cli import build_parser, main
 from cubedom.errors import CheckFailedError, InvalidParametersError, TooLargeError
+from cubedom.subsets import enumerate_k_subsets
 
 # The fields of a certificate file before its members.
 HEAD = {"n": 4, "k": 3, "l": 2, "provenance": "external"}
@@ -225,6 +228,41 @@ class TestVerifyStructural:
             1, "not dominating; undominated vertex: upper [1, 3, 4, 5, 7, 9]\n", ""
         )
 
+    @pytest.mark.parametrize("flags", [(), ("--structural",)], ids=["enumerative", "structural"])
+    @pytest.mark.parametrize("construct,pair", [
+        (("--theorem", "1", "--n", "12", "--k", "7"), [1, 3]),
+        (("--theorem", "2", "--n", "9"), [2, 3]),
+    ], ids=["theorem1", "theorem2"])
+    def test_theorem_file_with_extra_pair_verifies(self, capsys, tmp_path, flags, construct,
+                                                   pair):
+        # A certificate is checked for shape only: one more member takes the
+        # family past its theorem's size, and it still dominates.
+        path = tmp_path / "t.json"
+        assert run(capsys, "construct", *construct, "-o", str(path))[0] == 0
+        data = json.loads(path.read_text())
+        data["members"].append({"level": "lower", "elements": pair})
+        assert verify_data(capsys, tmp_path, data, *flags) == (0, "verified\n", "")
+
+    @pytest.mark.parametrize("flags", [(), ("--structural",)], ids=["enumerative", "structural"])
+    def test_theorem2_file_missing_a_member_is_refuted(self, capsys, tmp_path, flags):
+        path = tmp_path / "t2.json"
+        assert run(capsys, "construct", "--theorem", "2", "--n", "9", "-o", str(path))[0] == 0
+        data = json.loads(path.read_text())
+        data["members"].remove({"level": "upper", "elements": list(range(1, 9))})
+        assert verify_data(capsys, tmp_path, data, *flags) == (
+            1, "not dominating; undominated vertex: lower [1, 2]\n", "")
+
+    def test_search_past_the_cap_exits_3(self, capsys, tmp_path, monkeypatch):
+        # Six disjoint 5-cycles as pairs at n = 30, k = 13: 32,971 search
+        # nodes, over a cap of 1,000.
+        monkeypatch.setattr(cubedom.constructions, "VERIFY_CAP", 1000)
+        cycles = [[5 * i + j for j in range(1, 6)] for i in range(6)]
+        members = [{"level": "lower", "elements": [c[j], c[(j + 1) % 5]]}
+                   for c in cycles for j in range(5)]
+        data = {"n": 30, "k": 13, "l": 2, "provenance": "external", "members": members}
+        assert verify_data(capsys, tmp_path, data, "--structural") == (
+            3, "", "error: structural search nodes exceed the cap of 1000\n")
+
     def test_level_other_than_2_exits_2(self, capsys, tmp_path):
         data = {
             "n": 5, "k": 3, "l": 1, "provenance": "external",
@@ -233,6 +271,26 @@ class TestVerifyStructural:
         code, out, err = verify_data(capsys, tmp_path, data, "--structural")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestSweepTheoremChecks:
+    @pytest.mark.parametrize("theorem,name,grow,message", [
+        # Every pair of [8] as a member: the family dominates, but it has
+        # 6 + 28 members, over ceil(8/2) + 6.
+        ("1", "theorem1_construct",
+         lambda cert: replace(cert, lowers=frozenset(enumerate_k_subsets(cert.spec.n, 2))),
+         "(n=8,k=5): construction has 34 members, bound is 10"),
+        # A fourth member.
+        ("2", "theorem2_construct", lambda cert: replace(cert, lowers=cert.lowers | {0b11}),
+         "n=8: theorem-2 construction has 4 members"),
+    ], ids=["theorem1", "theorem2"])
+    def test_oversized_construction_exits_1(self, capsys, monkeypatch, theorem, name, grow,
+                                            message):
+        real = getattr(cubedom.experiments, name)
+        monkeypatch.setattr(cubedom.experiments, name, lambda *args: grow(real(*args)))
+        code, out, err = run(capsys, "sweep", "--theorem", theorem, "--n-min", "8",
+                             "--n-max", "8")
+        assert (code, out, err) == (1, "", f"check failed: {message}\n")
 
 
 class TestSolvers:

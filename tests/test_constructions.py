@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cubedom.constructions
+
 from cubedom.constructions import (
     DominationCertificate,
     Provenance,
@@ -60,6 +62,17 @@ def certificate(n, k, uppers=(), lowers=()):
         lowers=frozenset(mask_of(e, n) for e in lowers),
         provenance=Provenance.EXTERNAL,
     )
+
+
+def five_cycles(m):
+    """m disjoint 5-cycles on [5m] as pair members, no k-sets, k = 2m + 1.
+
+    No k-set is independent (alpha = 2m), but a 5-cycle needs three cliques
+    to cover it, so the clique-partition bound cannot prune at the root and
+    the search grows about 5.9-fold per cycle."""
+    cycles = [[5 * i + j for j in range(1, 6)] for i in range(m)]
+    pairs = [(c[j], c[(j + 1) % 5]) for c in cycles for j in range(5)]
+    return certificate(5 * m, 2 * m + 1, lowers=pairs)
 
 
 class TestTheorem1Construct:
@@ -305,6 +318,15 @@ class TestStructuralVerifier:
         result = verify_structural(certificate(63, 30, lowers=pairs))
         assert not result.verified
         assert result.witness == mask_of((1, 4), 63)
+
+    def test_search_past_the_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(cubedom.constructions, "VERIFY_CAP", 1000)
+        with pytest.raises(TooLargeError, match="structural search nodes exceed the cap of 1000"):
+            verify_structural(five_cycles(6))
+
+    def test_five_cycles_within_the_cap(self):
+        # 32,971 search nodes; the witness is the uncovered pair {1,3}.
+        assert verify_structural(five_cycles(6)) == VerificationResult(mask_of((1, 3), 30))
 
 
 class TestSerialization:

@@ -1,10 +1,11 @@
 import random
+from math import comb
 
 import pytest
 
 from cubedom.errors import InvalidParametersError, TooLargeError
 from cubedom.levelgraph import LevelGraphSpec, graph_stats, materialize
-from cubedom.subsets import binomial, enumerate_k_subsets
+from cubedom.subsets import enumerate_k_subsets
 
 
 def reference_closed(spec):
@@ -57,8 +58,8 @@ class TestStats:
                 for l in range(1, k):
                     stats = graph_stats(LevelGraphSpec(n, k, l))
                     assert (
-                        binomial(n, k) * stats["upper_degree"]
-                        == binomial(n, l) * stats["lower_degree"]
+                        comb(n, k) * stats["upper_degree"]
+                        == comb(n, l) * stats["lower_degree"]
                     )
 
 

@@ -7,10 +7,11 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import fields, replace
-from math import ceil
+from math import ceil, comb
 
 import pytest
 
+import cubedom.solver
 from cubedom.constructions import theorem1_construct, verify_certificate
 from cubedom.errors import TooLargeError
 from cubedom.levelgraph import LevelGraphSpec, materialize
@@ -22,13 +23,12 @@ from cubedom.solver import (
     counting_lower_bound,
     greedy_dominate,
 )
-from cubedom.subsets import binomial
 
 
 def oracle_counting_bound(n, k, l):
     """Direct enumeration of the two-constraint program, no scanning tricks."""
-    lowers, uppers = binomial(n, l), binomial(n, k)
-    cov_low, cov_up = binomial(k, l), binomial(n - l, k - l)
+    lowers, uppers = comb(n, l), comb(n, k)
+    cov_low, cov_up = comb(k, l), comb(n - l, k - l)
     best = None
     for a in range(lowers + 1):
         for b in range(lowers + uppers + 1):
@@ -42,7 +42,7 @@ def oracle_counting_bound(n, k, l):
 @functools.cache
 def exact_l2(n, k):
     """branch_and_bound_gamma on (n, k, 2) at the default budget, run once."""
-    return branch_and_bound_gamma(LevelGraphSpec(n, k, 2))
+    return branch_and_bound_gamma(materialize(LevelGraphSpec(n, k, 2)))
 
 
 class TestCountingLowerBound:
@@ -70,33 +70,31 @@ class TestCountingLowerBound:
             for k in range(2, n):
                 for l in range(1, k):
                     spec = LevelGraphSpec(n, k, l)
-                    assert counting_lower_bound(spec) <= brute_force_gamma(spec).value
+                    assert counting_lower_bound(spec) <= brute_force_gamma(materialize(spec)).value
 
 
 class TestBruteForce:
     def test_theorem2_value_n4(self):
-        report = brute_force_gamma(LevelGraphSpec(4, 3, 2))
+        report = brute_force_gamma(materialize(LevelGraphSpec(4, 3, 2)))
         assert report.value == 3
         assert report.proven_optimal
         assert report.method is Method.BRUTE_FORCE
 
     def test_gk1_value(self):
-        assert brute_force_gamma(LevelGraphSpec(5, 2, 1)).value == 4
+        assert brute_force_gamma(materialize(LevelGraphSpec(5, 2, 1))).value == 4
 
     def test_frozen_regression_values(self):
         # Ground-truth constants computed by this oracle and frozen.
-        assert brute_force_gamma(LevelGraphSpec(6, 4, 2)).value == 6
-        assert brute_force_gamma(LevelGraphSpec(6, 3, 2)).value == 9
-        assert brute_force_gamma(LevelGraphSpec(6, 4, 3)).value == 9
-        assert brute_force_gamma(LevelGraphSpec(5, 3, 2)).value == 6
+        assert brute_force_gamma(materialize(LevelGraphSpec(6, 4, 2))).value == 6
+        assert brute_force_gamma(materialize(LevelGraphSpec(6, 3, 2))).value == 9
+        assert brute_force_gamma(materialize(LevelGraphSpec(6, 4, 3))).value == 9
+        assert brute_force_gamma(materialize(LevelGraphSpec(5, 3, 2))).value == 6
 
     def test_witness_verifies_and_is_lex_least(self):
         spec = LevelGraphSpec(4, 3, 2)
-        report = brute_force_gamma(spec)
+        report = brute_force_gamma(materialize(spec))
         assert verify_certificate(report.witness).verified
         # Independent check of lex-leastness over all 3-subsets of vertices.
-        from cubedom.levelgraph import materialize
-
         g = materialize(spec)
         masks = g.closed
         full = (1 << g.vertex_count) - 1
@@ -110,15 +108,16 @@ class TestBruteForce:
         got = sorted(g.masks.index(m) for m in witness.uppers | witness.lowers)
         assert tuple(got) == least
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
+        monkeypatch.setattr(cubedom.solver, "BRUTE_FORCE_NODE_BUDGET", 50)
         with pytest.raises(TooLargeError):
-            brute_force_gamma(LevelGraphSpec(6, 3, 2), node_budget=50)
+            brute_force_gamma(materialize(LevelGraphSpec(6, 3, 2)))
 
 
 class TestGreedy:
     def test_upper_bound_and_verified_witness(self):
         spec = LevelGraphSpec(4, 3, 2)
-        report = greedy_dominate(spec)
+        report = greedy_dominate(materialize(spec))
         assert report.value <= 4
         assert report.value >= 3  # exact gamma here is 3
         assert verify_certificate(report.witness).verified
@@ -127,12 +126,12 @@ class TestGreedy:
         for n in range(3, 8):
             for k in range(2, n):
                 for l in range(1, k):
-                    assert greedy_dominate(LevelGraphSpec(n, k, l)).value >= 2
+                    assert greedy_dominate(materialize(LevelGraphSpec(n, k, l))).value >= 2
 
     def test_deterministic(self):
         spec = LevelGraphSpec(7, 4, 2)
-        a = greedy_dominate(spec)
-        b = greedy_dominate(spec)
+        a = greedy_dominate(materialize(spec))
+        b = greedy_dominate(materialize(spec))
         assert a.value == b.value
         assert a.witness == b.witness
 
@@ -143,13 +142,13 @@ class TestBranchAndBound:
             for k in range(2, n):
                 for l in range(1, k):
                     spec = LevelGraphSpec(n, k, l)
-                    bf = brute_force_gamma(spec)
-                    bb = branch_and_bound_gamma(spec)
+                    bf = brute_force_gamma(materialize(spec))
+                    bb = branch_and_bound_gamma(materialize(spec))
                     assert bb.proven_optimal
                     assert bb.value == bf.value, (n, k, l)
 
     def test_theorem2_at_n9(self):
-        report = branch_and_bound_gamma(LevelGraphSpec(9, 8, 2))
+        report = branch_and_bound_gamma(materialize(LevelGraphSpec(9, 8, 2)))
         assert report.value == 3
         assert report.proven_optimal
 
@@ -159,7 +158,7 @@ class TestBranchAndBound:
         # 406,101, and skipping whole orbits of its stabilizer at the root
         # cut it to 111,757.  The node count is deterministic and pins the
         # search tree.
-        report = branch_and_bound_gamma(LevelGraphSpec(7, 4, 2))
+        report = branch_and_bound_gamma(materialize(LevelGraphSpec(7, 4, 2)))
         assert report.proven_optimal
         assert report.value == 9
         assert report.value <= 10
@@ -168,7 +167,7 @@ class TestBranchAndBound:
     def test_frozen_n8_k5(self):
         # 1,249,137 nodes with [k] fixed; 234,897 with the root orbits
         # skipped.  The count fails if the orbit rule is lost.
-        report = branch_and_bound_gamma(LevelGraphSpec(8, 5, 2))
+        report = branch_and_bound_gamma(materialize(LevelGraphSpec(8, 5, 2)))
         assert report.proven_optimal
         assert report.value == 8
         assert report.nodes_explored == 234_897
@@ -187,32 +186,25 @@ class TestBranchAndBound:
     def test_search_tree_pinned_at_budget(self):
         # (8,4,2) spends the whole budget: the node that exceeds it is
         # counted, and the report keeps the incumbent and the root bound.
-        report = branch_and_bound_gamma(LevelGraphSpec(8, 4, 2), node_budget=3_000_000)
+        report = branch_and_bound_gamma(materialize(LevelGraphSpec(8, 4, 2)), node_budget=3_000_000)
         assert not report.proven_optimal
         assert (report.nodes_explored, report.value, report.lower_bound) == (3_000_001, 12, 9)
 
     def test_search_depth_is_not_bounded_by_recursion(self):
         # A recursive search needs about 124 frames here; 40 frames above
         # the caller leave room only for the calls around the loop.
-        spec = LevelGraphSpec(16, 8, 2)
-        free = branch_and_bound_gamma(spec, node_budget=20_000)
+        graph = materialize(LevelGraphSpec(16, 8, 2))
+        free = branch_and_bound_gamma(graph, node_budget=20_000)
         depth, frame = 0, sys._getframe()
         while frame is not None:
             depth, frame = depth + 1, frame.f_back
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 40)
         try:
-            bounded = branch_and_bound_gamma(spec, node_budget=20_000)
+            bounded = branch_and_bound_gamma(graph, node_budget=20_000)
         finally:
             sys.setrecursionlimit(limit)
         assert replace(bounded, elapsed=0.0) == replace(free, elapsed=0.0)
-
-    def test_accepts_a_materialized_graph(self):
-        spec = LevelGraphSpec(6, 4, 2)
-        graph = materialize(spec)
-        for solve in (greedy_dominate, branch_and_bound_gamma):
-            from_spec, from_graph = solve(spec), solve(graph)
-            assert replace(from_graph, elapsed=0.0) == replace(from_spec, elapsed=0.0)
 
     @pytest.mark.parametrize("n,k,gamma", [(7, 4, 9), (8, 5, 8), (8, 6, 6), (7, 3, 13),
                                            (8, 4, 12)])
@@ -239,15 +231,15 @@ class TestBranchAndBound:
         assert report.value == gamma
 
     def test_budget_returns_heuristic_report(self):
-        report = branch_and_bound_gamma(LevelGraphSpec(7, 4, 2), node_budget=100)
+        report = branch_and_bound_gamma(materialize(LevelGraphSpec(7, 4, 2)), node_budget=100)
         assert not report.proven_optimal
         assert report.lower_bound <= report.value
         assert verify_certificate(report.witness).verified
 
     def test_deterministic(self):
         spec = LevelGraphSpec(6, 3, 2)
-        a = branch_and_bound_gamma(spec, node_budget=5000)
-        b = branch_and_bound_gamma(spec, node_budget=5000)
+        a = branch_and_bound_gamma(materialize(spec), node_budget=5000)
+        b = branch_and_bound_gamma(materialize(spec), node_budget=5000)
         assert (a.value, a.lower_bound, a.proven_optimal, a.nodes_explored) == (
             b.value,
             b.lower_bound,
@@ -294,7 +286,7 @@ class TestPinnedReport:
             for n, k, l in [(6, 3, 2), (7, 4, 2), (8, 6, 2), (6, 4, 3), (7, 3, 1)]]
         + ["brute-5-3-2", "brute-6-4-2", "brute-5-2-1"])
     def test_report_json_digest(self, solve, spec, digest):
-        data = solve(LevelGraphSpec(*spec)).to_json()
+        data = solve(materialize(LevelGraphSpec(*spec))).to_json()
         del data["elapsed_seconds"]
         text = json.dumps(data, indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -302,7 +294,7 @@ class TestPinnedReport:
     def test_report_stores_witness_and_bound_only(self):
         assert [f.name for f in fields(SolveReport)] == [
             "method", "witness", "lower_bound", "nodes_explored", "elapsed"]
-        report = branch_and_bound_gamma(LevelGraphSpec(8, 4, 2), node_budget=1000)
+        report = branch_and_bound_gamma(materialize(LevelGraphSpec(8, 4, 2)), node_budget=1000)
         assert report.spec == report.witness.spec
         assert report.value == report.witness.size
         assert report.lower_bound < report.value and not report.proven_optimal
@@ -314,8 +306,8 @@ class TestSandwich:
             for k in range(ceil(n / 2) + 1, n):
                 spec = LevelGraphSpec(n, k, 2)
                 lb = counting_lower_bound(spec)
-                exact = brute_force_gamma(spec).value
-                greedy = greedy_dominate(spec).value
+                exact = brute_force_gamma(materialize(spec)).value
+                greedy = greedy_dominate(materialize(spec)).value
                 size = theorem1_construct(n, k).size
                 assert lb <= exact <= greedy
                 assert exact <= size

@@ -6,7 +6,8 @@ import operator
 import pytest
 
 from cubedom.errors import InvalidParametersError
-from cubedom.subsets import binomial, elements, enumerate_k_subsets, mask_of, spanning_pairs
+from cubedom.levelgraph import LevelGraphSpec, graph_stats
+from cubedom.subsets import elements, enumerate_k_subsets, mask_of, spanning_pairs
 
 
 def combos(n, k):
@@ -42,24 +43,24 @@ class TestSubset:
 
 
 class TestBinomial:
+    """Level sizes and degrees, the binomial counts the package reports."""
+
     def test_known_values(self):
-        assert binomial(5, 2) == 10
-        assert binomial(7, 0) == 1
-        assert binomial(3, 5) == 0
+        assert graph_stats(LevelGraphSpec(5, 2, 1)) == {
+            "vertex_count": 10 + 5, "edge_count": 10 * 2, "upper_degree": 2,
+            "lower_degree": 4,
+        }
 
     def test_against_pascal_recurrence(self):
-        # Independent oracle: Pascal's triangle built by addition only.
+        # Independent oracle: Pascal's triangle built by addition only,
+        # against the level sizes at the 64-element cap.
         row = [1]
         for n in range(1, 65):
             row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-        for k in range(65):
-            assert binomial(64, k) == row[k]
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(InvalidParametersError):
-            binomial(65, 2)
-        with pytest.raises(InvalidParametersError):
-            binomial(5, -1)
+        for k in range(2, 64):
+            stats = graph_stats(LevelGraphSpec(64, k, 1))
+            assert stats["vertex_count"] == row[k] + row[1]
+            assert stats["lower_degree"] == row[k] * k // 64
 
 
 class TestEnumeration:
@@ -80,7 +81,7 @@ class TestEnumeration:
     def test_counts_distinct_and_cardinality(self, n):
         for k in range(n + 1):
             subs = list(enumerate_k_subsets(n, k))
-            assert len(subs) == binomial(n, k)
+            assert len(subs) == math.comb(n, k)
             assert len(set(subs)) == len(subs)
             assert all(m.bit_count() == k and 0 <= m < 1 << n for m in subs)
             # Ascending mask = colex order.
