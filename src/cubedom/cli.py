@@ -20,14 +20,6 @@ from .constructions import (
     verify_structural,
 )
 from .errors import CheckFailedError, InvalidParametersError, TooLargeError
-from .experiments import (
-    rows_to_csv,
-    rows_to_json,
-    run_conjecture_table,
-    run_gk1_check,
-    run_theorem1_sweep,
-    run_theorem2_sweep,
-)
 from .levelgraph import LevelGraphSpec, graph_stats, materialize
 from .solver import branch_and_bound_gamma, greedy_dominate, DEFAULT_NODE_BUDGET
 from .subsets import elements
@@ -91,12 +83,18 @@ def _cmd_greedy(args) -> int:
     return 0
 
 
+# The table commands import cubedom.experiments when they run, so the
+# other commands never load it.
 def _emit_rows(rows, args) -> None:
+    from .experiments import rows_to_csv, rows_to_json
+
     text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
     _emit(text, args.output)
 
 
 def _cmd_sweep(args) -> int:
+    from .experiments import run_theorem1_sweep, run_theorem2_sweep
+
     if args.theorem == 1:
         rows = run_theorem1_sweep(args.n_min, args.n_max)
     else:
@@ -106,11 +104,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gk1(args) -> int:
+    from .experiments import run_gk1_check
+
     _emit_rows(run_gk1_check(args.n_max), args)
     return 0
 
 
 def _cmd_conjecture(args) -> int:
+    from .experiments import run_conjecture_table
+
     rows = run_conjecture_table(args.n_min, args.n_max, args.k_min, args.k_max)
     _emit_rows(rows, args)
     return 0

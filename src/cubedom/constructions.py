@@ -20,7 +20,8 @@ members, read as a graph on [n].  D dominates G_{k,2} if and only if
 Condition (i) is a scan over the pairs; condition (ii) is a search for a
 k-clique in the complement of H, bounded by a clique partition of H
 (Carraghan & Pardalos 1990; Östergård 2002), which stops at the root for
-the construction above.  So the structural verifier scales to any n within
+the construction above, and by the mask of the pair (i) found uncovered,
+if any.  So the structural verifier scales to any n within
 the 64-element cap; past VERIFY_CAP search nodes it raises TooLargeError,
 as the enumerative verifier does past VERIFY_CAP vertex checks.  Both
 verifiers report the same witness on failure: the undominated vertex of
@@ -220,7 +221,7 @@ def verify_structural(cert: DominationCertificate) -> VerificationResult:
         nbr[b] |= 1 << a
 
     bad_lower = _uncovered_pair(n, cert.uppers, nbr)
-    bad_upper = _least_independent_k_set(n, k, cert.uppers, nbr)
+    bad_upper = _least_independent_k_set(n, k, cert.uppers, nbr, bad_lower)
     return _result(bad_lower, bad_upper)
 
 
@@ -239,17 +240,22 @@ def _uncovered_pair(n: int, upper: frozenset[int], nbr: list[int]) -> Optional[i
 
 
 def _least_independent_k_set(
-    n: int, k: int, upper: frozenset[int], nbr: list[int]
+    n: int, k: int, upper: frozenset[int], nbr: list[int], below: Optional[int] = None
 ) -> Optional[int]:
     """Condition (ii): the least k-set mask independent in H and not in A.
+
+    With ``below`` given, a result at or above it may come back as None.
 
     Depth-first search deciding elements from the top bit down, excluding
     each before including it, so complete sets arrive in ascending mask
     order and the first one not in A is the least.  An independent set
     takes at most one element of each clique of H, so a branch is pruned
     when a greedy clique partition of its free elements has fewer classes
-    than the elements it still needs.  More than VERIFY_CAP search nodes
-    raise TooLargeError.
+    than the elements it still needs.  Every free element lies below every
+    chosen one, so a branch's least completion is its chosen elements plus
+    the lowest free ones it needs, and a branch whose least completion
+    reaches ``below`` is pruned too: the caller already holds a smaller
+    witness.  More than VERIFY_CAP search nodes raise TooLargeError.
     """
     nodes, cap = 0, VERIFY_CAP
 
@@ -276,6 +282,14 @@ def _least_independent_k_set(
             return None if chosen in upper else chosen
         if free.bit_count() < need or clique_classes(free) < need:
             return None
+        if below is not None:
+            least, rest = chosen, free
+            for _ in range(need):
+                low = rest & -rest
+                least |= low
+                rest ^= low
+            if least >= below:
+                return None
         v = free.bit_length() - 1
         rest = free & ~(1 << v)
         found = search(chosen, rest, need)

@@ -8,10 +8,14 @@ feasibility pruning, so the first set found at the optimal size is the
 lexicographically least one.  ``branch_and_bound_gamma`` is the workhorse:
 include/exclude search over coverage-ordered candidates with the upper
 vertex [k] fixed in the set and whole orbits of its stabilizer skipped at
-the root, seeded by the greedy solution and bounded below by a
-two-constraint counting relaxation.  It runs as one loop over an explicit
-stack of open exclude branches, so its depth is not bounded by Python's
-recursion limit; every position visited counts as one search node.
+the root, seeded by the greedy solution and pruned by the two-level
+covering bound: an upper pick dominates one upper vertex (itself) and
+C(k,l) lower ones, a lower pick one lower vertex and C(n-l,k-l) upper
+ones, so the picks left over cannot beat the incumbent once the uncovered
+vertices of either level outrun what they can reach.  It runs as one loop
+over an explicit stack of open exclude branches, so its depth is not
+bounded by Python's recursion limit; every position visited counts as one
+search node.
 Every solver takes a graph materialized by the caller, and its report's
 ``elapsed`` is the solve time alone.
 """
@@ -22,7 +26,7 @@ import enum
 import heapq
 import time
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count, repeat
 from math import comb
 
 from .constructions import (
@@ -223,6 +227,40 @@ def brute_force_gamma(graph: MaterializedGraph) -> SolveReport:
             return _report(graph, Method.BRUTE_FORCE, chosen, s, nodes, start)
 
 
+def _cap_table(
+    rows: int, nl: int, cu: int, cl: int, uppers: bool, lowers: bool
+) -> list[list[int]]:
+    """``table[r + 1][L]`` = cap(r, L) for r in [-1, rows - 2], L in [0, nl].
+
+    cap(r, L) is the most upper vertices that r picks can dominate while
+    they also dominate L lower vertices, or -1 if they cannot.  a upper
+    and r - a lower picks dominate at most a*cu + (r - a) lower and
+    a + (r - a)*cl upper vertices, where an upper pick dominates cu lower
+    vertices and a lower pick cl upper ones; a ranges over [0, r] when
+    both levels have candidates, and is r (uppers only) or 0 (lowers
+    only) otherwise.  Both totals grow with each pick, so exactly r picks
+    cover the most.  As a grows by one, the lower reach rises by cu - 1
+    and the upper reach falls by cl - 1 (cu, cl >= 2), so the least a that
+    reaches L gives the cap: each row is a run of r + lo*(cu - 1) + 1
+    entries for the least a, lo, then runs of cu - 1 entries, one per
+    further a, cut at nl, then -1 where no a reaches L.  The runs are
+    built in C, since a row can take about nl/(cu - 1) of them.
+    """
+    table = [[-1] * (nl + 1)]
+    for r in range(rows - 1):
+        lo, hi = (0 if lowers else r), (r if uppers else 0)
+        top = lo + (r - lo) * cl
+        row = [top] * (r + lo * (cu - 1) + 1)
+        # The further a that still meet an L <= nl.
+        more = min(hi - lo, -(-(nl + 1 - len(row)) // (cu - 1)))
+        caps = range(top - (cl - 1), top - (more + 1) * (cl - 1), 1 - cl)
+        row += chain.from_iterable(map(repeat, caps, repeat(cu - 1)))
+        del row[nl + 1:]
+        row += [-1] * (nl + 1 - len(row))
+        table.append(row)
+    return table
+
+
 def branch_and_bound_gamma(
     graph: MaterializedGraph, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> SolveReport:
@@ -252,16 +290,30 @@ def branch_and_bound_gamma(
     contains [k] and that vertex and misses every earlier orbit.  The
     argument holds for every l.
 
-    Initialized with the greedy solution; pruned by size +
-    ceil(uncovered / best-remaining-coverage) against the incumbent and by
-    the counting relaxation at the root.  The search is one loop over an
-    explicit stack, not a recursion.  A node that passes both prunes pushes
-    its exclude branch and descends into its include branch; a pruned node
-    resumes the most recent exclude branch.  An exclude branch keeps the
-    size and cover of its node, so the uncovered count is computed once per
-    include, and a run of excludes advances the position in place, counting
-    one node per position visited.  An include child that dominates is
-    settled as a leaf (one node) without a push.
+    Initialized with the greedy solution and stopped early when it meets
+    the counting relaxation at the root.  A node with s vertices chosen,
+    U upper and L lower vertices uncovered, can lead to a family smaller
+    than the incumbent's size b only by r = b - s - 1 more picks from the
+    candidates at or after its position.  It is pruned when r < 0, when
+    U > cap(r, L) (see ``_cap_table``; the level classes are those of its
+    remaining candidates), or when those candidates together miss a
+    vertex.  The cap bound is sound for every l: any r such picks with a
+    uppers dominate at most a*C(k,l) + (r - a) of the lower vertices and
+    a + (r - a)*C(n-l,k-l) of the upper ones, and a dominating completion
+    must reach L and U.  It prunes wherever uncovered > r * (the largest
+    remaining closed neighbourhood) does, since U + L is at most
+    a*(C(k,l) + 1) + (r - a)*(C(n-l,k-l) + 1).  A sound prune removes no
+    family smaller than the incumbent, so the incumbents found, and an
+    exhausted search's witness, do not depend on which sound bound runs.
+
+    The search is one loop over an explicit stack, not a recursion.  A
+    node that passes the prunes pushes its exclude branch and descends
+    into its include branch; a pruned node resumes the most recent exclude
+    branch.  An exclude branch keeps the size and cover of its node, so U
+    and L are computed once per include, and a run of excludes advances
+    the position in place, counting one node per position visited.  An
+    include child that dominates is settled as a leaf (one node) without
+    a push.
 
     Exceeding the node budget is a normal outcome: the report then carries
     the incumbent and the root lower bound with proven_optimal=False.  A
@@ -290,45 +342,65 @@ def branch_and_bound_gamma(
         same = orbit[order[p]] == orbit[order[p + 1]]
         next_orbit[p] = next_orbit[p + 1] if same else p + 1
     suffix_or = [0] * (ncand + 1)
-    suffix_cov = [1] * (ncand + 1)
     for i in range(ncand - 1, -1, -1):
         suffix_or[i] = suffix_or[i + 1] | ordered_masks[i]
-        suffix_cov[i] = max(suffix_cov[i + 1], ordered_masks[i].bit_count())
+    # cap_at[p]: the cap table of the levels with candidates at or after p,
+    # indexed [best_size - size][L].  Rows run to the greedy size, the
+    # largest best_size - size + 1 the search meets.
+    spec = graph.spec
+    nl = nv - nu
+    cu, cl = comb(spec.k, spec.l), comb(spec.n - spec.l, spec.k - spec.l)
+    tables: dict[tuple[bool, bool], list[list[int]]] = {}
+    cap_at = []
+    uppers = lowers = False
+    for p in range(ncand - 1, -1, -1):
+        uppers |= order[p] < nu
+        lowers |= order[p] >= nu
+        if (uppers, lowers) not in tables:
+            tables[uppers, lowers] = _cap_table(best_size, nl, cu, cl, uppers, lowers)
+        cap_at.append(tables[uppers, lowers])
+    cap_at.reverse()
+    # No candidate is left at ncand, where the feasibility test prunes.
+    cap_at.append(cap_at[-1])
 
     nodes = 0
     exhausted = True
     # path[:size - 1] holds the positions chosen besides the fixed vertex 0.
     path = [0] * ncand
-    # Open exclude branches, each the (pos, size, cover, uncovered) of the
-    # node it resumes at; the loop is at the node (pos, size, cover).
-    stack: list[tuple[int, int, int, int]] = []
+    # Open exclude branches, each the (pos, size, cover, U, L) of the node
+    # it resumes at; the loop is at the node (pos, size, cover).
+    stack: list[tuple[int, int, int, int, int]] = []
     push, pop = stack.append, stack.pop
     # The root: [k] alone never dominates, since no two uppers are adjacent.
     pos, size, cover = 0, 1, masks[0]
-    # cover has no bits outside full, so this is (full & ~cover).bit_count().
-    uncovered = nv - cover.bit_count()
+    # Uncovered lowers and uppers; cover has no bits outside full.
+    low = nl - (cover >> nu).bit_count()
+    up = nv - cover.bit_count() - low
     while best_size > root_lb:
         nodes += 1
         if nodes > node_budget:
             exhausted = False
             break
-        # suffix_or[ncand] is 0, so the last test also ends a run at ncand.
-        if (size + -(-uncovered // suffix_cov[pos]) >= best_size
+        # Row 0 of every table is -1, which prunes r = best_size - size - 1
+        # < 0.  suffix_or[ncand] is 0, so the last test also ends a run at
+        # ncand.
+        if (up > cap_at[pos][best_size - size][low]
                 or cover | suffix_or[pos] != full):
             if not stack:
                 break
-            pos, size, cover, uncovered = pop()
+            pos, size, cover, up, low = pop()
             continue
         # Open the exclude branch; with only [k] chosen, pos starts its
         # orbit and the branch skips the whole orbit.
-        push((pos + 1 if size > 1 else next_orbit[pos], size, cover, uncovered))
+        push((pos + 1 if size > 1 else next_orbit[pos], size, cover, up, low))
         # Descend into the include branch.
         path[size - 1] = pos
         cover |= ordered_masks[pos]
         size += 1
         pos += 1
         if cover != full:
-            uncovered = nv - cover.bit_count()
+            low = nl - (cover >> nu).bit_count()
+            up = nv - cover.bit_count() - low
             continue
         # The include child dominates: settle it as a leaf without a push.
         nodes += 1
@@ -338,6 +410,6 @@ def branch_and_bound_gamma(
         if size < best_size:
             best_size = size
             best_set = [0] + [order[p] for p in path[:size - 1]]
-        pos, size, cover, uncovered = pop()
+        pos, size, cover, up, low = pop()
     lower_bound = best_size if exhausted else root_lb
     return _report(graph, Method.BRANCH_AND_BOUND, best_set, lower_bound, nodes, start)

@@ -1,5 +1,10 @@
+import itertools
 import json
+import os
 import shlex
+import subprocess
+import sys
+import textwrap
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -253,12 +258,18 @@ class TestVerifyStructural:
             1, "not dominating; undominated vertex: lower [1, 2]\n", "")
 
     def test_search_past_the_cap_exits_3(self, capsys, tmp_path, monkeypatch):
-        # Six disjoint 5-cycles as pairs at n = 30, k = 13: 32,971 search
-        # nodes, over a cap of 1,000.
+        # Six disjoint 5-cycles as pairs at n = 30, k = 13, and one k-set
+        # per two blocks of six elements (their union plus one more), so
+        # that every pair is covered and no pair witness bounds the k-set
+        # search: 32,971 search nodes, over a cap of 1,000.
         monkeypatch.setattr(cubedom.constructions, "VERIFY_CAP", 1000)
         cycles = [[5 * i + j for j in range(1, 6)] for i in range(6)]
         members = [{"level": "lower", "elements": [c[j], c[(j + 1) % 5]]}
                    for c in cycles for j in range(5)]
+        for i, j in itertools.combinations(range(5), 2):
+            union = [*range(6 * i + 1, 6 * i + 7), *range(6 * j + 1, 6 * j + 7)]
+            extra = min(set(range(1, 31)) - set(union))
+            members.append({"level": "upper", "elements": sorted(union + [extra])})
         data = {"n": 30, "k": 13, "l": 2, "provenance": "external", "members": members}
         assert verify_data(capsys, tmp_path, data, "--structural") == (
             3, "", "error: structural search nodes exceed the cap of 1000\n")
@@ -326,6 +337,30 @@ class TestSolvers:
     def test_too_large_exits_3(self, capsys):
         code, _, err = run(capsys, "exact", "--n", "20", "--k", "10", "--l", "2")
         assert code == 3
+
+    def test_only_table_commands_load_the_tables(self):
+        # A fresh interpreter, since this test session imports every module.
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+            from cubedom.cli import main
+
+            with contextlib.redirect_stdout(io.StringIO()):
+                for argv in (["stats", "--n", "6", "--k", "4", "--l", "2"],
+                             ["greedy", "--n", "6", "--k", "4", "--l", "2"],
+                             ["exact", "--n", "6", "--k", "4", "--l", "2"],
+                             ["construct", "--theorem", "2", "--n", "6"]):
+                    assert main(argv) == 0, argv
+                    assert "cubedom.experiments" not in sys.modules, argv
+                assert main(["gk1-check", "--n-max", "4"]) == 0
+            assert "cubedom.experiments" in sys.modules
+            print("ok")
+        """)
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout == "ok\n"
 
 
 class TestSweeps:

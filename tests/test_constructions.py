@@ -64,15 +64,27 @@ def certificate(n, k, uppers=(), lowers=()):
     )
 
 
-def five_cycles(m):
-    """m disjoint 5-cycles on [5m] as pair members, no k-sets, k = 2m + 1.
+def five_cycles(m, covered=False):
+    """m disjoint 5-cycles on [5m] as pair members, k = 2m + 1.
 
     No k-set is independent (alpha = 2m), but a 5-cycle needs three cliques
     to cover it, so the clique-partition bound cannot prune at the root and
-    the search grows about 5.9-fold per cycle."""
+    the k-set search grows about 5.9-fold per cycle.  With no k-set member,
+    the pair {1,3} is uncovered, and its mask 5 is below every k-set mask,
+    so that search stops at its root.  ``covered`` adds one k-set per two
+    of the five blocks of m consecutive elements, their union plus the
+    least element outside it; these cover every pair, so condition (i)
+    holds and the search runs in full."""
+    n = 5 * m
     cycles = [[5 * i + j for j in range(1, 6)] for i in range(m)]
     pairs = [(c[j], c[(j + 1) % 5]) for c in cycles for j in range(5)]
-    return certificate(5 * m, 2 * m + 1, lowers=pairs)
+    uppers = []
+    if covered:
+        blocks = [set(range(m * i + 1, m * i + m + 1)) for i in range(5)]
+        for b1, b2 in itertools.combinations(blocks, 2):
+            union = b1 | b2
+            uppers.append(union | {min(set(range(1, n + 1)) - union)})
+    return certificate(n, 2 * m + 1, uppers=uppers, lowers=pairs)
 
 
 class TestTheorem1Construct:
@@ -320,13 +332,23 @@ class TestStructuralVerifier:
         assert result.witness == mask_of((1, 4), 63)
 
     def test_search_past_the_cap_raises(self, monkeypatch):
+        # 32,971 search nodes: every pair is covered, so no pair witness
+        # bounds the search.
         monkeypatch.setattr(cubedom.constructions, "VERIFY_CAP", 1000)
         with pytest.raises(TooLargeError, match="structural search nodes exceed the cap of 1000"):
-            verify_structural(five_cycles(6))
+            verify_structural(five_cycles(6, covered=True))
 
     def test_five_cycles_within_the_cap(self):
-        # 32,971 search nodes; the witness is the uncovered pair {1,3}.
+        assert verify_structural(five_cycles(6, covered=True)) == VerificationResult(None)
+        # The witness is the uncovered pair {1,3}.
         assert verify_structural(five_cycles(6)) == VerificationResult(mask_of((1, 3), 30))
+
+    def test_pair_witness_bounds_the_k_set_search(self, monkeypatch):
+        # Nine cycles (n = 45, k = 19) ran into the 5,000,000-node cap
+        # before the search was bounded by the pair witness; now it stops
+        # at its root, one node.
+        monkeypatch.setattr(cubedom.constructions, "VERIFY_CAP", 1)
+        assert verify_structural(five_cycles(9)) == VerificationResult(mask_of((1, 3), 45))
 
 
 class TestSerialization:

@@ -224,14 +224,17 @@ def table(name):
 
 
 class TestPinnedTables:
-    # sha256 of each table's CSV.  The theorem-2 and conjecture digests were
-    # taken at b9db81b.  The theorem-1 and gk1 ones were taken once every row
-    # came from one row builder: against b9db81b they differ in five
-    # lower_bound cells, theorem 1 (6,4) 5 -> 6 and (7,5) 4 -> 6, gk1 (8,2)
-    # 6 -> 7, (8,3) 5 -> 6 and (8,4) 4 -> 5, each now the proven gamma.
+    # sha256 of each table's CSV.  The theorem-2 digest was taken at
+    # b9db81b.  The theorem-1 and gk1 ones were taken once every row came
+    # from one row builder: against b9db81b they differ in five lower_bound
+    # cells, theorem 1 (6,4) 5 -> 6 and (7,5) 4 -> 6, gk1 (8,2) 6 -> 7,
+    # (8,3) 5 -> 6 and (8,4) 4 -> 5, each now the proven gamma.  The
+    # conjecture one was taken with the two-level cap bound, which proves
+    # the (8,5) row inside its 200,000-node budget: that row reads
+    # 8,5,8,true,8,10,8 where it read 8,5,,false,8,10,6.
     DIGESTS = {
         "theorem2": "c170bd52bb4ce54c89734969a7ffaaed2a69f47abb5de7cecb170c76cb2ca14a",
-        "conjecture": "1f0d61d17aa7858cc9697b77e1868cb57cf5a316524395d6a63115c28371dd15",
+        "conjecture": "404c3973f79bf200312c14a33f9a1d8588b3c4d5ac0b607a7f6c59fabe343485",
         "theorem1": "2628d138051ac99bfb3b09566d48f2c599f32a8a5ababd07ebbcdf49d064dbc4",
         "gk1": "2a5bfc7231af08f697c021ba5f6f32749b73486cbf1fe8a208cb68cba40078b1",
     }

@@ -10,6 +10,8 @@ from dataclasses import fields, replace
 from math import ceil, comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubedom.solver
 from cubedom.constructions import theorem1_construct, verify_certificate
@@ -147,6 +149,20 @@ class TestBranchAndBound:
                     assert bb.proven_optimal
                     assert bb.value == bf.value, (n, k, l)
 
+    @pytest.mark.parametrize("n,k,l", [
+        (n, k, l) for n in (7, 8) for k in range(2, n) for l in range(1, k)
+        if comb(n, k) + comb(n, l) <= 60
+    ])
+    def test_matches_brute_force_n_7_8(self, n, k, l):
+        # With test_matches_brute_force_n_le_6, every spec with n <= 8 and
+        # at most 60 vertices: the cap bound prunes for every l.  The
+        # brute-force oracle takes over a minute for these twenty, most of
+        # it at (7,3,2).
+        graph = materialize(LevelGraphSpec(n, k, l))
+        bb = branch_and_bound_gamma(graph)
+        assert bb.proven_optimal
+        assert bb.value == brute_force_gamma(graph).value
+
     def test_theorem2_at_n9(self):
         report = branch_and_bound_gamma(materialize(LevelGraphSpec(9, 8, 2)))
         assert report.value == 3
@@ -155,40 +171,42 @@ class TestBranchAndBound:
     def test_frozen_n7_k4(self):
         # Frozen from this solver; also below the ceil(7/2)+6 = 10 bound.
         # Fixing [k] in the set cut the search from 2,518,311 nodes to
-        # 406,101, and skipping whole orbits of its stabilizer at the root
-        # cut it to 111,757.  The node count is deterministic and pins the
-        # search tree.
+        # 406,101, skipping whole orbits of its stabilizer at the root cut
+        # it to 111,757, and the two-level cap bound to 25,245.  The node
+        # count is deterministic and pins the search tree.
         report = branch_and_bound_gamma(materialize(LevelGraphSpec(7, 4, 2)))
         assert report.proven_optimal
         assert report.value == 9
         assert report.value <= 10
-        assert report.nodes_explored == 111_757
+        assert report.nodes_explored == 25_245
 
     def test_frozen_n8_k5(self):
         # 1,249,137 nodes with [k] fixed; 234,897 with the root orbits
-        # skipped.  The count fails if the orbit rule is lost.
+        # skipped; 30,041 with the two-level cap bound.  The count fails if
+        # the orbit rule or the cap bound is lost.
         report = branch_and_bound_gamma(materialize(LevelGraphSpec(8, 5, 2)))
         assert report.proven_optimal
         assert report.value == 8
-        assert report.nodes_explored == 234_897
+        assert report.nodes_explored == 30_041
 
-    # (7,3,2) and (8,4,2) are proven only at the default budget of 10**7
-    # nodes, (8,4,2) with 96% of it, and frozen because HiGHS agrees
-    # (test_agrees_with_milp).
+    # (7,3,2) and (8,4,2) are frozen because HiGHS agrees
+    # (test_agrees_with_milp).  The ids leave out the node count, so a
+    # re-pin keeps the test's name.
     @pytest.mark.parametrize("n,k,gamma,nodes", [
-        (6, 3, 9, 27_143), (8, 6, 6, 24_061), (7, 3, 13, 2_095_291), (8, 4, 12, 9_644_901),
-    ])
+        (6, 3, 9, 8_065), (8, 6, 6, 3_805), (7, 3, 13, 466_237), (8, 4, 12, 965_707),
+    ], ids=["6-3", "8-6", "7-3", "8-4"])
     def test_search_tree_pinned(self, n, k, gamma, nodes):
         report = exact_l2(n, k)
         assert report.proven_optimal
         assert (report.value, report.nodes_explored) == (gamma, nodes)
 
     def test_search_tree_pinned_at_budget(self):
-        # (8,4,2) spends the whole budget: the node that exceeds it is
-        # counted, and the report keeps the incumbent and the root bound.
-        report = branch_and_bound_gamma(materialize(LevelGraphSpec(8, 4, 2)), node_budget=3_000_000)
+        # (8,4,2) needs 965,707 nodes, so it spends the whole budget: the
+        # node that exceeds it is counted, and the report keeps the
+        # incumbent and the root bound.
+        report = branch_and_bound_gamma(materialize(LevelGraphSpec(8, 4, 2)), node_budget=500_000)
         assert not report.proven_optimal
-        assert (report.nodes_explored, report.value, report.lower_bound) == (3_000_001, 12, 9)
+        assert (report.nodes_explored, report.value, report.lower_bound) == (500_001, 12, 9)
 
     def test_search_depth_is_not_bounded_by_recursion(self):
         # A recursive search needs about 124 frames here; 40 frames above
@@ -249,21 +267,43 @@ class TestBranchAndBound:
         assert a.witness == b.witness
 
 
+def oracle_cap(r, low, cu, cl, uppers, lowers):
+    """Most uppers a upper and b lower picks, a + b <= r, can dominate while
+    also dominating low lowers; -1 if none can.  Plain enumeration."""
+    caps = [a + b * cl for a in range(r + 1) for b in range(r + 1 - a)
+            if (uppers or a == 0) and (lowers or b == 0) and a * cu + b >= low]
+    return max(caps, default=-1)
+
+
+class TestCapTable:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 9), nl=st.integers(0, 40), cu=st.integers(2, 8),
+           cl=st.integers(2, 8),
+           levels=st.sampled_from([(True, True), (True, False), (False, True)]))
+    def test_matches_enumeration(self, rows, nl, cu, cl, levels):
+        table = cubedom.solver._cap_table(rows, nl, cu, cl, *levels)
+        assert len(table) == rows
+        for r in range(-1, rows - 1):
+            assert table[r + 1] == [oracle_cap(r, low, cu, cl, *levels)
+                                    for low in range(nl + 1)], r
+
+
 class TestPinnedReport:
     """sha256 of the report JSON without ``elapsed_seconds``, fixed so a
     rewrite of how witnesses are built cannot silently change what the
     ``exact`` and ``greedy`` commands print, or what the brute-force
-    oracle reports."""
+    oracle reports.  The four l >= 2 ``exact`` digests were re-taken with
+    the two-level cap bound, which changed only ``nodes_explored``."""
 
     @pytest.mark.parametrize("solve, spec, digest", [
         (branch_and_bound_gamma, (6, 3, 2),
-         "0866ff4e6a56e5bff56f81ce0c0c83e344db94760b2a89afd39dbb5283f79d75"),
+         "3b4459b2413aa5d72b92525ab6df2773ae4c0d07861dd997078af9e08c6bd6ff"),
         (branch_and_bound_gamma, (7, 4, 2),
-         "29bc97bedb48010c19259a07b17073775257c5bd41484e84d1e07a920e158fd4"),
+         "a0a7a067ca7ee48ad359d4fbe5c82c5d69a534d3eeb560aebe7c88aacf1e4335"),
         (branch_and_bound_gamma, (8, 6, 2),
-         "a8b387e12430c465e20b42696a037313bb4b8d6aa810a0a9e36c0e702d3231a8"),
+         "e115f3ad670e9dac7136ca8f15f8fdc8ded317ed2c402c51cf9ac73c3a33cbd4"),
         (branch_and_bound_gamma, (6, 4, 3),
-         "42437a862ca7974b9ec859c8d14704f8b83940454870fb23f10d088c0f0b2433"),
+         "18834e1ce38f74ea1f24ec114c4ed0f47aa1dd966dea3498d6616aea10a23743"),
         (branch_and_bound_gamma, (7, 3, 1),
          "df7a1b52ac0ba24fa8eb25069e69e6ed0a96de4070bf23e710dbeb97fa264b41"),
         (greedy_dominate, (6, 3, 2),
