@@ -21,7 +21,6 @@ from .solver import (
     Method,
     SolveReport,
     branch_and_bound_gamma,
-    brute_force_gamma,
     counting_lower_bound,
     greedy_dominate,
 )

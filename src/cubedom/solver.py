@@ -2,21 +2,8 @@
 
 All solvers read the closed-neighbourhood bitsets of a materialized
 graph, one Python int per vertex, so a domination test is one OR/compare.
-``brute_force_gamma`` is the independent oracle: iterative deepening over
-vertex subsets in lexicographic index order, with only admissible
-feasibility pruning, so the first set found at the optimal size is the
-lexicographically least one.  ``branch_and_bound_gamma`` is the workhorse:
-include/exclude search over coverage-ordered candidates with the upper
-vertex [k] fixed in the set and whole orbits of its stabilizer skipped at
-the root, seeded by the greedy solution and pruned by the two-level
-covering bound: an upper pick dominates one upper vertex (itself) and
-C(k,l) lower ones, a lower pick one lower vertex and C(n-l,k-l) upper
-ones, so the picks left over cannot beat the incumbent once the uncovered
-vertices of either level outrun what they can reach.  It runs as one loop
-over an explicit stack of open exclude branches, so its depth is not
-bounded by Python's recursion limit; every position visited counts as one
-search node.
-Every solver takes a graph materialized by the caller, and its report's
+``branch_and_bound_gamma`` is the exact solver and ``greedy_dominate`` the
+heuristic.  Both take a graph materialized by the caller, and a report's
 ``elapsed`` is the solve time alone.
 """
 
@@ -26,8 +13,10 @@ import enum
 import heapq
 import time
 from dataclasses import dataclass
-from itertools import chain, count, repeat
+from functools import reduce
+from itertools import chain, repeat
 from math import comb
+from operator import or_
 
 from .constructions import (
     DominationCertificate,
@@ -35,14 +24,20 @@ from .constructions import (
     certificate_to_json,
     verify_certificate,
 )
-from .errors import CheckFailedError, InvalidParametersError, TooLargeError
+from .errors import CheckFailedError, InvalidParametersError
 from .levelgraph import LevelGraphSpec, MaterializedGraph
 
 DEFAULT_NODE_BUDGET = 10_000_000
-BRUTE_FORCE_NODE_BUDGET = 100_000_000
+# Branch and bound branches on orbits at nodes with at most this many
+# members chosen, [k] included; 1 is the root alone.  Each such node that
+# branches relinks the free candidates, so deeper caps cut nodes but cost
+# time: 4 measured fastest, both on the 7 to 12 x 3 to 6 conjecture table
+# and on exact runs at n <= 8.
+ORBIT_DEPTH = 4
 
 
 class Method(enum.Enum):
+    # The tests' brute-force oracle reports under this label.
     BRUTE_FORCE = "brute_force"
     GREEDY = "greedy"
     BRANCH_AND_BOUND = "branch_and_bound"
@@ -168,65 +163,6 @@ def greedy_dominate(graph: MaterializedGraph) -> SolveReport:
     return _report(graph, Method.GREEDY, chosen, lb, len(chosen), start)
 
 
-def brute_force_gamma(graph: MaterializedGraph) -> SolveReport:
-    """Iterative deepening over vertex subsets; proven optimal by exhaustion.
-
-    Level s enumerates s-subsets of the vertex indices in lexicographic
-    order; the whole vertex set dominates, so some level s <= nv succeeds.
-    Two admissible prunes keep this tractable: a branch dies when the
-    vertices still available cannot jointly cover the gap, or when the
-    remaining picks times the best remaining coverage fall short of the
-    uncovered count.  Neither prune can skip a feasible completion, so the
-    first dominating set found is the lexicographically least at its size.
-    More than BRUTE_FORCE_NODE_BUDGET nodes raise TooLargeError.
-    """
-    start = time.perf_counter()
-    node_budget = BRUTE_FORCE_NODE_BUDGET
-    masks = graph.closed
-    nv = graph.vertex_count
-    full = (1 << nv) - 1
-    suffix_or = [0] * (nv + 1)
-    suffix_cov = [0] * (nv + 1)
-    for i in range(nv - 1, -1, -1):
-        suffix_or[i] = suffix_or[i + 1] | masks[i]
-        suffix_cov[i] = max(suffix_cov[i + 1], masks[i].bit_count())
-
-    nodes = 0
-    chosen: list[int] = []
-
-    def level(s: int) -> bool:
-        def rec(lo: int, depth: int, cover: int) -> bool:
-            nonlocal nodes
-            nodes += 1
-            if nodes > node_budget:
-                raise TooLargeError(
-                    f"brute force exceeded {node_budget} nodes at level {s}"
-                )
-            if cover == full:
-                return True
-            if depth == s:
-                return False
-            remaining = s - depth
-            uncovered = (full & ~cover).bit_count()
-            if remaining * suffix_cov[lo] < uncovered:
-                return False
-            if cover | suffix_or[lo] != full:
-                return False
-            for i in range(lo, nv - remaining + 1):
-                chosen.append(i)
-                if rec(i + 1, depth + 1, cover | masks[i]):
-                    return True
-                chosen.pop()
-            return False
-
-        return rec(0, 0, 0)
-
-    for s in count(1):
-        chosen.clear()
-        if level(s):
-            return _report(graph, Method.BRUTE_FORCE, chosen, s, nodes, start)
-
-
 def _cap_table(
     rows: int, nl: int, cu: int, cl: int, uppers: bool, lowers: bool
 ) -> list[list[int]]:
@@ -261,6 +197,40 @@ def _cap_table(
     return table
 
 
+def _orbits(chosen, contains: list[int]) -> list[int]:
+    """The orbits of the pointwise stabilizer of ``chosen`` on a family of
+    non-empty subsets of [n], each as a mask of the family's indices.
+
+    ``chosen`` are subsets of [n], and ``contains`` has n entries: bit i
+    of ``contains[e]`` is set iff subset i contains element e (0-based).
+    The atoms of [n] are its classes of elements that lie in the same
+    chosen subsets.  A permutation of [n] fixes every chosen subset iff it
+    maps each atom onto itself, so the stabilizer is the Young subgroup on
+    the atoms, and it maps one subset onto another iff both meet every
+    atom in the same number of elements; those counts sum to the subset's
+    size, which names its level.  Each atom's counts are added up for all
+    subsets at once in bit-sliced binary, bit i of digits[j] being bit j of
+    subset i's count, and each digit splits the orbits found so far.
+    """
+    n = len(contains)
+    atoms = [(1 << n) - 1]
+    for m in chosen:
+        atoms = [part for a in atoms for part in (a & m, a & ~m) if part]
+    orbits = [reduce(or_, contains)]
+    for a in atoms:
+        digits: list[int] = []
+        for e in range(n):
+            if a >> e & 1:
+                carry = contains[e]
+                for j, d in enumerate(digits):
+                    digits[j], carry = d ^ carry, d & carry
+                if carry:
+                    digits.append(carry)
+        for d in digits:
+            orbits = [part for o in orbits for part in (o & d, o & ~d) if part]
+    return orbits
+
+
 def branch_and_bound_gamma(
     graph: MaterializedGraph, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> SolveReport:
@@ -277,18 +247,26 @@ def branch_and_bound_gamma(
     since S_n acts transitively on k-sets by automorphisms of the graph,
     some minimum family contains [k].
 
-    At the root the search also branches on orbits of the stabilizer
-    S_k x S_{n-k} of [k], which permutes the other vertices transitively
-    within each class (level, |v & [k]|).  Candidates are sorted by
-    (-degree, -|v & [k]|, index): this keeps the coverage order, and since
-    degree is fixed within a level and upper indices come first, each
-    orbit is a run of positions.  While nothing besides [k] is chosen,
-    excluding an orbit's first vertex excludes the whole orbit.  This
-    loses no optimum: let D be a minimum family containing [k] and O the
-    first orbit that D meets.  Some g in the stabilizer maps a member of D
-    in O to the first vertex of O, and g(D) is a minimum family that
-    contains [k] and that vertex and misses every earlier orbit.  The
-    argument holds for every l.
+    Near the root the search branches on orbits (orbital branching:
+    Ostrowski, Linderoth, Rossi and Smriglio, Math. Program. 2011).  At a
+    node with at most ORBIT_DEPTH members chosen, [k] included, the exclude
+    branch drops the whole orbit of the node's candidate v under G, the
+    pointwise stabilizer in S_n of the chosen members C (see ``_orbits``);
+    at the root G is the stabilizer S_k x S_{n-k} of [k].  Deeper nodes
+    exclude v alone.  This loses no family smaller than the incumbent.
+    Let F be the candidates a node has excluded, those behind its position
+    and not chosen included; the node's families are the dominating
+    supersets of C that miss F.  Each exclusion on the way to the node
+    dropped an orbit of the stabilizer of the members chosen then, a subset
+    of C, and groups only shrink as members are added, so F is a union of
+    G-orbits and G maps the node's families onto themselves, keeping their
+    size.  If such a family D meets v's orbit, at u say, some g in G maps u
+    to v, and g(D) is a family of the include branch; otherwise D is one of
+    the exclude branch.  The orbits of each C are found once, when its
+    first node branches.  Candidates are sorted by (-degree, -|v & [k]|,
+    index), the coverage order with ties toward larger overlap with [k],
+    and each node carries a list that maps each free position to the next,
+    so excluded positions are skipped without a visit.
 
     Initialized with the greedy solution and stopped early when it meets
     the counting relaxation at the root.  A node with s vertices chosen,
@@ -302,8 +280,10 @@ def branch_and_bound_gamma(
     a + (r - a)*C(n-l,k-l) of the upper ones, and a dominating completion
     must reach L and U.  It prunes wherever uncovered > r * (the largest
     remaining closed neighbourhood) does, since U + L is at most
-    a*(C(k,l) + 1) + (r - a)*(C(n-l,k-l) + 1).  A sound prune removes no
-    family smaller than the incumbent, so the incumbents found, and an
+    a*(C(k,l) + 1) + (r - a)*(C(n-l,k-l) + 1).  Both prunes read every
+    candidate at or after the position, excluded ones too: a superset of
+    the free ones, so they stay sound, only looser.  A sound prune removes
+    no family smaller than the incumbent, so the incumbents found, and an
     exhausted search's witness, do not depend on which sound bound runs.
 
     The search is one loop over an explicit stack, not a recursion.  A
@@ -330,17 +310,11 @@ def branch_and_bound_gamma(
     best_set = _greedy_cover(masks)
     best_size = len(best_set)
 
-    # Vertex 0 is [k]; the orbits of its stabilizer are (level, overlap).
     nu, kmask = graph.upper_count, graph.masks[0]
-    orbit = [(i >= nu, (m & kmask).bit_count()) for i, m in enumerate(graph.masks)]
-    order = sorted(range(1, nv), key=lambda i: (-masks[i].bit_count(), -orbit[i][1], i))
+    overlap = [(m & kmask).bit_count() for m in graph.masks]
+    order = sorted(range(1, nv), key=lambda i: (-masks[i].bit_count(), -overlap[i], i))
     ordered_masks = [masks[i] for i in order]
     ncand = len(order)
-    # next_orbit[p]: the first position past the run of p's orbit.
-    next_orbit = [ncand] * ncand
-    for p in range(ncand - 2, -1, -1):
-        same = orbit[order[p]] == orbit[order[p + 1]]
-        next_orbit[p] = next_orbit[p + 1] if same else p + 1
     suffix_or = [0] * (ncand + 1)
     for i in range(ncand - 1, -1, -1):
         suffix_or[i] = suffix_or[i + 1] | ordered_masks[i]
@@ -363,16 +337,30 @@ def branch_and_bound_gamma(
     # No candidate is left at ncand, where the feasibility test prunes.
     cap_at.append(cap_at[-1])
 
+    # contains[e]: the vertices whose subset contains element e, the union
+    # of the closed neighbourhoods (itself and the uppers through it) of the
+    # lower vertices through e.
+    contains = [0] * spec.n
+    for j in range(nu, nv):
+        for e in range(spec.n):
+            if graph.masks[j] >> e & 1:
+                contains[e] |= masks[j]
+
     nodes = 0
     exhausted = True
     # path[:size - 1] holds the positions chosen besides the fixed vertex 0.
     path = [0] * ncand
-    # Open exclude branches, each the (pos, size, cover, U, L) of the node
-    # it resumes at; the loop is at the node (pos, size, cover).
-    stack: list[tuple[int, int, int, int, int]] = []
+    # orbits_at[s]: the orbits, as vertex masks, of the stabilizer of the s
+    # members chosen, once a node of size s has branched on them.
+    orbits_at: list[list[int] | None] = [None] * (ORBIT_DEPTH + 2)
+    # Open exclude branches, each the (pos, size, cover, U, L, nxt) of the
+    # node it resumes at; the loop is at the node (pos, size, cover, nxt).
+    # nxt[p] is the free position after the free position p; ncand, past
+    # the last candidate, is never excluded.
+    stack: list[tuple[int, int, int, int, int, list[int]]] = []
     push, pop = stack.append, stack.pop
     # The root: [k] alone never dominates, since no two uppers are adjacent.
-    pos, size, cover = 0, 1, masks[0]
+    pos, size, cover, nxt = 0, 1, masks[0], list(range(1, ncand + 2))
     # Uncovered lowers and uppers; cover has no bits outside full.
     low = nl - (cover >> nu).bit_count()
     up = nv - cover.bit_count() - low
@@ -388,17 +376,40 @@ def branch_and_bound_gamma(
                 or cover | suffix_or[pos] != full):
             if not stack:
                 break
-            pos, size, cover, up, low = pop()
+            pos, size, cover, up, low, nxt = pop()
             continue
-        # Open the exclude branch; with only [k] chosen, pos starts its
-        # orbit and the branch skips the whole orbit.
-        push((pos + 1 if size > 1 else next_orbit[pos], size, cover, up, low))
+        # Open the exclude branch.
+        if size > ORBIT_DEPTH:
+            push((nxt[pos], size, cover, up, low, nxt))
+        else:
+            # It drops pos's whole orbit.
+            if orbits_at[size] is None:
+                chosen = [kmask] + [graph.masks[order[p]] for p in path[:size - 1]]
+                orbits_at[size] = _orbits(chosen, contains)
+            v = order[pos]
+            for orbit in orbits_at[size]:
+                if orbit >> v & 1:
+                    break
+            # The free positions after pos outside the orbit, ncand last.
+            rest = []
+            p = nxt[pos]
+            while p < ncand:
+                if not orbit >> order[p] & 1:
+                    rest.append(p)
+                p = nxt[p]
+            rest.append(ncand)
+            skip = [0] * (ncand + 1)
+            for p, q in zip(rest, rest[1:]):
+                skip[p] = q
+            push((rest[0], size, cover, up, low, skip))
+            # The include child chooses a new set of size + 1.
+            orbits_at[size + 1] = None
         # Descend into the include branch.
         path[size - 1] = pos
         cover |= ordered_masks[pos]
         size += 1
-        pos += 1
         if cover != full:
+            pos = nxt[pos]
             low = nl - (cover >> nu).bit_count()
             up = nv - cover.bit_count() - low
             continue
@@ -410,6 +421,6 @@ def branch_and_bound_gamma(
         if size < best_size:
             best_size = size
             best_set = [0] + [order[p] for p in path[:size - 1]]
-        pos, size, cover, up, low = pop()
+        pos, size, cover, up, low, nxt = pop()
     lower_bound = best_size if exhausted else root_lb
     return _report(graph, Method.BRANCH_AND_BOUND, best_set, lower_bound, nodes, start)

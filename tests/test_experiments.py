@@ -231,10 +231,13 @@ class TestPinnedTables:
     # (8,3) 5 -> 6 and (8,4) 4 -> 5, each now the proven gamma.  The
     # conjecture one was taken with the two-level cap bound, which proves
     # the (8,5) row inside its 200,000-node budget: that row reads
-    # 8,5,8,true,8,10,8 where it read 8,5,,false,8,10,6.
+    # 8,5,8,true,8,10,8 where it read 8,5,,false,8,10,6.  It was re-taken
+    # with orbits below the root, which prove (7,3) and (8,4) inside that
+    # budget: 7,3,13,true,15,,13 where it read 7,3,,false,15,,11, and
+    # 8,4,12,true,12,,12 where it read 8,4,,false,12,,9.
     DIGESTS = {
         "theorem2": "c170bd52bb4ce54c89734969a7ffaaed2a69f47abb5de7cecb170c76cb2ca14a",
-        "conjecture": "404c3973f79bf200312c14a33f9a1d8588b3c4d5ac0b607a7f6c59fabe343485",
+        "conjecture": "a97a1f6e8d0302730675dff60146be412e7eb77d6247e1ff62ceeb3afdbb1e3c",
         "theorem1": "2628d138051ac99bfb3b09566d48f2c599f32a8a5ababd07ebbcdf49d064dbc4",
         "gk1": "2a5bfc7231af08f697c021ba5f6f32749b73486cbf1fe8a208cb68cba40078b1",
     }

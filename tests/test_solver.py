@@ -21,10 +21,12 @@ from cubedom.solver import (
     Method,
     SolveReport,
     branch_and_bound_gamma,
-    brute_force_gamma,
     counting_lower_bound,
     greedy_dominate,
 )
+
+import oracles
+from oracles import brute_force_gamma, milp_gamma
 
 
 def oracle_counting_bound(n, k, l):
@@ -111,7 +113,7 @@ class TestBruteForce:
         assert tuple(got) == least
 
     def test_budget_exceeded(self, monkeypatch):
-        monkeypatch.setattr(cubedom.solver, "BRUTE_FORCE_NODE_BUDGET", 50)
+        monkeypatch.setattr(oracles, "BRUTE_FORCE_NODE_BUDGET", 50)
         with pytest.raises(TooLargeError):
             brute_force_gamma(materialize(LevelGraphSpec(6, 3, 2)))
 
@@ -155,13 +157,13 @@ class TestBranchAndBound:
     ])
     def test_matches_brute_force_n_7_8(self, n, k, l):
         # With test_matches_brute_force_n_le_6, every spec with n <= 8 and
-        # at most 60 vertices: the cap bound prunes for every l.  The
-        # brute-force oracle takes over a minute for these twenty, most of
-        # it at (7,3,2).
+        # at most 60 vertices: the cap bound prunes for every l.  The name
+        # is kept, but the oracle here is HiGHS: brute force took over a
+        # minute for these twenty, HiGHS takes about 2 s.
         graph = materialize(LevelGraphSpec(n, k, l))
         bb = branch_and_bound_gamma(graph)
         assert bb.proven_optimal
-        assert bb.value == brute_force_gamma(graph).value
+        assert bb.value == milp_gamma(graph)
 
     def test_theorem2_at_n9(self):
         report = branch_and_bound_gamma(materialize(LevelGraphSpec(9, 8, 2)))
@@ -172,41 +174,44 @@ class TestBranchAndBound:
         # Frozen from this solver; also below the ceil(7/2)+6 = 10 bound.
         # Fixing [k] in the set cut the search from 2,518,311 nodes to
         # 406,101, skipping whole orbits of its stabilizer at the root cut
-        # it to 111,757, and the two-level cap bound to 25,245.  The node
-        # count is deterministic and pins the search tree.
+        # it to 111,757, the two-level cap bound to 25,245, and orbits down
+        # to ORBIT_DEPTH members to 3,419.  The node count is deterministic
+        # and pins the search tree.
         report = branch_and_bound_gamma(materialize(LevelGraphSpec(7, 4, 2)))
         assert report.proven_optimal
         assert report.value == 9
         assert report.value <= 10
-        assert report.nodes_explored == 25_245
+        assert report.nodes_explored == 3_419
 
     def test_frozen_n8_k5(self):
         # 1,249,137 nodes with [k] fixed; 234,897 with the root orbits
-        # skipped; 30,041 with the two-level cap bound.  The count fails if
-        # the orbit rule or the cap bound is lost.
+        # skipped; 30,041 with the two-level cap bound; 3,463 with orbits
+        # below the root.  The count fails if the orbit rule or the cap
+        # bound is lost.
         report = branch_and_bound_gamma(materialize(LevelGraphSpec(8, 5, 2)))
         assert report.proven_optimal
         assert report.value == 8
-        assert report.nodes_explored == 30_041
+        assert report.nodes_explored == 3_463
 
-    # (7,3,2) and (8,4,2) are frozen because HiGHS agrees
+    # (7,3,2), (8,4,2) and (10,6,2) are frozen because HiGHS agrees
     # (test_agrees_with_milp).  The ids leave out the node count, so a
     # re-pin keeps the test's name.
     @pytest.mark.parametrize("n,k,gamma,nodes", [
-        (6, 3, 9, 8_065), (8, 6, 6, 3_805), (7, 3, 13, 466_237), (8, 4, 12, 965_707),
-    ], ids=["6-3", "8-6", "7-3", "8-4"])
+        (6, 3, 9, 3_843), (8, 6, 6, 205), (7, 3, 13, 125_815), (8, 4, 12, 92_213),
+        (10, 6, 9, 14_331),
+    ], ids=["6-3", "8-6", "7-3", "8-4", "10-6"])
     def test_search_tree_pinned(self, n, k, gamma, nodes):
         report = exact_l2(n, k)
         assert report.proven_optimal
         assert (report.value, report.nodes_explored) == (gamma, nodes)
 
     def test_search_tree_pinned_at_budget(self):
-        # (8,4,2) needs 965,707 nodes, so it spends the whole budget: the
+        # (8,4,2) needs 92,213 nodes, so it spends the whole budget: the
         # node that exceeds it is counted, and the report keeps the
         # incumbent and the root bound.
-        report = branch_and_bound_gamma(materialize(LevelGraphSpec(8, 4, 2)), node_budget=500_000)
+        report = branch_and_bound_gamma(materialize(LevelGraphSpec(8, 4, 2)), node_budget=50_000)
         assert not report.proven_optimal
-        assert (report.nodes_explored, report.value, report.lower_bound) == (500_001, 12, 9)
+        assert (report.nodes_explored, report.value, report.lower_bound) == (50_001, 12, 9)
 
     def test_search_depth_is_not_bounded_by_recursion(self):
         # A recursive search needs about 124 frames here; 40 frames above
@@ -225,25 +230,11 @@ class TestBranchAndBound:
         assert replace(bounded, elapsed=0.0) == replace(free, elapsed=0.0)
 
     @pytest.mark.parametrize("n,k,gamma", [(7, 4, 9), (8, 5, 8), (8, 6, 6), (7, 3, 13),
-                                           (8, 4, 12)])
+                                           (8, 4, 12), (10, 6, 9)])
     def test_agrees_with_milp(self, n, k, gamma):
-        # A second, independent method for the frozen l=2 values: the
-        # covering program min sum(x) s.t. N[v] . x >= 1 for every vertex v,
-        # solved by HiGHS on the same closed-neighbourhood bitsets.
-        pytest.importorskip("scipy")
-        import numpy as np
-        from scipy.optimize import Bounds, LinearConstraint, milp
-
-        spec = LevelGraphSpec(n, k, 2)
-        closed = materialize(spec).closed
-        nv = len(closed)
-        a = np.array([[c >> j & 1 for j in range(nv)] for c in closed])
-        res = milp(np.ones(nv), integrality=np.ones(nv), bounds=Bounds(0, 1),
-                   constraints=LinearConstraint(a, lb=1))
-        assert res.status == 0  # proven optimal
-        x = np.round(res.x)
-        assert (a @ x >= 1).all()
-        assert round(res.fun) == x.sum() == gamma
+        # A second, independent method for the frozen l=2 values.
+        # (10,6,2) takes HiGHS about 10 s.
+        assert milp_gamma(materialize(LevelGraphSpec(n, k, 2))) == gamma
         report = exact_l2(n, k)
         assert report.proven_optimal
         assert report.value == gamma
@@ -288,22 +279,51 @@ class TestCapTable:
                                     for low in range(nl + 1)], r
 
 
+def young_orbits(n, chosen, members):
+    """Orbits of the permutations of [n] that fix every chosen subset, on
+    the positions of ``members``, found by applying every permutation."""
+    def image(g, m):
+        return sum(1 << g[i] for i in range(n) if m >> i & 1)
+
+    stabilizer = [g for g in itertools.permutations(range(n))
+                  if all(image(g, c) == c for c in chosen)]
+    position = {m: p for p, m in enumerate(members)}
+    return {sum(1 << q for q in {position[image(g, m)] for g in stabilizer})
+            for m in members}
+
+
+class TestOrbits:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_match_permutation_orbits(self, data):
+        n = data.draw(st.integers(3, 6))
+        k = data.draw(st.integers(2, n - 1))
+        l = data.draw(st.integers(1, k - 1))
+        members = materialize(LevelGraphSpec(n, k, l)).masks
+        chosen = data.draw(st.lists(st.sampled_from(members), max_size=4, unique=True))
+        contains = [sum(1 << i for i, m in enumerate(members) if m >> e & 1) for e in range(n)]
+        orbits = cubedom.solver._orbits(chosen, contains)
+        assert len(orbits) == len(set(orbits))
+        assert set(orbits) == young_orbits(n, chosen, members)
+
+
 class TestPinnedReport:
     """sha256 of the report JSON without ``elapsed_seconds``, fixed so a
     rewrite of how witnesses are built cannot silently change what the
     ``exact`` and ``greedy`` commands print, or what the brute-force
     oracle reports.  The four l >= 2 ``exact`` digests were re-taken with
-    the two-level cap bound, which changed only ``nodes_explored``."""
+    the two-level cap bound, and again with orbits below the root; both
+    changed only ``nodes_explored``."""
 
     @pytest.mark.parametrize("solve, spec, digest", [
         (branch_and_bound_gamma, (6, 3, 2),
-         "3b4459b2413aa5d72b92525ab6df2773ae4c0d07861dd997078af9e08c6bd6ff"),
+         "b36c2288e8d2183d65d0581ea0cfc22fa5e4b6b0a00c3bea49b69c7bc293b595"),
         (branch_and_bound_gamma, (7, 4, 2),
-         "a0a7a067ca7ee48ad359d4fbe5c82c5d69a534d3eeb560aebe7c88aacf1e4335"),
+         "28e52ef45b90c53baea0493814d9218a5cbc296c654254ed5ba2af7402931686"),
         (branch_and_bound_gamma, (8, 6, 2),
-         "e115f3ad670e9dac7136ca8f15f8fdc8ded317ed2c402c51cf9ac73c3a33cbd4"),
+         "9db662d28d328989a55be7c5708ae1dfdcef2c0e46529021f4ceb2316337e050"),
         (branch_and_bound_gamma, (6, 4, 3),
-         "18834e1ce38f74ea1f24ec114c4ed0f47aa1dd966dea3498d6616aea10a23743"),
+         "56825195fa4b0f241b1f966f735fd10e9090a7205d288ff12cddd8807540760d"),
         (branch_and_bound_gamma, (7, 3, 1),
          "df7a1b52ac0ba24fa8eb25069e69e6ed0a96de4070bf23e710dbeb97fa264b41"),
         (greedy_dominate, (6, 3, 2),
