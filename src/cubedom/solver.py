@@ -287,13 +287,14 @@ def branch_and_bound_gamma(
     exhausted search's witness, do not depend on which sound bound runs.
 
     The search is one loop over an explicit stack, not a recursion.  A
-    node that passes the prunes pushes its exclude branch and descends
-    into its include branch; a pruned node resumes the most recent exclude
-    branch.  An exclude branch keeps the size and cover of its node, so U
-    and L are computed once per include, and a run of excludes advances
-    the position in place, counting one node per position visited.  An
-    include child that dominates is settled as a leaf (one node) without
-    a push.
+    node that passes the prunes branches, and its include child is counted
+    and checked as soon as it is made.  A child that passes pushes its
+    exclude sibling and branches in turn; a child that fails, or dominates
+    (a leaf), leaves the stack alone, and the loop moves straight to the
+    sibling.  A pruned exclude branch resumes the most recent one pushed.
+    An exclude branch keeps the size and cover of its node, so U and L are
+    computed once per include, and a run of excludes advances the position
+    in place, counting one node per position visited.
 
     Exceeding the node budget is a normal outcome: the report then carries
     the incumbent and the root lower bound with proven_optimal=False.  A
@@ -364,7 +365,7 @@ def branch_and_bound_gamma(
     # Uncovered lowers and uppers; cover has no bits outside full.
     low = nl - (cover >> nu).bit_count()
     up = nv - cover.bit_count() - low
-    while best_size > root_lb:
+    while exhausted and best_size > root_lb:
         nodes += 1
         if nodes > node_budget:
             exhausted = False
@@ -378,49 +379,57 @@ def branch_and_bound_gamma(
                 break
             pos, size, cover, up, low, nxt = pop()
             continue
-        # Open the exclude branch.
-        if size > ORBIT_DEPTH:
-            push((nxt[pos], size, cover, up, low, nxt))
-        else:
-            # It drops pos's whole orbit.
-            if orbits_at[size] is None:
-                chosen = [kmask] + [graph.masks[order[p]] for p in path[:size - 1]]
-                orbits_at[size] = _orbits(chosen, contains)
-            v = order[pos]
-            for orbit in orbits_at[size]:
-                if orbit >> v & 1:
-                    break
-            # The free positions after pos outside the orbit, ncand last.
-            rest = []
-            p = nxt[pos]
-            while p < ncand:
-                if not orbit >> order[p] & 1:
-                    rest.append(p)
-                p = nxt[p]
-            rest.append(ncand)
-            skip = [0] * (ncand + 1)
-            for p, q in zip(rest, rest[1:]):
-                skip[p] = q
-            push((rest[0], size, cover, up, low, skip))
-            # The include child chooses a new set of size + 1.
-            orbits_at[size + 1] = None
-        # Descend into the include branch.
-        path[size - 1] = pos
-        cover |= ordered_masks[pos]
-        size += 1
-        if cover != full:
-            pos = nxt[pos]
-            low = nl - (cover >> nu).bit_count()
-            up = nv - cover.bit_count() - low
-            continue
-        # The include child dominates: settle it as a leaf without a push.
-        nodes += 1
-        if nodes > node_budget:
-            exhausted = False
-            break
-        if size < best_size:
-            best_size = size
-            best_set = [0] + [order[p] for p in path[:size - 1]]
-        pos, size, cover, up, low, nxt = pop()
+        # The node passed: branch on it, and on each include child that
+        # passes in turn.
+        while True:
+            # The exclude branch (epos, size, cover, up, low, enxt).
+            if size > ORBIT_DEPTH:
+                epos, enxt = nxt[pos], nxt
+            else:
+                # It drops pos's whole orbit.
+                if orbits_at[size] is None:
+                    chosen = [kmask] + [graph.masks[order[p]] for p in path[:size - 1]]
+                    orbits_at[size] = _orbits(chosen, contains)
+                v = order[pos]
+                for orbit in orbits_at[size]:
+                    if orbit >> v & 1:
+                        break
+                # The free positions after pos outside the orbit, ncand last.
+                rest = []
+                p = nxt[pos]
+                while p < ncand:
+                    if not orbit >> order[p] & 1:
+                        rest.append(p)
+                    p = nxt[p]
+                rest.append(ncand)
+                enxt = [0] * (ncand + 1)
+                for p, q in zip(rest, rest[1:]):
+                    enxt[p] = q
+                epos = rest[0]
+                # The include child chooses a new set of size + 1.
+                orbits_at[size + 1] = None
+            # The include child, counted and checked here.
+            path[size - 1] = pos
+            child = cover | ordered_masks[pos]
+            nodes += 1
+            if nodes > node_budget:
+                exhausted = False
+                break
+            if child == full:
+                # A leaf.
+                if size + 1 < best_size:
+                    best_size = size + 1
+                    best_set = [0] + [order[p] for p in path[:size]]
+                pos, nxt = epos, enxt
+                break
+            cpos = nxt[pos]
+            clow = nl - (child >> nu).bit_count()
+            cup = nv - child.bit_count() - clow
+            if (cup > cap_at[cpos][best_size - size - 1][clow]
+                    or child | suffix_or[cpos] != full):
+                pos, nxt = epos, enxt
+                break
+            push((epos, size, cover, up, low, enxt))
+            pos, size, cover, up, low = cpos, size + 1, child, cup, clow
     lower_bound = best_size if exhausted else root_lb
     return _report(graph, Method.BRANCH_AND_BOUND, best_set, lower_bound, nodes, start)
