@@ -16,7 +16,7 @@ from typing import Optional
 
 from .constructions import theorem1_construct, theorem2_construct, verify_certificate, verify_structural
 from .errors import CheckFailedError, InvalidParametersError, TooLargeError
-from .levelgraph import LevelGraphSpec, MaterializedGraph, materialize
+from .levelgraph import LevelGraphSpec, materialize
 from .solver import SolveReport, branch_and_bound_gamma, counting_lower_bound, greedy_dominate
 from .subsets import MAX_GROUND_SET
 
@@ -60,12 +60,13 @@ def conjecture_main_term(n: int, k: int) -> float:
 
 
 def _row(spec: LevelGraphSpec, construction_size: Optional[int],
-         graph: Optional[MaterializedGraph], report: Optional[SolveReport]) -> ExperimentRow:
+         greedy: Optional[SolveReport], report: Optional[SolveReport]) -> ExperimentRow:
     """The table row of one spec; every runner builds its rows here.
 
-    A graph gives the row its greedy value.  A branch-and-bound report gives
-    gamma when proven, and the lower bound; with no report the lower bound
-    is the counting bound.  The main term is filled on l = 2 rows.
+    A greedy report gives the row its greedy value, and seeds the row's
+    branch and bound, if any.  A branch-and-bound report gives gamma when
+    proven, and the lower bound; with no report the lower bound is the
+    counting bound.  The main term is filled on l = 2 rows.
     """
     proven = report is not None and report.proven_optimal
     return ExperimentRow(
@@ -73,7 +74,7 @@ def _row(spec: LevelGraphSpec, construction_size: Optional[int],
         k=spec.k,
         gamma_exact=report.value if proven else None,
         proven=proven,
-        greedy_value=None if graph is None else greedy_dominate(graph).value,
+        greedy_value=None if greedy is None else greedy.value,
         construction_size=construction_size,
         lower_bound=counting_lower_bound(spec) if report is None else report.lower_bound,
         conjecture_main_term=conjecture_main_term(spec.n, spec.k) if spec.l == 2 else None,
@@ -104,10 +105,11 @@ def run_theorem2_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
         if not verify_certificate(cert).verified:
             raise CheckFailedError(f"n={n}: theorem-2 certificate fails to dominate")
         graph = materialize(cert.spec)
-        report = branch_and_bound_gamma(graph)
+        greedy = greedy_dominate(graph)
+        report = branch_and_bound_gamma(graph, incumbent=greedy)
         if report.proven_optimal and report.value != 3:
             raise CheckFailedError(f"n={n}: proven gamma {report.value} != 3")
-        rows.append(_row(cert.spec, cert.size, graph, report))
+        rows.append(_row(cert.spec, cert.size, greedy, report))
     return rows
 
 
@@ -130,20 +132,21 @@ def run_theorem1_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
                 )
             if not verify_structural(cert).verified:
                 raise CheckFailedError(f"(n={n},k={k}): structural verification failed")
-            graph = report = None
+            greedy = report = None
             if n <= THEOREM1_ENUM_N_CAP:
                 if not verify_certificate(cert).verified:
                     raise CheckFailedError(
                         f"(n={n},k={k}): certificate fails enumerative verification"
                     )
                 graph = materialize(cert.spec)
+                greedy = greedy_dominate(graph)
                 if n <= THEOREM1_SOLVER_N_CAP:
-                    report = branch_and_bound_gamma(graph)
+                    report = branch_and_bound_gamma(graph, incumbent=greedy)
                     if report.proven_optimal and report.value > cert.size:
                         raise CheckFailedError(
                             f"(n={n},k={k}): gamma {report.value} exceeds construction"
                         )
-            rows.append(_row(cert.spec, cert.size, graph, report))
+            rows.append(_row(cert.spec, cert.size, greedy, report))
     return rows
 
 
@@ -158,14 +161,15 @@ def run_gk1_check(n_max: int) -> list[ExperimentRow]:
         for k in range(2, n):
             spec = LevelGraphSpec(n, k, 1)
             graph = materialize(spec)
-            report = branch_and_bound_gamma(graph)
+            greedy = greedy_dominate(graph)
+            report = branch_and_bound_gamma(graph, incumbent=greedy)
             expected = n - k + 1
             if not report.proven_optimal or report.value != expected:
                 raise CheckFailedError(
                     f"(n={n},k={k},l=1): got {report.value} "
                     f"(proven={report.proven_optimal}), expected {expected}"
                 )
-            rows.append(_row(spec, None, graph, report))
+            rows.append(_row(spec, None, greedy, report))
     return rows
 
 
@@ -193,9 +197,10 @@ def run_conjecture_table(n_min: int, n_max: int, k_min: int, k_max: int) -> list
         for k in range(k_min, min(k_max, n - 1) + 1):
             spec = LevelGraphSpec(n, k, 2)
             graph = materialize(spec)
-            report = branch_and_bound_gamma(graph, node_budget=CONJECTURE_NODE_BUDGET)
+            greedy = greedy_dominate(graph)
+            report = branch_and_bound_gamma(graph, CONJECTURE_NODE_BUDGET, greedy)
             size = theorem1_construct(n, k).size if k > ceil(n / 2) else None
-            rows.append(_row(spec, size, graph, report))
+            rows.append(_row(spec, size, greedy, report))
     return rows
 
 

@@ -130,16 +130,21 @@ def _report(
 
 
 def _greedy_cover(masks: tuple[int, ...]) -> list[int]:
-    """Indices picked by lazy largest-new-coverage-first greedy, in pick order.
+    """An irredundant cover: lazy largest-new-coverage-first greedy picks,
+    less those the others make redundant, in pick order.
 
     ``masks`` are closed-neighbourhood bitsets over their own indices.  Ties
-    break toward the smallest index, so runs are deterministic.
+    break toward the smallest index, so runs are deterministic.  Picks are
+    dropped latest first: pick j goes when the picks before it, prefix[j],
+    and the later picks kept so far cover everything.  A kept pick stays
+    needed, since dropping earlier picks only shrinks what covers for it.
     """
     full = (1 << len(masks)) - 1
     heap = [(-m.bit_count(), i) for i, m in enumerate(masks)]
     heapq.heapify(heap)
     cover = 0
     chosen: list[int] = []
+    prefix: list[int] = []
     while cover != full:
         neg_gain, i = heapq.heappop(heap)
         gain = (masks[i] & ~cover).bit_count()
@@ -147,15 +152,24 @@ def _greedy_cover(masks: tuple[int, ...]) -> list[int]:
             heapq.heappush(heap, (-gain, i))
             continue
         chosen.append(i)
+        prefix.append(cover)
         cover |= masks[i]
+    kept = 0
+    for j in range(len(chosen) - 1, -1, -1):
+        if prefix[j] | kept == full:
+            del chosen[j]
+        else:
+            kept |= masks[chosen[j]]
     return chosen
 
 
 def greedy_dominate(graph: MaterializedGraph) -> SolveReport:
-    """Largest-new-coverage-first greedy, lazy-evaluated on a max-heap.
+    """Largest-new-coverage-first greedy, lazy-evaluated on a max-heap,
+    less the picks that later picks made redundant (``_greedy_cover``).
 
-    Ties break toward the smallest vertex index, i.e. upper level first and
-    then colex rank, so runs are deterministic.
+    No member of the witness can be left out.  Ties break toward the
+    smallest vertex index, i.e. upper level first and then colex rank, so
+    runs are deterministic.
     """
     start = time.perf_counter()
     chosen = _greedy_cover(graph.closed)
@@ -232,7 +246,9 @@ def _orbits(chosen, contains: list[int]) -> list[int]:
 
 
 def branch_and_bound_gamma(
-    graph: MaterializedGraph, node_budget: int = DEFAULT_NODE_BUDGET
+    graph: MaterializedGraph,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    incumbent: SolveReport | None = None,
 ) -> SolveReport:
     """Exact search via include/exclude on coverage-ordered candidates.
 
@@ -268,9 +284,10 @@ def branch_and_bound_gamma(
     and each node carries a list that maps each free position to the next,
     so excluded positions are skipped without a visit.
 
-    Initialized with the greedy solution and stopped early when it meets
-    the counting relaxation at the root.  A node with s vertices chosen,
-    U upper and L lower vertices uncovered, can lead to a family smaller
+    Initialized with the witness of ``incumbent``, a report on the same
+    spec (the greedy cover by default), and stopped early when it meets
+    the counting relaxation at the root.  A node with s vertices chosen, U
+    upper and L lower vertices uncovered, can lead to a family smaller
     than the incumbent's size b only by r = b - s - 1 more picks from the
     candidates at or after its position.  It is pruned when r < 0, when
     U > cap(r, L) (see ``_cap_table``; the level classes are those of its
@@ -308,7 +325,13 @@ def branch_and_bound_gamma(
     full = (1 << nv) - 1
     root_lb = counting_lower_bound(graph.spec)
 
-    best_set = _greedy_cover(masks)
+    if incumbent is None:
+        best_set = _greedy_cover(masks)
+    elif incumbent.spec != graph.spec:
+        raise InvalidParametersError(f"incumbent is for {incumbent.spec}, not {graph.spec}")
+    else:
+        index = {m: i for i, m in enumerate(graph.masks)}
+        best_set = [index[m] for m in incumbent.witness.uppers | incumbent.witness.lowers]
     best_size = len(best_set)
 
     nu, kmask = graph.upper_count, graph.masks[0]

@@ -159,6 +159,27 @@ class TestOneGraphPerRow:
         rows = run()
         assert built == Counter((r.n, r.k, l) for r in rows)
 
+    @pytest.mark.parametrize("run", [
+        lambda: run_conjecture_table(5, 7, 3, 4),
+        lambda: run_theorem1_sweep(4, 9),
+        lambda: run_theorem2_sweep(4, 6),
+        lambda: run_gk1_check(5),
+    ], ids=["conjecture", "theorem1", "theorem2", "gk1"])
+    def test_each_row_runs_greedy_once(self, monkeypatch, run):
+        # Branch and bound starts from the row's greedy report instead of
+        # running greedy again.  Theorem 1 rows above n = 7 run greedy but
+        # no branch and bound.
+        calls = []
+        real = cubedom.solver._greedy_cover
+
+        def counting(masks):
+            calls.append(len(masks))
+            return real(masks)
+
+        monkeypatch.setattr(cubedom.solver, "_greedy_cover", counting)
+        rows = run()
+        assert len(calls) == len(rows) == sum(r.greedy_value is not None for r in rows)
+
 
 class TestRangeCheckedFirst:
     @pytest.mark.parametrize("run", [
@@ -234,10 +255,12 @@ class TestPinnedTables:
     # 8,5,8,true,8,10,8 where it read 8,5,,false,8,10,6.  It was re-taken
     # with orbits below the root, which prove (7,3) and (8,4) inside that
     # budget: 7,3,13,true,15,,13 where it read 7,3,,false,15,,11, and
-    # 8,4,12,true,12,,12 where it read 8,4,,false,12,,9.
+    # 8,4,12,true,12,,12 where it read 8,4,,false,12,,9.  It was re-taken
+    # (a97a1f6e... -> f51b46df...) once greedy drops redundant picks: only
+    # greedy_value moved, (7,3) 15 -> 13, (8,3) 20 -> 18 and (9,3) 26 -> 25.
     DIGESTS = {
         "theorem2": "c170bd52bb4ce54c89734969a7ffaaed2a69f47abb5de7cecb170c76cb2ca14a",
-        "conjecture": "a97a1f6e8d0302730675dff60146be412e7eb77d6247e1ff62ceeb3afdbb1e3c",
+        "conjecture": "f51b46dfb38a1a3bbce0ac9970fc6e0dff7ecafc0b9a4b2c23d523c79df4e2b1",
         "theorem1": "2628d138051ac99bfb3b09566d48f2c599f32a8a5ababd07ebbcdf49d064dbc4",
         "gk1": "2a5bfc7231af08f697c021ba5f6f32749b73486cbf1fe8a208cb68cba40078b1",
     }

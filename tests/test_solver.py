@@ -8,6 +8,7 @@ import sys
 import textwrap
 from dataclasses import fields, replace
 from math import ceil, comb
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import cubedom.solver
 from cubedom.constructions import theorem1_construct, verify_certificate
-from cubedom.errors import TooLargeError
+from cubedom.errors import InvalidParametersError, TooLargeError
 from cubedom.levelgraph import LevelGraphSpec, materialize
 from cubedom.solver import (
     Method,
@@ -132,6 +133,22 @@ class TestGreedy:
                 for l in range(1, k):
                     assert greedy_dominate(materialize(LevelGraphSpec(n, k, l))).value >= 2
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_cover_is_irredundant(self, data):
+        # The cover dominates, and leaving out any one pick does not.
+        n = data.draw(st.integers(3, 8))
+        k = data.draw(st.integers(2, n - 1))
+        l = data.draw(st.integers(1, k - 1))
+        masks = materialize(LevelGraphSpec(n, k, l)).closed
+        full = (1 << len(masks)) - 1
+        chosen = cubedom.solver._greedy_cover(masks)
+        assert len(set(chosen)) == len(chosen)
+        assert functools.reduce(or_, (masks[i] for i in chosen)) == full
+        for j in range(len(chosen)):
+            rest = chosen[:j] + chosen[j + 1:]
+            assert functools.reduce(or_, (masks[i] for i in rest), 0) != full, j
+
     def test_deterministic(self):
         spec = LevelGraphSpec(7, 4, 2)
         a = greedy_dominate(materialize(spec))
@@ -195,9 +212,11 @@ class TestBranchAndBound:
 
     # (7,3,2), (8,4,2) and (10,6,2) are frozen because HiGHS agrees
     # (test_agrees_with_milp).  The ids leave out the node count, so a
-    # re-pin keeps the test's name.
+    # re-pin keeps the test's name.  (7,3,2) went from 125,815 nodes to
+    # 4,141 when greedy began to drop redundant picks: the search starts
+    # from 13, the optimum, where it started from 15.
     @pytest.mark.parametrize("n,k,gamma,nodes", [
-        (6, 3, 9, 3_843), (8, 6, 6, 205), (7, 3, 13, 125_815), (8, 4, 12, 92_213),
+        (6, 3, 9, 3_843), (8, 6, 6, 205), (7, 3, 13, 4_141), (8, 4, 12, 92_213),
         (10, 6, 9, 14_331),
     ], ids=["6-3", "8-6", "7-3", "8-4", "10-6"])
     def test_search_tree_pinned(self, n, k, gamma, nodes):
@@ -212,6 +231,27 @@ class TestBranchAndBound:
         report = branch_and_bound_gamma(materialize(LevelGraphSpec(8, 4, 2)), node_budget=50_000)
         assert not report.proven_optimal
         assert (report.nodes_explored, report.value, report.lower_bound) == (50_001, 12, 9)
+
+    @pytest.mark.parametrize("budget,expected", [
+        (1, (2, 12, 9)), (2, (3, 12, 9)), (92_212, (92_213, 12, 9)), (92_213, (92_213, 12, 12)),
+    ])
+    def test_budget_edges(self, budget, expected):
+        # (8,4,2) proves in exactly 92,213 nodes.  One less, and the node
+        # that exceeds the budget is counted.  The root's include child is
+        # node 2, counted as it is made.
+        report = branch_and_bound_gamma(materialize(LevelGraphSpec(8, 4, 2)), node_budget=budget)
+        assert (report.nodes_explored, report.value, report.lower_bound) == expected
+        assert report.proven_optimal == (budget == 92_213)
+
+    def test_seeded_with_greedy_report(self):
+        # Seeding with greedy's report, as the tables do, is the default
+        # search; a report on another spec is rejected.
+        graph = materialize(LevelGraphSpec(7, 4, 2))
+        seeded = branch_and_bound_gamma(graph, incumbent=greedy_dominate(graph))
+        assert replace(seeded, elapsed=0.0) == replace(branch_and_bound_gamma(graph), elapsed=0.0)
+        other = greedy_dominate(materialize(LevelGraphSpec(7, 3, 2)))
+        with pytest.raises(InvalidParametersError, match="incumbent"):
+            branch_and_bound_gamma(graph, incumbent=other)
 
     def test_search_depth_is_not_bounded_by_recursion(self):
         # A recursive search needs about 124 frames here; 40 frames above
