@@ -63,10 +63,10 @@ def _row(spec: LevelGraphSpec, construction_size: Optional[int],
          greedy: Optional[SolveReport], report: Optional[SolveReport]) -> ExperimentRow:
     """The table row of one spec; every runner builds its rows here.
 
-    A greedy report gives the row its greedy value, and seeds the row's
-    branch and bound, if any.  A branch-and-bound report gives gamma when
-    proven, and the lower bound; with no report the lower bound is the
-    counting bound.  The main term is filled on l = 2 rows.
+    A greedy report, the one the row's branch and bound started from,
+    gives the row its greedy value.  A branch-and-bound report gives gamma
+    when proven, and the lower bound; with no report the lower bound is
+    the counting bound.  The main term is filled on l = 2 rows.
     """
     proven = report is not None and report.proven_optimal
     return ExperimentRow(
