@@ -72,7 +72,8 @@ def _cmd_exact(args) -> int:
     # Checked before the graph is built, so a bad budget exits 2 at any size.
     if args.node_budget < 1:
         raise InvalidParametersError(f"node budget must be at least 1, got {args.node_budget}")
-    report = branch_and_bound_gamma(materialize(spec), node_budget=args.node_budget)
+    graph = materialize(spec)
+    report = branch_and_bound_gamma(graph, greedy_dominate(graph), args.node_budget)
     _emit(json.dumps(report.to_json(), indent=2) + "\n", args.output)
     return 0 if report.proven_optimal else 3
 

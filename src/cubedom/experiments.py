@@ -63,10 +63,11 @@ def _row(spec: LevelGraphSpec, construction_size: Optional[int],
          greedy: Optional[SolveReport], report: Optional[SolveReport]) -> ExperimentRow:
     """The table row of one spec; every runner builds its rows here.
 
-    A greedy report, the one the row's branch and bound started from,
-    gives the row its greedy value.  A branch-and-bound report gives gamma
-    when proven, and the lower bound; with no report the lower bound is
-    the counting bound.  The main term is filled on l = 2 rows.
+    A greedy report gives the row its greedy value; where branch and
+    bound ran, it started from that report.  The second report, branch
+    and bound's or one that proves gamma by itself, gives gamma when
+    proven, and the lower bound; with none the lower bound is the counting
+    bound.  The main term is filled on l = 2 rows.
     """
     proven = report is not None and report.proven_optimal
     return ExperimentRow(
@@ -91,10 +92,11 @@ def _check_range(n_min: int, n_max: int) -> None:
 
 
 def run_theorem2_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
-    """Per n: build the 3-vertex certificate, verify it, confirm gamma = 3.
+    """Per n: build the 3-vertex certificate, verify it, prove gamma = 3.
 
-    Greedy meets the counting lower bound of 3 at the root, so branch and
-    bound proves gamma = 3 without search at every n <= 64.
+    Greedy finds 3 members, which meets the counting lower bound of 3, so
+    its report proves gamma = 3 on its own at every n <= 64, and no search
+    runs.  A row that greedy does not prove raises CheckFailedError.
     """
     _check_range(n_min, n_max)
     rows = []
@@ -106,10 +108,12 @@ def run_theorem2_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
             raise CheckFailedError(f"n={n}: theorem-2 certificate fails to dominate")
         graph = materialize(cert.spec)
         greedy = greedy_dominate(graph)
-        report = branch_and_bound_gamma(graph, incumbent=greedy)
-        if report.proven_optimal and report.value != 3:
-            raise CheckFailedError(f"n={n}: proven gamma {report.value} != 3")
-        rows.append(_row(cert.spec, cert.size, greedy, report))
+        if not (greedy.proven_optimal and greedy.value == 3):
+            raise CheckFailedError(
+                f"n={n}: greedy gives {greedy.value} members against a lower bound "
+                f"of {greedy.lower_bound}, which does not prove gamma = 3"
+            )
+        rows.append(_row(cert.spec, cert.size, greedy, greedy))
     return rows
 
 
@@ -141,7 +145,7 @@ def run_theorem1_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
                 graph = materialize(cert.spec)
                 greedy = greedy_dominate(graph)
                 if n <= THEOREM1_SOLVER_N_CAP:
-                    report = branch_and_bound_gamma(graph, incumbent=greedy)
+                    report = branch_and_bound_gamma(graph, greedy)
                     if report.proven_optimal and report.value > cert.size:
                         raise CheckFailedError(
                             f"(n={n},k={k}): gamma {report.value} exceeds construction"
@@ -162,7 +166,7 @@ def run_gk1_check(n_max: int) -> list[ExperimentRow]:
             spec = LevelGraphSpec(n, k, 1)
             graph = materialize(spec)
             greedy = greedy_dominate(graph)
-            report = branch_and_bound_gamma(graph, incumbent=greedy)
+            report = branch_and_bound_gamma(graph, greedy)
             expected = n - k + 1
             if not report.proven_optimal or report.value != expected:
                 raise CheckFailedError(
@@ -198,7 +202,7 @@ def run_conjecture_table(n_min: int, n_max: int, k_min: int, k_max: int) -> list
             spec = LevelGraphSpec(n, k, 2)
             graph = materialize(spec)
             greedy = greedy_dominate(graph)
-            report = branch_and_bound_gamma(graph, CONJECTURE_NODE_BUDGET, greedy)
+            report = branch_and_bound_gamma(graph, greedy, CONJECTURE_NODE_BUDGET)
             size = theorem1_construct(n, k).size if k > ceil(n / 2) else None
             rows.append(_row(spec, size, greedy, report))
     return rows

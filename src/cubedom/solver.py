@@ -4,7 +4,8 @@ All solvers read the closed-neighbourhood bitsets of a materialized
 graph, one Python int per vertex, so a domination test is one OR/compare.
 ``branch_and_bound_gamma`` is the exact solver and ``greedy_dominate`` the
 heuristic.  Both take a graph materialized by the caller, and a report's
-``elapsed`` is the solve time alone.
+``elapsed`` is the solve time alone.  Branch and bound starts from its
+caller's report, greedy's at every call in the package.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ ORBIT_DEPTH = 4
 
 
 class Method(enum.Enum):
-    # The tests' brute-force oracle reports under this label.
-    BRUTE_FORCE = "brute_force"
     GREEDY = "greedy"
     BRANCH_AND_BOUND = "branch_and_bound"
 
@@ -129,16 +128,19 @@ def _report(
     return report
 
 
-def _greedy_cover(masks: tuple[int, ...]) -> list[int]:
-    """An irredundant cover: lazy largest-new-coverage-first greedy picks,
-    less those the others make redundant, in pick order.
+def greedy_dominate(graph: MaterializedGraph) -> SolveReport:
+    """Largest-new-coverage-first greedy, lazy-evaluated on a max-heap,
+    less the picks that the others make redundant.
 
-    ``masks`` are closed-neighbourhood bitsets over their own indices.  Ties
-    break toward the smallest index, so runs are deterministic.  Picks are
-    dropped latest first: pick j goes when the picks before it, prefix[j],
-    and the later picks kept so far cover everything.  A kept pick stays
-    needed, since dropping earlier picks only shrinks what covers for it.
+    No member of the witness can be left out.  Ties break toward the
+    smallest vertex index, i.e. upper level first and then colex rank, so
+    runs are deterministic.  Picks are dropped latest first: pick j goes
+    when the picks before it, prefix[j], and the later picks kept so far
+    cover everything.  A kept pick stays needed, since dropping earlier
+    picks only shrinks what covers for it.
     """
+    start = time.perf_counter()
+    masks = graph.closed
     full = (1 << len(masks)) - 1
     heap = [(-m.bit_count(), i) for i, m in enumerate(masks)]
     heapq.heapify(heap)
@@ -160,19 +162,6 @@ def _greedy_cover(masks: tuple[int, ...]) -> list[int]:
             del chosen[j]
         else:
             kept |= masks[chosen[j]]
-    return chosen
-
-
-def greedy_dominate(graph: MaterializedGraph) -> SolveReport:
-    """Largest-new-coverage-first greedy, lazy-evaluated on a max-heap,
-    less the picks that later picks made redundant (``_greedy_cover``).
-
-    No member of the witness can be left out.  Ties break toward the
-    smallest vertex index, i.e. upper level first and then colex rank, so
-    runs are deterministic.
-    """
-    start = time.perf_counter()
-    chosen = _greedy_cover(graph.closed)
     lb = counting_lower_bound(graph.spec)
     return _report(graph, Method.GREEDY, chosen, lb, len(chosen), start)
 
@@ -247,8 +236,8 @@ def _orbits(chosen, contains: list[int]) -> list[int]:
 
 def branch_and_bound_gamma(
     graph: MaterializedGraph,
+    incumbent: SolveReport,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    incumbent: SolveReport | None = None,
 ) -> SolveReport:
     """Exact search via include/exclude on coverage-ordered candidates.
 
@@ -285,7 +274,7 @@ def branch_and_bound_gamma(
     so excluded positions are skipped without a visit.
 
     Initialized with the witness of ``incumbent``, a report on the same
-    spec (the greedy cover by default), and stopped early when it meets
+    spec (greedy's at every package call), and stopped early when it meets
     the counting relaxation at the root.  A node with s vertices chosen, U
     upper and L lower vertices uncovered, can lead to a family smaller
     than the incumbent's size b only by r = b - s - 1 more picks from the
@@ -325,13 +314,10 @@ def branch_and_bound_gamma(
     full = (1 << nv) - 1
     root_lb = counting_lower_bound(graph.spec)
 
-    if incumbent is None:
-        best_set = _greedy_cover(masks)
-    elif incumbent.spec != graph.spec:
+    if incumbent.spec != graph.spec:
         raise InvalidParametersError(f"incumbent is for {incumbent.spec}, not {graph.spec}")
-    else:
-        index = {m: i for i, m in enumerate(graph.masks)}
-        best_set = [index[m] for m in incumbent.witness.uppers | incumbent.witness.lowers]
+    index = {m: i for i, m in enumerate(graph.masks)}
+    best_set = [index[m] for m in incumbent.witness.uppers | incumbent.witness.lowers]
     best_size = len(best_set)
 
     nu, kmask = graph.upper_count, graph.masks[0]
@@ -343,7 +329,7 @@ def branch_and_bound_gamma(
     for i in range(ncand - 1, -1, -1):
         suffix_or[i] = suffix_or[i + 1] | ordered_masks[i]
     # cap_at[p]: the cap table of the levels with candidates at or after p,
-    # indexed [best_size - size][L].  Rows run to the greedy size, the
+    # indexed [best_size - size][L].  Rows run to the incumbent's size, the
     # largest best_size - size + 1 the search meets.
     spec = graph.spec
     nl = nv - nu

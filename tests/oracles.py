@@ -1,22 +1,35 @@
-"""Independent oracles for exact values, kept out of the package.
+"""Independent oracles for exact values, kept out of the package, and the
+package's search as the ``exact`` command runs it.
 
 ``brute_force_gamma`` shares no search code with branch and bound and
 serves every spec with n <= 6; ``milp_gamma`` hands the covering program
-to HiGHS and serves the larger ones.
+to HiGHS and serves the larger ones.  ``seeded_search`` runs branch and
+bound from greedy's report.
 """
 
-import time
 from itertools import count
 
+from cubedom.constructions import DominationCertificate, Provenance, verify_certificate
 from cubedom.errors import TooLargeError
 from cubedom.levelgraph import MaterializedGraph
-from cubedom.solver import Method, SolveReport, _report
+from cubedom.solver import (
+    DEFAULT_NODE_BUDGET,
+    SolveReport,
+    branch_and_bound_gamma,
+    greedy_dominate,
+)
 
 BRUTE_FORCE_NODE_BUDGET = 100_000_000
 
 
-def brute_force_gamma(graph: MaterializedGraph) -> SolveReport:
-    """Iterative deepening over vertex subsets; proven optimal by exhaustion.
+def seeded_search(graph: MaterializedGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> SolveReport:
+    """Branch and bound from greedy's report, as the ``exact`` command runs it."""
+    return branch_and_bound_gamma(graph, greedy_dominate(graph), node_budget)
+
+
+def brute_force_gamma(graph: MaterializedGraph) -> DominationCertificate:
+    """A least dominating family, found by iterative deepening over vertex
+    subsets, as a verified certificate; its size is gamma by exhaustion.
 
     Level s enumerates s-subsets of the vertex indices in lexicographic
     order; the whole vertex set dominates, so some level s <= nv succeeds.
@@ -27,7 +40,6 @@ def brute_force_gamma(graph: MaterializedGraph) -> SolveReport:
     first dominating set found is the lexicographically least at its size.
     More than BRUTE_FORCE_NODE_BUDGET nodes raise TooLargeError.
     """
-    start = time.perf_counter()
     node_budget = BRUTE_FORCE_NODE_BUDGET
     masks = graph.closed
     nv = graph.vertex_count
@@ -71,7 +83,15 @@ def brute_force_gamma(graph: MaterializedGraph) -> SolveReport:
     for s in count(1):
         chosen.clear()
         if level(s):
-            return _report(graph, Method.BRUTE_FORCE, chosen, s, nodes, start)
+            nu, vertex_masks = graph.upper_count, graph.masks
+            witness = DominationCertificate(
+                spec=graph.spec,
+                uppers=frozenset(vertex_masks[i] for i in chosen if i < nu),
+                lowers=frozenset(vertex_masks[i] for i in chosen if i >= nu),
+                provenance=Provenance.EXACT,
+            )
+            assert verify_certificate(witness).verified
+            return witness
 
 
 def milp_gamma(graph: MaterializedGraph) -> int:

@@ -1,13 +1,17 @@
+import contextlib
 import functools
 import hashlib
+import io
 import json
 from collections import Counter
+from dataclasses import replace
 from math import ceil
 
 import pytest
 
+import cubedom.cli
 import cubedom.experiments
-from cubedom.errors import InvalidParametersError, TooLargeError
+from cubedom.errors import CheckFailedError, InvalidParametersError, TooLargeError
 from cubedom.experiments import (
     CSV_HEADER,
     conjecture_main_term,
@@ -55,6 +59,19 @@ class TestTheorem2Sweep:
         (row,) = run_theorem2_sweep(n, n)
         assert row.gamma_exact == 3 and row.proven
         assert row.lower_bound == row.construction_size == row.greedy_value == 3
+
+    def test_row_that_greedy_does_not_prove_fails(self, monkeypatch, capsys):
+        # Greedy's report is the row's proof, so a greedy report whose lower
+        # bound falls short fails the sweep; no search re-proves the row.
+        real = cubedom.experiments.greedy_dominate
+        monkeypatch.setattr(cubedom.experiments, "greedy_dominate",
+                            lambda graph: replace(real(graph), lower_bound=2))
+        with pytest.raises(CheckFailedError, match="n=4: .*does not prove gamma = 3"):
+            run_theorem2_sweep(4, 6)
+        code = cubedom.cli.main(["sweep", "--theorem", "2", "--n-min", "4", "--n-max", "6"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("check failed: n=4: ") and err.count("\n") == 1
 
 
 class TestTheorem1Sweep:
@@ -160,25 +177,42 @@ class TestOneGraphPerRow:
         assert built == Counter((r.n, r.k, l) for r in rows)
 
     @pytest.mark.parametrize("run", [
-        lambda: run_conjecture_table(5, 7, 3, 4),
-        lambda: run_theorem1_sweep(4, 9),
-        lambda: run_theorem2_sweep(4, 6),
-        lambda: run_gk1_check(5),
-    ], ids=["conjecture", "theorem1", "theorem2", "gk1"])
+        lambda: row_specs(run_conjecture_table(5, 7, 3, 4)),
+        lambda: row_specs(run_theorem1_sweep(4, 9)),
+        lambda: row_specs(run_theorem2_sweep(4, 6)),
+        lambda: row_specs(run_gk1_check(5)),
+        lambda: exact_specs([(5, 4, 2), (7, 4, 2), (7, 3, 1)]),
+    ], ids=["conjecture", "theorem1", "theorem2", "gk1", "exact"])
     def test_each_row_runs_greedy_once(self, monkeypatch, run):
-        # Branch and bound starts from the row's greedy report instead of
-        # running greedy again.  Theorem 1 rows above n = 7 run greedy but
-        # no branch and bound.
+        # Branch and bound starts from the greedy report of its row, or of
+        # its exact command, instead of running greedy again.  Theorem 1
+        # rows above n = 7 run greedy but no branch and bound, and theorem
+        # 2 rows run greedy alone.
         calls = []
-        real = cubedom.solver._greedy_cover
+        for module in (cubedom.experiments, cubedom.cli):
+            real = module.greedy_dominate
 
-        def counting(masks):
-            calls.append(len(masks))
-            return real(masks)
+            def counting(graph, real=real):
+                calls.append((graph.spec.n, graph.spec.k))
+                return real(graph)
 
-        monkeypatch.setattr(cubedom.solver, "_greedy_cover", counting)
-        rows = run()
-        assert len(calls) == len(rows) == sum(r.greedy_value is not None for r in rows)
+            monkeypatch.setattr(module, "greedy_dominate", counting)
+        expected = run()
+        assert calls == expected
+
+
+def row_specs(rows):
+    """The (n, k) of each row, every one of which carries a greedy value."""
+    assert all(r.greedy_value is not None for r in rows)
+    return [(r.n, r.k) for r in rows]
+
+
+def exact_specs(specs):
+    """Run the ``exact`` command once on each (n, k, l); their (n, k)."""
+    for n, k, l in specs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cubedom.cli.main(["exact", "--n", str(n), "--k", str(k), "--l", str(l)]) == 0
+    return [(n, k) for n, k, l in specs]
 
 
 class TestRangeCheckedFirst:

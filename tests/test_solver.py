@@ -15,11 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubedom.solver
-from cubedom.constructions import theorem1_construct, verify_certificate
+from cubedom.constructions import (
+    Provenance,
+    certificate_to_json,
+    theorem1_construct,
+    verify_certificate,
+)
 from cubedom.errors import InvalidParametersError, TooLargeError
 from cubedom.levelgraph import LevelGraphSpec, materialize
 from cubedom.solver import (
-    Method,
     SolveReport,
     branch_and_bound_gamma,
     counting_lower_bound,
@@ -27,7 +31,7 @@ from cubedom.solver import (
 )
 
 import oracles
-from oracles import brute_force_gamma, milp_gamma
+from oracles import brute_force_gamma, milp_gamma, seeded_search
 
 
 def oracle_counting_bound(n, k, l):
@@ -46,8 +50,8 @@ def oracle_counting_bound(n, k, l):
 
 @functools.cache
 def exact_l2(n, k):
-    """branch_and_bound_gamma on (n, k, 2) at the default budget, run once."""
-    return branch_and_bound_gamma(materialize(LevelGraphSpec(n, k, 2)))
+    """Branch and bound on (n, k, 2) at the default budget, run once."""
+    return seeded_search(materialize(LevelGraphSpec(n, k, 2)))
 
 
 class TestCountingLowerBound:
@@ -75,30 +79,29 @@ class TestCountingLowerBound:
             for k in range(2, n):
                 for l in range(1, k):
                     spec = LevelGraphSpec(n, k, l)
-                    assert counting_lower_bound(spec) <= brute_force_gamma(materialize(spec)).value
+                    assert counting_lower_bound(spec) <= brute_force_gamma(materialize(spec)).size
 
 
 class TestBruteForce:
     def test_theorem2_value_n4(self):
-        report = brute_force_gamma(materialize(LevelGraphSpec(4, 3, 2)))
-        assert report.value == 3
-        assert report.proven_optimal
-        assert report.method is Method.BRUTE_FORCE
+        witness = brute_force_gamma(materialize(LevelGraphSpec(4, 3, 2)))
+        assert witness.size == 3
+        assert witness.provenance is Provenance.EXACT
 
     def test_gk1_value(self):
-        assert brute_force_gamma(materialize(LevelGraphSpec(5, 2, 1))).value == 4
+        assert brute_force_gamma(materialize(LevelGraphSpec(5, 2, 1))).size == 4
 
     def test_frozen_regression_values(self):
         # Ground-truth constants computed by this oracle and frozen.
-        assert brute_force_gamma(materialize(LevelGraphSpec(6, 4, 2))).value == 6
-        assert brute_force_gamma(materialize(LevelGraphSpec(6, 3, 2))).value == 9
-        assert brute_force_gamma(materialize(LevelGraphSpec(6, 4, 3))).value == 9
-        assert brute_force_gamma(materialize(LevelGraphSpec(5, 3, 2))).value == 6
+        assert brute_force_gamma(materialize(LevelGraphSpec(6, 4, 2))).size == 6
+        assert brute_force_gamma(materialize(LevelGraphSpec(6, 3, 2))).size == 9
+        assert brute_force_gamma(materialize(LevelGraphSpec(6, 4, 3))).size == 9
+        assert brute_force_gamma(materialize(LevelGraphSpec(5, 3, 2))).size == 6
 
     def test_witness_verifies_and_is_lex_least(self):
         spec = LevelGraphSpec(4, 3, 2)
-        report = brute_force_gamma(materialize(spec))
-        assert verify_certificate(report.witness).verified
+        witness = brute_force_gamma(materialize(spec))
+        assert verify_certificate(witness).verified
         # Independent check of lex-leastness over all 3-subsets of vertices.
         g = materialize(spec)
         masks = g.closed
@@ -109,7 +112,6 @@ class TestBruteForce:
             if masks[c[0]] | masks[c[1]] | masks[c[2]] == full
         ]
         least = min(dominating)
-        witness = report.witness
         got = sorted(g.masks.index(m) for m in witness.uppers | witness.lowers)
         assert tuple(got) == least
 
@@ -140,14 +142,14 @@ class TestGreedy:
         n = data.draw(st.integers(3, 8))
         k = data.draw(st.integers(2, n - 1))
         l = data.draw(st.integers(1, k - 1))
-        masks = materialize(LevelGraphSpec(n, k, l)).closed
-        full = (1 << len(masks)) - 1
-        chosen = cubedom.solver._greedy_cover(masks)
-        assert len(set(chosen)) == len(chosen)
-        assert functools.reduce(or_, (masks[i] for i in chosen)) == full
-        for j in range(len(chosen)):
-            rest = chosen[:j] + chosen[j + 1:]
-            assert functools.reduce(or_, (masks[i] for i in rest), 0) != full, j
+        graph = materialize(LevelGraphSpec(n, k, l))
+        full = (1 << graph.vertex_count) - 1
+        witness = greedy_dominate(graph).witness
+        closed = [graph.closed[graph.masks.index(m)] for m in witness.uppers | witness.lowers]
+        assert functools.reduce(or_, closed) == full
+        for j in range(len(closed)):
+            rest = closed[:j] + closed[j + 1:]
+            assert functools.reduce(or_, rest, 0) != full, j
 
     def test_deterministic(self):
         spec = LevelGraphSpec(7, 4, 2)
@@ -164,9 +166,9 @@ class TestBranchAndBound:
                 for l in range(1, k):
                     spec = LevelGraphSpec(n, k, l)
                     bf = brute_force_gamma(materialize(spec))
-                    bb = branch_and_bound_gamma(materialize(spec))
+                    bb = seeded_search(materialize(spec))
                     assert bb.proven_optimal
-                    assert bb.value == bf.value, (n, k, l)
+                    assert bb.value == bf.size, (n, k, l)
 
     @pytest.mark.parametrize("n,k,l", [
         (n, k, l) for n in (7, 8) for k in range(2, n) for l in range(1, k)
@@ -178,12 +180,12 @@ class TestBranchAndBound:
         # is kept, but the oracle here is HiGHS: brute force took over a
         # minute for these twenty, HiGHS takes about 2 s.
         graph = materialize(LevelGraphSpec(n, k, l))
-        bb = branch_and_bound_gamma(graph)
+        bb = seeded_search(graph)
         assert bb.proven_optimal
         assert bb.value == milp_gamma(graph)
 
     def test_theorem2_at_n9(self):
-        report = branch_and_bound_gamma(materialize(LevelGraphSpec(9, 8, 2)))
+        report = seeded_search(materialize(LevelGraphSpec(9, 8, 2)))
         assert report.value == 3
         assert report.proven_optimal
 
@@ -194,7 +196,7 @@ class TestBranchAndBound:
         # it to 111,757, the two-level cap bound to 25,245, and orbits down
         # to ORBIT_DEPTH members to 3,419.  The node count is deterministic
         # and pins the search tree.
-        report = branch_and_bound_gamma(materialize(LevelGraphSpec(7, 4, 2)))
+        report = seeded_search(materialize(LevelGraphSpec(7, 4, 2)))
         assert report.proven_optimal
         assert report.value == 9
         assert report.value <= 10
@@ -205,7 +207,7 @@ class TestBranchAndBound:
         # skipped; 30,041 with the two-level cap bound; 3,463 with orbits
         # below the root.  The count fails if the orbit rule or the cap
         # bound is lost.
-        report = branch_and_bound_gamma(materialize(LevelGraphSpec(8, 5, 2)))
+        report = seeded_search(materialize(LevelGraphSpec(8, 5, 2)))
         assert report.proven_optimal
         assert report.value == 8
         assert report.nodes_explored == 3_463
@@ -228,7 +230,7 @@ class TestBranchAndBound:
         # (8,4,2) needs 92,213 nodes, so it spends the whole budget: the
         # node that exceeds it is counted, and the report keeps the
         # incumbent and the root bound.
-        report = branch_and_bound_gamma(materialize(LevelGraphSpec(8, 4, 2)), node_budget=50_000)
+        report = seeded_search(materialize(LevelGraphSpec(8, 4, 2)), node_budget=50_000)
         assert not report.proven_optimal
         assert (report.nodes_explored, report.value, report.lower_bound) == (50_001, 12, 9)
 
@@ -239,32 +241,35 @@ class TestBranchAndBound:
         # (8,4,2) proves in exactly 92,213 nodes.  One less, and the node
         # that exceeds the budget is counted.  The root's include child is
         # node 2, counted as it is made.
-        report = branch_and_bound_gamma(materialize(LevelGraphSpec(8, 4, 2)), node_budget=budget)
+        report = seeded_search(materialize(LevelGraphSpec(8, 4, 2)), node_budget=budget)
         assert (report.nodes_explored, report.value, report.lower_bound) == expected
         assert report.proven_optimal == (budget == 92_213)
 
     def test_seeded_with_greedy_report(self):
-        # Seeding with greedy's report, as the tables do, is the default
-        # search; a report on another spec is rejected.
+        # The search starts from the incumbent's witness, and keeps it when
+        # the budget runs out first; a report on another spec is rejected.
         graph = materialize(LevelGraphSpec(7, 4, 2))
-        seeded = branch_and_bound_gamma(graph, incumbent=greedy_dominate(graph))
-        assert replace(seeded, elapsed=0.0) == replace(branch_and_bound_gamma(graph), elapsed=0.0)
+        greedy = greedy_dominate(graph)
+        report = branch_and_bound_gamma(graph, greedy, node_budget=1)
+        assert not report.proven_optimal
+        assert (report.witness.uppers, report.witness.lowers) == (
+            greedy.witness.uppers, greedy.witness.lowers)
         other = greedy_dominate(materialize(LevelGraphSpec(7, 3, 2)))
         with pytest.raises(InvalidParametersError, match="incumbent"):
-            branch_and_bound_gamma(graph, incumbent=other)
+            branch_and_bound_gamma(graph, other)
 
     def test_search_depth_is_not_bounded_by_recursion(self):
         # A recursive search needs about 124 frames here; 40 frames above
         # the caller leave room only for the calls around the loop.
         graph = materialize(LevelGraphSpec(16, 8, 2))
-        free = branch_and_bound_gamma(graph, node_budget=20_000)
+        free = seeded_search(graph, node_budget=20_000)
         depth, frame = 0, sys._getframe()
         while frame is not None:
             depth, frame = depth + 1, frame.f_back
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 40)
         try:
-            bounded = branch_and_bound_gamma(graph, node_budget=20_000)
+            bounded = seeded_search(graph, node_budget=20_000)
         finally:
             sys.setrecursionlimit(limit)
         assert replace(bounded, elapsed=0.0) == replace(free, elapsed=0.0)
@@ -280,15 +285,15 @@ class TestBranchAndBound:
         assert report.value == gamma
 
     def test_budget_returns_heuristic_report(self):
-        report = branch_and_bound_gamma(materialize(LevelGraphSpec(7, 4, 2)), node_budget=100)
+        report = seeded_search(materialize(LevelGraphSpec(7, 4, 2)), node_budget=100)
         assert not report.proven_optimal
         assert report.lower_bound <= report.value
         assert verify_certificate(report.witness).verified
 
     def test_deterministic(self):
         spec = LevelGraphSpec(6, 3, 2)
-        a = branch_and_bound_gamma(materialize(spec), node_budget=5000)
-        b = branch_and_bound_gamma(materialize(spec), node_budget=5000)
+        a = seeded_search(materialize(spec), node_budget=5000)
+        b = seeded_search(materialize(spec), node_budget=5000)
         assert (a.value, a.lower_bound, a.proven_optimal, a.nodes_explored) == (
             b.value,
             b.lower_bound,
@@ -350,21 +355,24 @@ class TestOrbits:
 class TestPinnedReport:
     """sha256 of the report JSON without ``elapsed_seconds``, fixed so a
     rewrite of how witnesses are built cannot silently change what the
-    ``exact`` and ``greedy`` commands print, or what the brute-force
-    oracle reports.  The four l >= 2 ``exact`` digests were re-taken with
-    the two-level cap bound, and again with orbits below the root; both
-    changed only ``nodes_explored``."""
+    ``exact`` and ``greedy`` commands print, and of the certificate JSON
+    of the brute-force oracle's witness.  The four l >= 2 ``exact``
+    digests were re-taken with the two-level cap bound, and again with
+    orbits below the root; both changed only ``nodes_explored``.  The
+    brute-force digests were of reports until the oracle returned its
+    certificate; the new ones were taken from the witnesses it found
+    before, so they pin the same witnesses."""
 
     @pytest.mark.parametrize("solve, spec, digest", [
-        (branch_and_bound_gamma, (6, 3, 2),
+        (seeded_search, (6, 3, 2),
          "b36c2288e8d2183d65d0581ea0cfc22fa5e4b6b0a00c3bea49b69c7bc293b595"),
-        (branch_and_bound_gamma, (7, 4, 2),
+        (seeded_search, (7, 4, 2),
          "28e52ef45b90c53baea0493814d9218a5cbc296c654254ed5ba2af7402931686"),
-        (branch_and_bound_gamma, (8, 6, 2),
+        (seeded_search, (8, 6, 2),
          "9db662d28d328989a55be7c5708ae1dfdcef2c0e46529021f4ceb2316337e050"),
-        (branch_and_bound_gamma, (6, 4, 3),
+        (seeded_search, (6, 4, 3),
          "56825195fa4b0f241b1f966f735fd10e9090a7205d288ff12cddd8807540760d"),
-        (branch_and_bound_gamma, (7, 3, 1),
+        (seeded_search, (7, 3, 1),
          "df7a1b52ac0ba24fa8eb25069e69e6ed0a96de4070bf23e710dbeb97fa264b41"),
         (greedy_dominate, (6, 3, 2),
          "d4d5bc221e6f84af0c15797d7d3bb60b9415286408c39ea414581879e27dc8af"),
@@ -377,24 +385,28 @@ class TestPinnedReport:
         (greedy_dominate, (7, 3, 1),
          "735fe0a0fb2b00fdcb21176953a82420f88fa808089cf96c06e2de9c14d373e1"),
         (brute_force_gamma, (5, 3, 2),
-         "0814a34e87778992fd6cf605c686f505066528deabbd49f285010fb7d57460e5"),
+         "8bc56f30d499e268b5a7f88ad1e99bd245f5210cbcb9868b883a4f7458583663"),
         (brute_force_gamma, (6, 4, 2),
-         "da7d0872e3031801fc4ddcefa2f86752249265c48128c9b1bb3920a315ec55cc"),
+         "3b0b2eda11374212972cbf573940475442ecfc81dce6497440b3db3ca6aecb5e"),
         (brute_force_gamma, (5, 2, 1),
-         "e264664bd45eb513b0075e6894348f5d4145c002d8146cad7b1a62503ebd8811"),
+         "dfc030c022f3778508ac60af7d08af69f4bfeb3724d2dd863f05f9c52477a58f"),
     ], ids=[f"{m}-{n}-{k}-{l}" for m in ("exact", "greedy")
             for n, k, l in [(6, 3, 2), (7, 4, 2), (8, 6, 2), (6, 4, 3), (7, 3, 1)]]
         + ["brute-5-3-2", "brute-6-4-2", "brute-5-2-1"])
     def test_report_json_digest(self, solve, spec, digest):
-        data = solve(materialize(LevelGraphSpec(*spec))).to_json()
-        del data["elapsed_seconds"]
+        result = solve(materialize(LevelGraphSpec(*spec)))
+        if isinstance(result, SolveReport):
+            data = result.to_json()
+            del data["elapsed_seconds"]
+        else:
+            data = certificate_to_json(result)
         text = json.dumps(data, indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_report_stores_witness_and_bound_only(self):
         assert [f.name for f in fields(SolveReport)] == [
             "method", "witness", "lower_bound", "nodes_explored", "elapsed"]
-        report = branch_and_bound_gamma(materialize(LevelGraphSpec(8, 4, 2)), node_budget=1000)
+        report = seeded_search(materialize(LevelGraphSpec(8, 4, 2)), node_budget=1000)
         assert report.spec == report.witness.spec
         assert report.value == report.witness.size
         assert report.lower_bound < report.value and not report.proven_optimal
@@ -406,7 +418,7 @@ class TestSandwich:
             for k in range(ceil(n / 2) + 1, n):
                 spec = LevelGraphSpec(n, k, 2)
                 lb = counting_lower_bound(spec)
-                exact = brute_force_gamma(materialize(spec)).value
+                exact = brute_force_gamma(materialize(spec)).size
                 greedy = greedy_dominate(materialize(spec)).value
                 size = theorem1_construct(n, k).size
                 assert lb <= exact <= greedy
