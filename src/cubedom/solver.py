@@ -14,10 +14,8 @@ import enum
 import heapq
 import time
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain, repeat
 from math import comb
-from operator import or_
 
 from .constructions import (
     DominationCertificate,
@@ -31,9 +29,10 @@ from .levelgraph import LevelGraphSpec, MaterializedGraph
 DEFAULT_NODE_BUDGET = 10_000_000
 # Branch and bound branches on orbits at nodes with at most this many
 # members chosen, [k] included; 1 is the root alone.  Each such node that
-# branches relinks the free candidates, so deeper caps cut nodes but cost
-# time: 4 measured fastest, both on the 7 to 12 x 3 to 6 conjecture table
-# and on exact runs at n <= 8.
+# branches copies two lists and unlinks its orbit, and each chosen set pays
+# once for its atom counts, so deeper caps cut nodes but cost time.  4
+# measured fastest on the 7 to 12 x 3 to 6 conjecture table; 5 is faster
+# on the l = 2 specs at n <= 8 only, and 6 is slower on both.
 ORBIT_DEPTH = 4
 
 
@@ -200,38 +199,54 @@ def _cap_table(
     return table
 
 
-def _orbits(chosen, contains: list[int]) -> list[int]:
-    """The orbits of the pointwise stabilizer of ``chosen`` on a family of
-    non-empty subsets of [n], each as a mask of the family's indices.
+def _atom_counts(chosen, contains: list[int]) -> list[int]:
+    """The digits of every atom's count, bit-sliced over a family of
+    non-empty subsets of [n], for ``_orbit``.
 
     ``chosen`` are subsets of [n], and ``contains`` has n entries: bit i
     of ``contains[e]`` is set iff subset i contains element e (0-based).
     The atoms of [n] are its classes of elements that lie in the same
-    chosen subsets.  A permutation of [n] fixes every chosen subset iff it
-    maps each atom onto itself, so the stabilizer is the Young subgroup on
-    the atoms, and it maps one subset onto another iff both meet every
-    atom in the same number of elements; those counts sum to the subset's
-    size, which names its level.  Each atom's counts are added up for all
-    subsets at once in bit-sliced binary, bit i of digits[j] being bit j of
-    subset i's count, and each digit splits the orbits found so far.
+    chosen subsets.  Each atom's counts, the number of its elements that
+    each subset contains, are added up for all subsets at once in binary:
+    bit i of an atom's digit j is bit j of subset i's count.  The digits
+    of all atoms are returned in one list.
     """
     n = len(contains)
     atoms = [(1 << n) - 1]
     for m in chosen:
         atoms = [part for a in atoms for part in (a & m, a & ~m) if part]
-    orbits = [reduce(or_, contains)]
+    counts: list[int] = []
     for a in atoms:
         digits: list[int] = []
-        for e in range(n):
-            if a >> e & 1:
-                carry = contains[e]
-                for j, d in enumerate(digits):
-                    digits[j], carry = d ^ carry, d & carry
-                if carry:
-                    digits.append(carry)
-        for d in digits:
-            orbits = [part for o in orbits for part in (o & d, o & ~d) if part]
-    return orbits
+        while a:
+            e = a.bit_length() - 1
+            a ^= 1 << e
+            carry = contains[e]
+            for j, d in enumerate(digits):
+                digits[j], carry = d ^ carry, d & carry
+            if carry:
+                digits.append(carry)
+        counts += digits
+    return counts
+
+
+def _orbit(counts: list[int], i: int) -> int:
+    """The orbit of subset i under the pointwise stabilizer of the chosen
+    subsets, as a mask of the family's indices; ``counts`` is from
+    ``_atom_counts``.
+
+    A permutation of [n] fixes every chosen subset iff it maps each atom
+    onto itself, so the stabilizer is the Young subgroup on the atoms, and
+    it maps one subset onto another iff both meet every atom in the same
+    number of elements; those counts sum to the subset's size, which names
+    its level.  So the orbit is the subsets that agree with subset i on
+    every digit.  Subset i is non-empty, so some digit has bit i set and
+    bounds the mask.
+    """
+    orbit = -1
+    for d in counts:
+        orbit &= d if d >> i & 1 else ~d
+    return orbit
 
 
 def branch_and_bound_gamma(
@@ -256,7 +271,7 @@ def branch_and_bound_gamma(
     Ostrowski, Linderoth, Rossi and Smriglio, Math. Program. 2011).  At a
     node with at most ORBIT_DEPTH members chosen, [k] included, the exclude
     branch drops the whole orbit of the node's candidate v under G, the
-    pointwise stabilizer in S_n of the chosen members C (see ``_orbits``);
+    pointwise stabilizer in S_n of the chosen members C (see ``_orbit``);
     at the root G is the stabilizer S_k x S_{n-k} of [k].  Deeper nodes
     exclude v alone.  This loses no family smaller than the incumbent.
     Let F be the candidates a node has excluded, those behind its position
@@ -267,11 +282,16 @@ def branch_and_bound_gamma(
     G-orbits and G maps the node's families onto themselves, keeping their
     size.  If such a family D meets v's orbit, at u say, some g in G maps u
     to v, and g(D) is a family of the include branch; otherwise D is one of
-    the exclude branch.  The orbits of each C are found once, when its
-    first node branches.  Candidates are sorted by (-degree, -|v & [k]|,
+    the exclude branch.  Candidates are sorted by (-degree, -|v & [k]|,
     index), the coverage order with ties toward larger overlap with [k],
     and each node carries a list that maps each free position to the next,
-    so excluded positions are skipped without a visit.
+    so excluded positions are skipped without a visit.  The atom counts of
+    each C, over candidate positions, are found once, when its first node
+    branches, and the orbit of v is read from them.  The candidates behind
+    v's position are chosen or in F, and v's orbit misses both, so the
+    orbit is free and starts at v: the exclude branch copies the node's
+    list and unlinks the orbit's other positions, each through a list back
+    to the previous free position, kept at nodes within ORBIT_DEPTH.
 
     Initialized with the witness of ``incumbent``, a report on the same
     spec (greedy's at every package call), and stopped early when it meets
@@ -347,28 +367,29 @@ def branch_and_bound_gamma(
     # No candidate is left at ncand, where the feasibility test prunes.
     cap_at.append(cap_at[-1])
 
-    # contains[e]: the vertices whose subset contains element e, the union
-    # of the closed neighbourhoods (itself and the uppers through it) of the
-    # lower vertices through e.
-    contains = [0] * spec.n
-    for j in range(nu, nv):
-        for e in range(spec.n):
-            if graph.masks[j] >> e & 1:
-                contains[e] |= masks[j]
+    # contains[e]: the positions whose subset contains element e, read off
+    # the columns of the candidates' subsets written in binary, the last
+    # position first.
+    bits = [format(graph.masks[i], f"0{spec.n}b") for i in reversed(order)]
+    contains = [int("".join(col), 2) for col in zip(*bits)][::-1]
 
     nodes = 0
     exhausted = True
     # path[:size - 1] holds the positions chosen besides the fixed vertex 0.
     path = [0] * ncand
-    # orbits_at[s]: the orbits, as vertex masks, of the stabilizer of the s
-    # members chosen, once a node of size s has branched on them.
-    orbits_at: list[list[int] | None] = [None] * (ORBIT_DEPTH + 2)
+    # counts_at[s]: the atom counts of the s members chosen, once a node of
+    # size s has branched on them.
+    counts_at: list[list[int] | None] = [None] * (ORBIT_DEPTH + 2)
     # Open exclude branches, each the (pos, size, cover, U, L, nxt) of the
     # node it resumes at; the loop is at the node (pos, size, cover, nxt).
     # nxt[p] is the free position after the free position p; ncand, past
-    # the last candidate, is never excluded.
+    # the last candidate, is never excluded.  For s up to ORBIT_DEPTH,
+    # prv_at[s][q] is the free position before q, for each free q after
+    # the position of the node of size s, on the stack or the loop's: the
+    # stack holds at most one entry per size, each below the loop's size.
     stack: list[tuple[int, int, int, int, int, list[int]]] = []
     push, pop = stack.append, stack.pop
+    prv_at = [list(range(-1, ncand))] * (ORBIT_DEPTH + 2)
     # The root: [k] alone never dominates, since no two uppers are adjacent.
     pos, size, cover, nxt = 0, 1, masks[0], list(range(1, ncand + 2))
     # Uncovered lowers and uppers; cover has no bits outside full.
@@ -395,28 +416,27 @@ def branch_and_bound_gamma(
             if size > ORBIT_DEPTH:
                 epos, enxt = nxt[pos], nxt
             else:
-                # It drops pos's whole orbit.
-                if orbits_at[size] is None:
+                # It drops pos's whole orbit, which is free and starts at
+                # pos (see the docstring): the orbit's other positions are
+                # unlinked from copies of nxt and prv, the last first.
+                counts = counts_at[size]
+                if counts is None:
                     chosen = [kmask] + [graph.masks[order[p]] for p in path[:size - 1]]
-                    orbits_at[size] = _orbits(chosen, contains)
-                v = order[pos]
-                for orbit in orbits_at[size]:
-                    if orbit >> v & 1:
-                        break
-                # The free positions after pos outside the orbit, ncand last.
-                rest = []
-                p = nxt[pos]
-                while p < ncand:
-                    if not orbit >> order[p] & 1:
-                        rest.append(p)
-                    p = nxt[p]
-                rest.append(ncand)
-                enxt = [0] * (ncand + 1)
-                for p, q in zip(rest, rest[1:]):
-                    enxt[p] = q
-                epos = rest[0]
-                # The include child chooses a new set of size + 1.
-                orbits_at[size + 1] = None
+                    counts = counts_at[size] = _atom_counts(chosen, contains)
+                orbit = _orbit(counts, pos)
+                prv = prv_at[size]
+                enxt, eprv = nxt.copy(), prv.copy()
+                q = orbit.bit_length() - 1
+                while q > pos:
+                    a, b = eprv[q], enxt[q]
+                    enxt[a], eprv[b] = b, a
+                    orbit ^= 1 << q
+                    q = orbit.bit_length() - 1
+                epos = enxt[pos]
+                # The include child keeps nxt and chooses a new set of
+                # size + 1; the exclude branch takes enxt.
+                prv_at[size + 1], prv_at[size] = prv, eprv
+                counts_at[size + 1] = None
             # The include child, counted and checked here.
             path[size - 1] = pos
             child = cover | ordered_masks[pos]

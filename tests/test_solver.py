@@ -216,11 +216,13 @@ class TestBranchAndBound:
     # (test_agrees_with_milp).  The ids leave out the node count, so a
     # re-pin keeps the test's name.  (7,3,2) went from 125,815 nodes to
     # 4,141 when greedy began to drop redundant picks: the search starts
-    # from 13, the optimum, where it started from 15.
+    # from 13, the optimum, where it started from 15.  With the two frozen
+    # tests above, these pin the tree of every l = 2 spec of the bench's
+    # prove grid.
     @pytest.mark.parametrize("n,k,gamma,nodes", [
         (6, 3, 9, 3_843), (8, 6, 6, 205), (7, 3, 13, 4_141), (8, 4, 12, 92_213),
-        (10, 6, 9, 14_331),
-    ], ids=["6-3", "8-6", "7-3", "8-4", "10-6"])
+        (10, 6, 9, 14_331), (6, 4, 6, 71), (7, 5, 6, 169),
+    ], ids=["6-3", "8-6", "7-3", "8-4", "10-6", "6-4", "7-5"])
     def test_search_tree_pinned(self, n, k, gamma, nodes):
         report = exact_l2(n, k)
         assert report.proven_optimal
@@ -341,14 +343,18 @@ class TestOrbits:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_match_permutation_orbits(self, data):
+        # The members are shuffled, as branch and bound's candidates are
+        # sorted, so an orbit read in vertex order instead of position
+        # order fails.
         n = data.draw(st.integers(3, 6))
         k = data.draw(st.integers(2, n - 1))
         l = data.draw(st.integers(1, k - 1))
-        members = materialize(LevelGraphSpec(n, k, l)).masks
+        members = data.draw(st.permutations(materialize(LevelGraphSpec(n, k, l)).masks))
         chosen = data.draw(st.lists(st.sampled_from(members), max_size=4, unique=True))
         contains = [sum(1 << i for i, m in enumerate(members) if m >> e & 1) for e in range(n)]
-        orbits = cubedom.solver._orbits(chosen, contains)
-        assert len(orbits) == len(set(orbits))
+        counts = cubedom.solver._atom_counts(chosen, contains)
+        orbits = [cubedom.solver._orbit(counts, i) for i in range(len(members))]
+        assert all(orbit >> i & 1 for i, orbit in enumerate(orbits))
         assert set(orbits) == young_orbits(n, chosen, members)
 
 
