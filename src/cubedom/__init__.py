@@ -17,13 +17,6 @@ from .errors import (
     TooLargeError,
 )
 from .levelgraph import LevelGraphSpec, graph_stats, materialize
-from .solver import (
-    Method,
-    SolveReport,
-    branch_and_bound_gamma,
-    counting_lower_bound,
-    greedy_dominate,
-)
 from .subsets import (
     elements,
     enumerate_k_subsets,
@@ -32,3 +25,21 @@ from .subsets import (
 )
 
 __version__ = "0.1.0"
+
+# The solver is imported on first use of one of its names (PEP 562), so
+# the commands that do not solve never load it.
+_SOLVER_NAMES = frozenset({
+    "Method",
+    "SolveReport",
+    "branch_and_bound_gamma",
+    "counting_lower_bound",
+    "greedy_dominate",
+})
+
+
+def __getattr__(name: str):
+    if name in _SOLVER_NAMES:
+        from . import solver
+
+        return getattr(solver, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

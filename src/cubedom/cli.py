@@ -21,7 +21,6 @@ from .constructions import (
 )
 from .errors import CheckFailedError, InvalidParametersError, TooLargeError
 from .levelgraph import LevelGraphSpec, graph_stats, materialize
-from .solver import branch_and_bound_gamma, greedy_dominate, DEFAULT_NODE_BUDGET
 from .subsets import elements
 
 
@@ -67,18 +66,25 @@ def _cmd_verify(args) -> int:
     return 1
 
 
+# The solving commands import cubedom.solver when they run, so the other
+# commands never load it.
 def _cmd_exact(args) -> int:
+    from .solver import DEFAULT_NODE_BUDGET, branch_and_bound_gamma, greedy_dominate
+
+    budget = DEFAULT_NODE_BUDGET if args.node_budget is None else args.node_budget
     spec = LevelGraphSpec(args.n, args.k, args.l)
     # Checked before the graph is built, so a bad budget exits 2 at any size.
-    if args.node_budget < 1:
-        raise InvalidParametersError(f"node budget must be at least 1, got {args.node_budget}")
+    if budget < 1:
+        raise InvalidParametersError(f"node budget must be at least 1, got {budget}")
     graph = materialize(spec)
-    report = branch_and_bound_gamma(graph, greedy_dominate(graph), args.node_budget)
+    report = branch_and_bound_gamma(graph, greedy_dominate(graph), budget)
     _emit(json.dumps(report.to_json(), indent=2) + "\n", args.output)
     return 0 if report.proven_optimal else 3
 
 
 def _cmd_greedy(args) -> int:
+    from .solver import greedy_dominate
+
     report = greedy_dominate(materialize(LevelGraphSpec(args.n, args.k, args.l)))
     _emit(json.dumps(report.to_json(), indent=2) + "\n", args.output)
     return 0
@@ -159,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact domination number via branch and bound")
     _add_spec_args(p)
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    # None stands for the solver's DEFAULT_NODE_BUDGET, read when exact runs.
+    p.add_argument("--node-budget", type=int, default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_exact)
 

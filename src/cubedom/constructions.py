@@ -182,22 +182,27 @@ def verify_certificate(cert: DominationCertificate) -> VerificationResult:
         raise TooLargeError(f"{total} vertex checks exceed the cap of {VERIFY_CAP}")
     uppers, lowers = cert.uppers, cert.lowers
 
+    # for-else instead of any(): no generator is built per vertex.
     bad_lower = None
     for v in enumerate_k_subsets(n, l):
         if v in lowers:
             continue
-        if any(v & u == v for u in uppers):
-            continue
-        bad_lower = v
-        break
+        for u in uppers:
+            if v & u == v:
+                break
+        else:
+            bad_lower = v
+            break
     bad_upper = None
     for u in enumerate_k_subsets(n, k):
         if u in uppers:
             continue
-        if any(b & u == b for b in lowers):
-            continue
-        bad_upper = u
-        break
+        for b in lowers:
+            if b & u == b:
+                break
+        else:
+            bad_upper = u
+            break
     return _result(bad_lower, bad_upper)
 
 

@@ -8,6 +8,7 @@ colexicographic order, which coincides with ascending numeric mask order.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import InvalidParametersError
@@ -36,19 +37,17 @@ def mask_of(elements: Iterable[int], n: int) -> int:
 
 
 def enumerate_k_subsets(n: int, k: int) -> Iterator[int]:
-    """Masks of all k-subsets of [n] in colexicographic (ascending) order."""
+    """Masks of all k-subsets of [n] in colexicographic (ascending) order.
+
+    The loop runs in C: the (n-k)-combinations of the bits taken in
+    descending order have descending sums, so their complements, the
+    k-subsets, come out ascending.  Bad parameters raise at call time.
+    """
     if not 1 <= n <= MAX_GROUND_SET or not 0 <= k <= n:
         raise InvalidParametersError(f"bad level parameters n={n}, k={k}")
-    if k == 0:
-        yield 0
-        return
-    v = (1 << k) - 1
-    limit = 1 << n
-    while v < limit:
-        yield v
-        # Gosper's hack: next mask with the same popcount.
-        t = v | (v - 1)
-        v = (t + 1) | (((((t + 1) & -(t + 1)) // (v & -v)) >> 1) - 1)
+    full = (1 << n) - 1
+    bits = [1 << i for i in reversed(range(n))]
+    return map(full.__xor__, map(sum, combinations(bits, n - k)))
 
 
 def spanning_pairs(n: int) -> tuple[int, ...]:

@@ -355,12 +355,39 @@ class TestSolvers:
             assert "cubedom.experiments" in sys.modules
             print("ok")
         """)
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, timeout=60, env=env)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert proc.stdout == "ok\n"
+        fresh_interpreter(script)
+
+    def test_only_solving_commands_load_the_solver(self, tmp_path):
+        # The package and the commands that do not solve leave
+        # cubedom.solver unloaded; its names still resolve from cubedom.
+        script = textwrap.dedent(f"""
+            import contextlib, io, sys
+            import cubedom
+            from cubedom.cli import main
+
+            cert = {str(tmp_path / "t1.json")!r}
+            with contextlib.redirect_stdout(io.StringIO()):
+                for argv in (["stats", "--n", "6", "--k", "4", "--l", "2"],
+                             ["construct", "--theorem", "1", "--n", "9", "--k", "6", "-o", cert],
+                             ["verify", "--cert", cert],
+                             ["verify", "--cert", cert, "--structural"]):
+                    assert main(argv) == 0, argv
+                    assert "cubedom.solver" not in sys.modules, argv
+            assert cubedom.greedy_dominate.__module__ == "cubedom.solver"
+            assert "cubedom.solver" in sys.modules
+            print("ok")
+        """)
+        fresh_interpreter(script)
+
+
+def fresh_interpreter(script):
+    """Run ``script`` in a new interpreter on this checkout; it prints ok."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 class TestSweeps:

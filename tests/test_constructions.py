@@ -197,7 +197,31 @@ class TestTheorem2Construct:
         assert not oracle_undominated(n, n - 1, 2, cert_as_tuples(cert))
 
 
+@st.composite
+def families(draw):
+    """Any 1 <= l < k < n <= 8 and a random family on both levels."""
+    n = draw(st.integers(min_value=3, max_value=8))
+    l = draw(st.integers(min_value=1, max_value=n - 2))
+    k = draw(st.integers(min_value=l + 1, max_value=n - 1))
+
+    def level(size):
+        sets = list(itertools.combinations(range(1, n + 1), size))
+        picked = draw(st.lists(st.sampled_from(sets), max_size=len(sets), unique=True))
+        return frozenset(mask_of(e, n) for e in picked)
+
+    return DominationCertificate(LevelGraphSpec(n, k, l), level(k), level(l),
+                                 Provenance.EXTERNAL)
+
+
 class TestVerifyCertificate:
+    @settings(max_examples=400, deadline=None)
+    @given(families())
+    def test_matches_naive_oracle(self, cert):
+        spec = cert.spec
+        bad = oracle_undominated(spec.n, spec.k, spec.l, cert_as_tuples(cert))
+        least = min((mask_of(v, spec.n) for _, v in bad), default=None)
+        assert verify_certificate(cert).witness == least
+
     def test_single_upper_witness(self):
         cert = certificate(4, 3, uppers=[(1, 2, 3)])
         result = verify_certificate(cert)

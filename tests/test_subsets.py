@@ -15,6 +15,18 @@ def combos(n, k):
     return [set(c) for c in itertools.combinations(range(1, n + 1), k)]
 
 
+def gosper_k_subsets(n, k):
+    """Reference: the k-subset masks of [n] by Gosper's hack, ascending."""
+    if k == 0:
+        yield 0
+        return
+    v = (1 << k) - 1
+    while v < 1 << n:
+        yield v
+        t = v | (v - 1)
+        v = (t + 1) | (((((t + 1) & -(t + 1)) // (v & -v)) >> 1) - 1)
+
+
 class TestSubset:
     """Subsets as int masks: ``mask_of`` and ``elements``."""
 
@@ -87,11 +99,25 @@ class TestEnumeration:
             # Ascending mask = colex order.
             assert all(a < b for a, b in zip(subs, subs[1:]))
 
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_gosper_loop(self, n):
+        for k in range(n + 1):
+            assert list(enumerate_k_subsets(n, k)) == list(gosper_k_subsets(n, k))
+
+    def test_first_and_last_at_n64(self):
+        # The last mask only where the level is small enough to walk.
+        for k in range(65):
+            low = (1 << k) - 1
+            assert next(enumerate_k_subsets(64, k)) == low
+            if math.comb(64, k) <= 50_000:
+                *_, last = enumerate_k_subsets(64, k)
+                assert last == low << (64 - k)
+
     def test_rejects_bad_parameters(self):
-        with pytest.raises(InvalidParametersError):
-            list(enumerate_k_subsets(4, 5))
-        with pytest.raises(InvalidParametersError):
-            list(enumerate_k_subsets(65, 2))
+        # Not a generator: the call raises before anything is iterated.
+        for n, k in [(4, 5), (65, 2), (0, 0), (4, -1)]:
+            with pytest.raises(InvalidParametersError):
+                enumerate_k_subsets(n, k)
 
 
 class TestSpanningPairs:
