@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a certificate file")
     p.add_argument("--cert", required=True)
     p.add_argument("--structural", action="store_true",
-                   help="check the two l=2 cover conditions instead of every vertex")
+                   help="refuse a certificate with l != 2 (l = 2 is checked structurally anyway)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("exact", help="exact domination number via branch and bound")

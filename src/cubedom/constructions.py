@@ -9,10 +9,10 @@ A certificate holds its family as two sets of masks, the upper members
 (k-sets) and the lower members (l-sets); since k > l, a mask's size names
 its level.
 
-Verification comes in two flavours.  The enumerative verifier walks every
-vertex of the graph.  The structural verifier handles any l = 2 family
-D = A ∪ H, where A is the set of k-set members and H the set of pair
-members, read as a graph on [n].  D dominates G_{k,2} if and only if
+Two checks give the same result.  The vertex scan walks every vertex of
+the graph.  The structural check handles any l = 2 family D = A ∪ H,
+where A is the set of k-set members and H the set of pair members, read
+as a graph on [n].  D dominates G_{k,2} if and only if
 
   (i) every pair not in H lies inside some member of A, and
   (ii) every k-set that is independent in H is in A.
@@ -21,11 +21,12 @@ Condition (i) is a scan over the pairs; condition (ii) is a search for a
 k-clique in the complement of H, bounded by a clique partition of H
 (Carraghan & Pardalos 1990; Östergård 2002), which stops at the root for
 the construction above, and by the mask of the pair (i) found uncovered,
-if any.  So the structural verifier scales to any n within
-the 64-element cap; past VERIFY_CAP search nodes it raises TooLargeError,
-as the enumerative verifier does past VERIFY_CAP vertex checks.  Both
-verifiers report the same witness on failure: the undominated vertex of
-least mask, that is the colex-least one, over both levels, reported as its
+if any.  So the structural check scales to any n within the 64-element
+cap; past VERIFY_CAP search nodes it raises TooLargeError, as the scan
+does past VERIFY_CAP vertex checks.  ``verify_certificate`` picks by the
+certificate's l: the structural check for l = 2, the scan otherwise.
+Both report the same witness on failure: the undominated vertex of least
+mask, that is the colex-least one, over both levels, reported as its
 mask.
 """
 
@@ -170,7 +171,15 @@ def _result(*bad: Optional[int]) -> VerificationResult:
 
 
 def verify_certificate(cert: DominationCertificate) -> VerificationResult:
-    """Enumerative check that every vertex is a member or has a member neighbor.
+    """Check that every vertex is a member or has a member neighbor:
+    structurally for l = 2, by the vertex scan otherwise."""
+    if cert.spec.l == 2:
+        return verify_structural(cert)
+    return scan_certificate(cert)
+
+
+def scan_certificate(cert: DominationCertificate) -> VerificationResult:
+    """Walk every vertex, each level in colex order, to its first undominated one.
 
     The witness, when verification fails, is the colex-least (smallest mask)
     undominated vertex over both levels.
@@ -209,7 +218,7 @@ def verify_certificate(cert: DominationCertificate) -> VerificationResult:
 def verify_structural(cert: DominationCertificate) -> VerificationResult:
     """Check conditions (i) and (ii) of the module docstring for an l=2 family.
 
-    Returns the same result as ``verify_certificate``, witness included,
+    Returns the same result as ``scan_certificate``, witness included,
     without walking the C(n, k) upper vertices, so it runs for any n <= 64.
     """
     spec = cert.spec

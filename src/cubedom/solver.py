@@ -111,7 +111,8 @@ def counting_lower_bound(spec: LevelGraphSpec) -> int:
 def _report(
     graph: MaterializedGraph, method: Method, chosen, lower_bound: int, nodes: int, start: float
 ) -> SolveReport:
-    """The report on the chosen vertex indices, its witness re-verified."""
+    """The report on the chosen vertex indices, its witness re-verified from
+    its masks alone; for l = 2 the check shares no code with ``materialize``."""
     nu, masks = graph.upper_count, graph.masks
     witness = DominationCertificate(
         spec=graph.spec,

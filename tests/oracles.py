@@ -9,7 +9,7 @@ bound from greedy's report.
 
 from itertools import count
 
-from cubedom.constructions import DominationCertificate, Provenance, verify_certificate
+from cubedom.constructions import DominationCertificate, Provenance, scan_certificate
 from cubedom.errors import TooLargeError
 from cubedom.levelgraph import MaterializedGraph
 from cubedom.solver import (
@@ -90,7 +90,7 @@ def brute_force_gamma(graph: MaterializedGraph) -> DominationCertificate:
                 lowers=frozenset(vertex_masks[i] for i in chosen if i >= nu),
                 provenance=Provenance.EXACT,
             )
-            assert verify_certificate(witness).verified
+            assert scan_certificate(witness).verified
             return witness
 
 

@@ -16,8 +16,9 @@ import cubedom.errors
 import cubedom.experiments
 import cubedom.solver
 from cubedom.cli import build_parser, main
+from cubedom.constructions import certificate_from_json, scan_certificate
 from cubedom.errors import CheckFailedError, InvalidParametersError, TooLargeError
-from cubedom.subsets import enumerate_k_subsets
+from cubedom.subsets import elements, enumerate_k_subsets
 
 # The fields of a certificate file before its members.
 HEAD = {"n": 4, "k": 3, "l": 2, "provenance": "external"}
@@ -61,6 +62,13 @@ class TestConstructVerify:
         code, out, _ = run(capsys, "verify", "--cert", str(path), "--structural")
         assert code == 0
         assert "verified" in out
+
+    def test_theorem1_past_the_scan_cap_verifies_by_default(self, capsys, tmp_path):
+        # C(30,20) + C(30,2) vertices are over the scan's cap, but an l = 2
+        # file takes the structural check, so the default path exits 0.
+        path = tmp_path / "cert.json"
+        run(capsys, "construct", "--theorem", "1", "--n", "30", "--k", "20", "-o", str(path))
+        assert run(capsys, "verify", "--cert", str(path)) == (0, "verified\n", "")
 
     def test_bad_certificate_exits_1(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
@@ -211,6 +219,16 @@ def verify_data(capsys, tmp_path, data, *flags):
     return run(capsys, "verify", "--cert", str(path), *flags)
 
 
+def scan_line(data):
+    """The line ``verify`` prints for ``data``, as the vertex scan decides it."""
+    cert = certificate_from_json(data)
+    witness = scan_certificate(cert).witness
+    if witness is None:
+        return "verified\n"
+    level = "upper" if witness.bit_count() == cert.spec.k else "lower"
+    return f"not dominating; undominated vertex: {level} {list(elements(witness))}\n"
+
+
 class TestVerifyStructural:
     def test_theorem1_with_extra_pair_verifies(self, capsys, tmp_path):
         data = theorem1_file(capsys, tmp_path, 10, 7)
@@ -227,11 +245,10 @@ class TestVerifyStructural:
     def test_theorem1_missing_pair_gives_enumerative_witness(self, capsys, tmp_path):
         data = theorem1_file(capsys, tmp_path, 10, 6)
         data["members"].remove({"level": "lower", "elements": [3, 4]})
-        structural = verify_data(capsys, tmp_path, data, "--structural")
-        assert structural == verify_data(capsys, tmp_path, data)
-        assert structural == (
-            1, "not dominating; undominated vertex: upper [1, 3, 4, 5, 7, 9]\n", ""
-        )
+        want = (1, scan_line(data), "")
+        assert want == (1, "not dominating; undominated vertex: upper [1, 3, 4, 5, 7, 9]\n", "")
+        assert verify_data(capsys, tmp_path, data) == want
+        assert verify_data(capsys, tmp_path, data, "--structural") == want
 
     @pytest.mark.parametrize("flags", [(), ("--structural",)], ids=["enumerative", "structural"])
     @pytest.mark.parametrize("construct,pair", [
@@ -271,8 +288,9 @@ class TestVerifyStructural:
             extra = min(set(range(1, 31)) - set(union))
             members.append({"level": "upper", "elements": sorted(union + [extra])})
         data = {"n": 30, "k": 13, "l": 2, "provenance": "external", "members": members}
-        assert verify_data(capsys, tmp_path, data, "--structural") == (
-            3, "", "error: structural search nodes exceed the cap of 1000\n")
+        for flags in ((), ("--structural",)):
+            assert verify_data(capsys, tmp_path, data, *flags) == (
+                3, "", "error: structural search nodes exceed the cap of 1000\n")
 
     def test_level_other_than_2_exits_2(self, capsys, tmp_path):
         data = {
@@ -282,6 +300,22 @@ class TestVerifyStructural:
         code, out, err = verify_data(capsys, tmp_path, data, "--structural")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n,l,members,line", [
+        (7, 1, [[1]], "not dominating; undominated vertex: lower [2]\n"),
+        (7, 3, [[1, 2, 3, 4], [1, 5, 6, 7], [2, 3, 5, 6], [2, 4, 5, 7], [3, 4, 6, 7]],
+         "not dominating; undominated vertex: lower [1, 2, 5]\n"),
+        # greedy's witness at (6,4,3)
+        (6, 3, [[1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 4, 5], [1, 2, 3, 6], [1, 2, 4, 6],
+                [1, 2, 5, 6], [3, 4, 5, 6], [1, 3, 5], [2, 4, 5], [2, 3, 6], [1, 4, 6]],
+         "verified\n"),
+    ], ids=["l1-refuted", "l3-refuted", "l3-verified"])
+    def test_level_other_than_2_takes_the_scan(self, capsys, tmp_path, n, l, members, line):
+        data = {"n": n, "k": 4, "l": l, "provenance": "external",
+                "members": [{"level": "upper" if len(e) == 4 else "lower", "elements": e}
+                            for e in members]}
+        assert scan_line(data) == line
+        assert verify_data(capsys, tmp_path, data) == (0 if line == "verified\n" else 1, line, "")
 
 
 class TestSweepTheoremChecks:

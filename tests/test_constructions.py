@@ -18,6 +18,7 @@ from cubedom.constructions import (
     certificate_to_json,
     dump_certificate,
     load_certificate,
+    scan_certificate,
     theorem1_construct,
     theorem2_construct,
     verify_certificate,
@@ -220,6 +221,7 @@ class TestVerifyCertificate:
         spec = cert.spec
         bad = oracle_undominated(spec.n, spec.k, spec.l, cert_as_tuples(cert))
         least = min((mask_of(v, spec.n) for _, v in bad), default=None)
+        assert scan_certificate(cert).witness == least
         assert verify_certificate(cert).witness == least
 
     def test_single_upper_witness(self):
@@ -275,7 +277,26 @@ class TestVerifyCertificate:
         # C(30,16) + C(30,2) = 145,423,110 checks, over the 5,000,000 cap.
         cert = theorem1_construct(30, 16)
         with pytest.raises(TooLargeError, match="145423110 vertex checks exceed the cap"):
-            verify_certificate(cert)
+            scan_certificate(cert)
+
+    def test_l2_takes_the_structural_check_past_the_scan_cap(self, monkeypatch):
+        # l = 2 never reaches the scan, so its cap does not apply.
+        def no_scan(cert):
+            raise AssertionError("the vertex scan ran on an l = 2 certificate")
+
+        monkeypatch.setattr(cubedom.constructions, "scan_certificate", no_scan)
+        assert verify_certificate(theorem1_construct(30, 16)) == VerificationResult(None)
+        assert verify_certificate(theorem1_construct(64, 33)) == VerificationResult(None)
+
+    @pytest.mark.parametrize("l", [1, 3])
+    def test_other_l_takes_the_scan(self, monkeypatch, l):
+        def no_structural(cert):
+            raise AssertionError("the structural check ran on l != 2")
+
+        monkeypatch.setattr(cubedom.constructions, "verify_structural", no_structural)
+        cert = DominationCertificate(LevelGraphSpec(7, 4, l), frozenset(), frozenset(),
+                                     Provenance.EXTERNAL)
+        assert verify_certificate(cert) == VerificationResult((1 << l) - 1)
 
 
 @st.composite
@@ -302,7 +323,7 @@ class TestStructuralVerifier:
         broken = certificate(6, 4, uppers, [(1, 2), (3, 4), (4, 5)])
         result = verify_structural(broken)
         assert not result.verified
-        assert result == verify_certificate(broken)
+        assert result == scan_certificate(broken)
         assert elements(result.witness) == (1, 3, 5, 6)
 
     def test_pair_members_must_be_pairs(self):
@@ -321,19 +342,22 @@ class TestStructuralVerifier:
     def test_agrees_with_enumerative_verifier(self, n):
         for k in range(ceil(n / 2) + 1, n):
             cert = theorem1_construct(n, k)
-            assert verify_structural(cert) == verify_certificate(cert)
+            assert verify_structural(cert) == scan_certificate(cert)
 
     @pytest.mark.parametrize("n", range(4, 13))
     def test_agrees_on_theorem_certificates_up_to_n12(self, n):
         certs = [theorem2_construct(n)]
         certs += [theorem1_construct(n, k) for k in range(ceil(n / 2) + 1, n)]
         for cert in certs:
-            assert verify_structural(cert) == verify_certificate(cert)
+            assert verify_structural(cert) == scan_certificate(cert)
 
     @settings(max_examples=300, deadline=None)
     @given(l2_families())
     def test_agrees_on_random_families(self, cert):
-        assert verify_structural(cert) == verify_certificate(cert)
+        # The scan is the reference; verify_certificate is the default path.
+        reference = scan_certificate(cert)
+        assert verify_structural(cert) == reference
+        assert verify_certificate(cert) == reference
 
     @pytest.mark.parametrize("n", [20, 33, 40, 55, 63])
     def test_scales_past_enumeration(self, n):

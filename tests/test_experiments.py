@@ -10,6 +10,7 @@ from math import ceil
 import pytest
 
 import cubedom.cli
+import cubedom.constructions
 import cubedom.experiments
 import cubedom.solver
 from cubedom.errors import CheckFailedError, InvalidParametersError, TooLargeError
@@ -98,6 +99,22 @@ class TestTheorem1Sweep:
     def test_rejects_small_n(self):
         with pytest.raises(InvalidParametersError):
             run_theorem1_sweep(3, 6)
+
+    def test_two_methods_up_to_the_scan_cap(self, monkeypatch):
+        # A scan that rejects everything fails the sweep at the cap and is
+        # not consulted above it, where the structural check stands alone.
+        scanned = []
+
+        def rejecting_scan(cert):
+            scanned.append(cert.spec.n)
+            return cubedom.constructions.VerificationResult(1)
+
+        monkeypatch.setattr(cubedom.experiments, "scan_certificate", rejecting_scan)
+        cap = cubedom.experiments.THEOREM1_ENUM_N_CAP
+        with pytest.raises(CheckFailedError, match="fails enumerative verification"):
+            run_theorem1_sweep(cap, cap)
+        assert run_theorem1_sweep(cap + 1, cap + 1)
+        assert scanned == [cap]
 
 
 class TestGk1Check:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from dataclasses import fields, replace
 from math import ceil, comb
 from operator import or_
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cubedom.constructions
 import cubedom.solver
 from cubedom.constructions import (
     Provenance,
@@ -21,9 +23,10 @@ from cubedom.constructions import (
     theorem1_construct,
     verify_certificate,
 )
-from cubedom.errors import InvalidParametersError, TooLargeError
+from cubedom.errors import CheckFailedError, InvalidParametersError, TooLargeError
 from cubedom.levelgraph import LevelGraphSpec, materialize
 from cubedom.solver import (
+    Method,
     SolveReport,
     branch_and_bound_gamma,
     counting_lower_bound,
@@ -429,6 +432,23 @@ class TestSandwich:
                 size = theorem1_construct(n, k).size
                 assert lb <= exact <= greedy
                 assert exact <= size
+
+
+class TestReportRecheck:
+    def test_l2_witness_is_rechecked_without_the_scan(self, monkeypatch):
+        # An l = 2 witness is re-checked structurally, from its masks alone:
+        # neither the graph's bitsets nor the vertex scan decide it.
+        def no_scan(cert):
+            raise AssertionError("the vertex scan ran on an l = 2 witness")
+
+        monkeypatch.setattr(cubedom.constructions, "scan_certificate", no_scan)
+        graph = materialize(LevelGraphSpec(6, 4, 2))
+        chosen = sorted(graph.masks.index(m) for m in theorem1_construct(6, 4).uppers)
+        with pytest.raises(CheckFailedError, match="non-dominating witness"):
+            cubedom.solver._report(graph, Method.GREEDY, chosen, 0, 0, time.perf_counter())
+        chosen += [graph.masks.index(m) for m in theorem1_construct(6, 4).lowers]
+        report = cubedom.solver._report(graph, Method.GREEDY, chosen, 0, 0, time.perf_counter())
+        assert report.value == 6
 
 
 class TestInvariantsUnderOptimize:
