@@ -34,6 +34,7 @@ _SOLVER_NAMES = frozenset({
     "branch_and_bound_gamma",
     "counting_lower_bound",
     "greedy_dominate",
+    "pair_graph_lower_bound",
 })
 
 

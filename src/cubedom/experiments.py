@@ -23,7 +23,7 @@ from .constructions import (
 )
 from .errors import CheckFailedError, InvalidParametersError, TooLargeError
 from .levelgraph import LevelGraphSpec, materialize
-from .solver import SolveReport, branch_and_bound_gamma, counting_lower_bound, greedy_dominate
+from .solver import SolveReport, branch_and_bound_gamma, greedy_dominate, spec_lower_bound
 from .subsets import MAX_GROUND_SET
 
 # Above these n, the theorem-1 sweep stops calling the exact solver and
@@ -74,8 +74,9 @@ def _row(spec: LevelGraphSpec, construction_size: Optional[int],
     A greedy report gives the row its greedy value; where branch and
     bound ran, it started from that report.  The second report, branch
     and bound's or one that proves gamma by itself, gives gamma when
-    proven, and the lower bound; with none the lower bound is the counting
-    bound.  The main term is filled on l = 2 rows.
+    proven, and the lower bound; with none the lower bound is the one the
+    spec gives alone (``spec_lower_bound``).  The main term is filled on
+    l = 2 rows.
     """
     proven = report is not None and report.proven_optimal
     return ExperimentRow(
@@ -85,7 +86,7 @@ def _row(spec: LevelGraphSpec, construction_size: Optional[int],
         proven=proven,
         greedy_value=None if greedy is None else greedy.value,
         construction_size=construction_size,
-        lower_bound=counting_lower_bound(spec) if report is None else report.lower_bound,
+        lower_bound=spec_lower_bound(spec) if report is None else report.lower_bound,
         conjecture_main_term=conjecture_main_term(spec.n, spec.k) if spec.l == 2 else None,
     )
 
@@ -131,7 +132,8 @@ def run_theorem1_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
     The structural check and the size bound ceil(n/2) + 6 hold on every
     row.  Up to THEOREM1_ENUM_N_CAP the vertex scan checks the certificate
     a second time, by a method independent of the structural one, and
-    greedy runs; exact solving stops at THEOREM1_SOLVER_N_CAP.
+    greedy runs.  Where greedy's report meets its lower bound it is the
+    row's proof; otherwise exact solving runs up to THEOREM1_SOLVER_N_CAP.
     """
     _check_range(n_min, n_max)
     rows = []
@@ -153,12 +155,14 @@ def run_theorem1_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
                     )
                 graph = materialize(cert.spec)
                 greedy = greedy_dominate(graph)
-                if n <= THEOREM1_SOLVER_N_CAP:
+                if greedy.proven_optimal:
+                    report = greedy
+                elif n <= THEOREM1_SOLVER_N_CAP:
                     report = branch_and_bound_gamma(graph, greedy)
-                    if report.proven_optimal and report.value > cert.size:
-                        raise CheckFailedError(
-                            f"(n={n},k={k}): gamma {report.value} exceeds construction"
-                        )
+                if report is not None and report.proven_optimal and report.value > cert.size:
+                    raise CheckFailedError(
+                        f"(n={n},k={k}): gamma {report.value} exceeds construction"
+                    )
             rows.append(_row(cert.spec, cert.size, greedy, report))
     return rows
 

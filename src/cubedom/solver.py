@@ -14,8 +14,9 @@ import enum
 import heapq
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, repeat
-from math import comb
+from math import comb, factorial, prod
 
 from .constructions import (
     DominationCertificate,
@@ -108,6 +109,64 @@ def counting_lower_bound(spec: LevelGraphSpec) -> int:
     return best
 
 
+def _clique_floor(n: int, k: int, m: int) -> int:
+    """A lower bound on the number of k-cliques of any graph with n
+    vertices and m edges, from the Moon-Moser chain (Moon and Moser 1962;
+    Khadzhiivanov and Nikiforov 1978).
+
+    With N_s the number of s-cliques, N_{s+1}/N_s >= (s^2 N_s/N_{s-1} - n)
+    / (s^2 - 1) for s >= 2 while N_s > 0.  Started at N_2/N_1 = m/n, the
+    chain's bounds on N_s/N_{s-1} are x_s = b_s/(s n), by induction, with
+    b_s = 2(s-1)m - (s-2)n^2, which falls as s grows.  So if b_k > 0 then
+    N_k >= n x_2 ... x_k = b_2 ... b_k / (k! n^(k-2)), and otherwise the
+    bound is 0.
+    """
+    step = n * n - 2 * m
+    if 2 * m <= (k - 2) * step:
+        return 0
+    factors = range(2 * m, 2 * m - (k - 1) * step, -step)
+    return -(-prod(factors) // (factorial(k) * n ** (k - 2)))
+
+
+def pair_graph_lower_bound(n: int, k: int) -> int:
+    """A lower bound on gamma(G_{k,2}): the pair-graph bound, or the
+    counting bound where that is larger.
+
+    Write a dominating family as A, its k-set members, and H, its e pair
+    members read as a graph on [n].  The C(n,2) - e pairs outside H each
+    lie in a member of A, which holds C(k,2) pairs, and every k-set
+    independent in H, a k-clique of H's complement, is in A.  So the
+    family has at least e + max(ceil((C(n,2) - e)/C(k,2)), c) members,
+    where c is ``_clique_floor`` of the complement's C(n,2) - e edges;
+    the pair-graph bound is the least of these over e.  README has the
+    full proof.
+    """
+    return max(counting_lower_bound(LevelGraphSpec(n, k, 2)), _pair_graph_min(n, k))
+
+
+@lru_cache(maxsize=None)
+def _pair_graph_min(n: int, k: int) -> int:
+    """The pair-graph bound, scanned once per (n, k).  e plus the cover
+    term never falls as e grows, so the scan ends once it reaches the
+    least value so far."""
+    pairs, per = comb(n, 2), comb(k, 2)
+    best = pairs
+    for e in range(pairs + 1):
+        covered = e - (e - pairs) // per
+        if covered >= best:
+            break
+        best = min(best, max(covered, e + _clique_floor(n, k, pairs - e)))
+    return best
+
+
+def spec_lower_bound(spec: LevelGraphSpec) -> int:
+    """The lower bound known from the spec alone, branch and bound's root
+    bound: the pair-graph bound for l = 2, the counting bound otherwise."""
+    if spec.l == 2:
+        return pair_graph_lower_bound(spec.n, spec.k)
+    return counting_lower_bound(spec)
+
+
 def _report(
     graph: MaterializedGraph, method: Method, chosen, lower_bound: int, nodes: int, start: float
 ) -> SolveReport:
@@ -162,7 +221,7 @@ def greedy_dominate(graph: MaterializedGraph) -> SolveReport:
             del chosen[j]
         else:
             kept |= masks[chosen[j]]
-    lb = counting_lower_bound(graph.spec)
+    lb = spec_lower_bound(graph.spec)
     return _report(graph, Method.GREEDY, chosen, lb, len(chosen), start)
 
 
@@ -296,9 +355,10 @@ def branch_and_bound_gamma(
 
     Initialized with the witness of ``incumbent``, a report on the same
     spec (greedy's at every package call), and stopped early when it meets
-    the counting relaxation at the root.  A node with s vertices chosen, U
-    upper and L lower vertices uncovered, can lead to a family smaller
-    than the incumbent's size b only by r = b - s - 1 more picks from the
+    the root lower bound, ``pair_graph_lower_bound`` for l = 2 and the
+    counting bound otherwise.  A node with s vertices chosen, U upper and
+    L lower vertices uncovered, can lead to a family smaller than the
+    incumbent's size b only by r = b - s - 1 more picks from the
     candidates at or after its position.  It is pruned when r < 0, when
     U > cap(r, L) (see ``_cap_table``; the level classes are those of its
     remaining candidates), or when those candidates together miss a
@@ -333,7 +393,7 @@ def branch_and_bound_gamma(
     masks = graph.closed
     nv = graph.vertex_count
     full = (1 << nv) - 1
-    root_lb = counting_lower_bound(graph.spec)
+    root_lb = spec_lower_bound(graph.spec)
 
     if incumbent.spec != graph.spec:
         raise InvalidParametersError(f"incumbent is for {incumbent.spec}, not {graph.spec}")

@@ -100,6 +100,25 @@ class TestTheorem1Sweep:
         with pytest.raises(InvalidParametersError):
             run_theorem1_sweep(3, 6)
 
+    def test_greedy_proves_where_it_meets_the_bound(self, monkeypatch):
+        # Greedy's report is the proof of every row it proves, so branch and
+        # bound runs only on the other rows up to the solver cap: (6,4)
+        # and (7,5).  Above the cap the k = n - 1 rows read 3 = 3, and
+        # (9,6) reads greedy's 7 against the pair-graph bound of 7.
+        searched = []
+        real = cubedom.experiments.branch_and_bound_gamma
+
+        def counted(graph, incumbent, *args):
+            searched.append((graph.spec.n, graph.spec.k))
+            return real(graph, incumbent, *args)
+
+        monkeypatch.setattr(cubedom.experiments, "branch_and_bound_gamma", counted)
+        rows = run_theorem1_sweep(4, 12)
+        assert searched == [(6, 4), (7, 5)]
+        proven = [(r.n, r.k) for r in rows if r.proven and r.n > 7]
+        assert proven == [(8, 7), (9, 6), (9, 8), (10, 9), (11, 10), (12, 11)]
+        assert all(r.gamma_exact == r.greedy_value == r.lower_bound for r in rows if r.proven)
+
     def test_two_methods_up_to_the_scan_cap(self, monkeypatch):
         # A scan that rejects everything fails the sweep at the cap and is
         # not consulted above it, where the structural check stands alone.
@@ -311,10 +330,17 @@ class TestPinnedTables:
     # 8,4,12,true,12,,12 where it read 8,4,,false,12,,9.  It was re-taken
     # (a97a1f6e... -> f51b46df...) once greedy drops redundant picks: only
     # greedy_value moved, (7,3) 15 -> 13, (8,3) 20 -> 18 and (9,3) 26 -> 25.
+    # The pair-graph bound re-took the conjecture digest (f51b46df... ->
+    # 78ceb14d...): lower_bound (9,3) 20 -> 22, (9,4) 11 -> 14 and (9,5)
+    # 8 -> 9.  It re-took the theorem-1 digest (2628d138... -> 40bb6788...)
+    # with greedy's report as the proof where it meets the bound: the
+    # k = n - 1 rows at n = 8...12 and (9,6) now read proven, and
+    # lower_bound rose at (8,5), (9,6), (10,6), (11,7), (11,8), (12,7),
+    # (12,8) and (12,9).
     DIGESTS = {
         "theorem2": "c170bd52bb4ce54c89734969a7ffaaed2a69f47abb5de7cecb170c76cb2ca14a",
-        "conjecture": "f51b46dfb38a1a3bbce0ac9970fc6e0dff7ecafc0b9a4b2c23d523c79df4e2b1",
-        "theorem1": "2628d138051ac99bfb3b09566d48f2c599f32a8a5ababd07ebbcdf49d064dbc4",
+        "conjecture": "78ceb14d51012fb04c0701c2bb4ddd83bd207bbe8011cea0701d72a531a22bb1",
+        "theorem1": "40bb6788c420ec24bb800625055c0cff6ec875598e83ba9133ad845269add4be",
         "gk1": "2a5bfc7231af08f697c021ba5f6f32749b73486cbf1fe8a208cb68cba40078b1",
     }
 

@@ -8,6 +8,7 @@ import sys
 import textwrap
 import time
 from dataclasses import fields, replace
+from fractions import Fraction
 from math import ceil, comb
 from operator import or_
 
@@ -31,6 +32,7 @@ from cubedom.solver import (
     branch_and_bound_gamma,
     counting_lower_bound,
     greedy_dominate,
+    pair_graph_lower_bound,
 )
 
 import oracles
@@ -83,6 +85,119 @@ class TestCountingLowerBound:
                 for l in range(1, k):
                     spec = LevelGraphSpec(n, k, l)
                     assert counting_lower_bound(spec) <= brute_force_gamma(materialize(spec)).size
+
+
+def chain_clique_floor(n, k, m):
+    """The Moon-Moser chain step by step in exact fractions: from
+    x_2 = m/n, x_{s+1} = (s^2 x_s - n)/(s^2 - 1), and the ceiling of
+    n x_2 ... x_k, or 0 once some x_s <= 0."""
+    x, total = Fraction(m, n), Fraction(n)
+    for s in range(2, k + 1):
+        if x <= 0:
+            return 0
+        total *= x
+        x = (s * s * x - n) / (s * s - 1)
+    return ceil(total)
+
+
+# Values of gamma(G_{k,2}) that HiGHS proved on rows branch and bound
+# leaves open at the conjecture table's budget; (12,7) is a theorem-1 row.
+HIGHS_GAMMA = {(8, 3): 18, (9, 3): 24, (9, 4): 15, (9, 5): 10, (10, 3): 30, (10, 4): 19,
+               (10, 5): 14, (11, 4): 24, (11, 6): 12, (12, 7): 11}
+# README's frozen values of gamma(G_{k,2}).
+FROZEN_GAMMA = {(6, 3): 9, (6, 4): 6, (7, 3): 13, (7, 4): 9, (8, 4): 12, (8, 5): 8,
+                (8, 6): 6, (10, 6): 9}
+
+
+class TestPairGraphLowerBound:
+    def test_clique_floor_below_every_graph_at_n6(self):
+        # Every graph on 6 vertices, as a mask over the 15 pairs: the floor
+        # never exceeds the fewest k-cliques at any edge count.
+        pairs = list(itertools.combinations(range(6), 2))
+        bit = {p: 1 << i for i, p in enumerate(pairs)}
+        for k in (3, 4, 5):
+            cliques = [sum(bit[p] for p in itertools.combinations(c, 2))
+                       for c in itertools.combinations(range(6), k)]
+            fewest = [None] * 16
+            for graph in range(1 << 15):
+                count = sum(graph & c == c for c in cliques)
+                m = graph.bit_count()
+                if fewest[m] is None or count < fewest[m]:
+                    fewest[m] = count
+            floors = [cubedom.solver._clique_floor(6, k, m) for m in range(16)]
+            assert all(f <= c for f, c in zip(floors, fewest)), (k, floors, fewest)
+            # The complete graph meets it: C(6,k) cliques.
+            assert floors[15] == fewest[15] == comb(6, k)
+
+    def test_clique_floor_is_the_chain(self):
+        # Above the first m where the chain reads 0 every m is compared;
+        # below it both read 0, as the chain's x_s grow with m.
+        for n in range(4, 41):
+            for k in range(3, n):
+                for m in range(comb(n, 2), -1, -1):
+                    got = cubedom.solver._clique_floor(n, k, m)
+                    assert got == chain_clique_floor(n, k, m), (n, k, m)
+                    if got == 0:
+                        break
+                assert not any(cubedom.solver._clique_floor(n, k, low) for low in range(m))
+
+    def test_at_most_known_gamma(self):
+        for (n, k), gamma in {**FROZEN_GAMMA, **HIGHS_GAMMA}.items():
+            assert pair_graph_lower_bound(n, k) <= gamma, (n, k)
+
+    def test_at_most_gamma_proven_by_branch_and_bound(self):
+        proven = 0
+        for n in range(4, 9):
+            for k in range(3, n):
+                report = seeded_search(materialize(LevelGraphSpec(n, k, 2)), node_budget=200_000)
+                if report.proven_optimal:
+                    proven += 1
+                    assert pair_graph_lower_bound(n, k) <= report.value, (n, k)
+        assert proven == 14  # all but (8,3)
+
+    def test_at_least_counting_bound(self):
+        for n in range(4, 65):
+            for k in range(3, n):
+                spec = LevelGraphSpec(n, k, 2)
+                assert pair_graph_lower_bound(n, k) >= counting_lower_bound(spec), (n, k)
+
+    def test_values(self):
+        # Above the counting bound at (6,3), (8,4) and (9,6), where it meets
+        # gamma at (6,3) and (9,6); far above it at n = 64.
+        specs = [(6, 3), (8, 4), (9, 6), (12, 7)]
+        assert [pair_graph_lower_bound(n, k) for n, k in specs] == [9, 10, 7, 9]
+        assert [counting_lower_bound(LevelGraphSpec(n, k, 2)) for n, k in specs] == [8, 9, 6, 7]
+        assert (pair_graph_lower_bound(64, 5), pair_graph_lower_bound(64, 8)) == (634, 324)
+
+    def test_is_the_l2_bound_of_both_solvers(self):
+        # Greedy's (9,6,2) cover of 7 meets the bound, so branch and bound
+        # ends at the root; at (6,3,2) greedy finds 11, and the search ends
+        # with the first family of 9 it finds.
+        graph = materialize(LevelGraphSpec(9, 6, 2))
+        greedy = greedy_dominate(graph)
+        assert (greedy.value, greedy.lower_bound, greedy.proven_optimal) == (7, 7, True)
+        report = branch_and_bound_gamma(graph, greedy)
+        assert (report.value, report.proven_optimal, report.nodes_explored) == (7, True, 0)
+        assert greedy_dominate(materialize(LevelGraphSpec(6, 3, 2))).lower_bound == 9
+
+    def test_root_bound_is_not_read_from_the_incumbent(self):
+        # A hand-built report may carry any lower bound; the search still
+        # proves (7,4,2) from its own.
+        graph = materialize(LevelGraphSpec(7, 4, 2))
+        greedy = greedy_dominate(graph)
+        claimed = replace(greedy, lower_bound=greedy.value)
+        report = branch_and_bound_gamma(graph, claimed)
+        assert (report.value, report.nodes_explored) == (9, 3_419)
+
+    def test_exported(self):
+        import cubedom
+
+        assert cubedom.pair_graph_lower_bound is pair_graph_lower_bound
+
+    @pytest.mark.parametrize("n,k", [(5, 2), (5, 1), (3, 3), (65, 3)])
+    def test_rejects_what_is_not_an_l2_spec(self, n, k):
+        with pytest.raises(InvalidParametersError):
+            pair_graph_lower_bound(n, k)
 
 
 class TestBruteForce:
@@ -219,11 +334,12 @@ class TestBranchAndBound:
     # (test_agrees_with_milp).  The ids leave out the node count, so a
     # re-pin keeps the test's name.  (7,3,2) went from 125,815 nodes to
     # 4,141 when greedy began to drop redundant picks: the search starts
-    # from 13, the optimum, where it started from 15.  With the two frozen
-    # tests above, these pin the tree of every l = 2 spec of the bench's
-    # prove grid.
+    # from 13, the optimum, where it started from 15.  (6,3,2) went from
+    # 3,843 to 3,805 with the pair-graph root bound of 9: the search ends
+    # at the first family of 9 it finds.  With the two frozen tests above,
+    # these pin the tree of every l = 2 spec of the bench's prove grid.
     @pytest.mark.parametrize("n,k,gamma,nodes", [
-        (6, 3, 9, 3_843), (8, 6, 6, 205), (7, 3, 13, 4_141), (8, 4, 12, 92_213),
+        (6, 3, 9, 3_805), (8, 6, 6, 205), (7, 3, 13, 4_141), (8, 4, 12, 92_213),
         (10, 6, 9, 14_331), (6, 4, 6, 71), (7, 5, 6, 169),
     ], ids=["6-3", "8-6", "7-3", "8-4", "10-6", "6-4", "7-5"])
     def test_search_tree_pinned(self, n, k, gamma, nodes):
@@ -234,13 +350,15 @@ class TestBranchAndBound:
     def test_search_tree_pinned_at_budget(self):
         # (8,4,2) needs 92,213 nodes, so it spends the whole budget: the
         # node that exceeds it is counted, and the report keeps the
-        # incumbent and the root bound.
+        # incumbent and the root bound, the pair-graph bound of 10 (the
+        # counting bound, 9, until that bound was added).
         report = seeded_search(materialize(LevelGraphSpec(8, 4, 2)), node_budget=50_000)
         assert not report.proven_optimal
-        assert (report.nodes_explored, report.value, report.lower_bound) == (50_001, 12, 9)
+        assert (report.nodes_explored, report.value, report.lower_bound) == (50_001, 12, 10)
 
     @pytest.mark.parametrize("budget,expected", [
-        (1, (2, 12, 9)), (2, (3, 12, 9)), (92_212, (92_213, 12, 9)), (92_213, (92_213, 12, 12)),
+        (1, (2, 12, 10)), (2, (3, 12, 10)), (92_212, (92_213, 12, 10)),
+        (92_213, (92_213, 12, 12)),
     ])
     def test_budget_edges(self, budget, expected):
         # (8,4,2) proves in exactly 92,213 nodes.  One less, and the node
@@ -368,13 +486,16 @@ class TestPinnedReport:
     of the brute-force oracle's witness.  The four l >= 2 ``exact``
     digests were re-taken with the two-level cap bound, and again with
     orbits below the root; both changed only ``nodes_explored``.  The
+    pair-graph root bound re-took both (6,3,2) digests: ``exact``'s
+    ``nodes_explored`` went 3,843 -> 3,805, and greedy's ``lower_bound``
+    8 -> 9.  The
     brute-force digests were of reports until the oracle returned its
     certificate; the new ones were taken from the witnesses it found
     before, so they pin the same witnesses."""
 
     @pytest.mark.parametrize("solve, spec, digest", [
         (seeded_search, (6, 3, 2),
-         "b36c2288e8d2183d65d0581ea0cfc22fa5e4b6b0a00c3bea49b69c7bc293b595"),
+         "ab9811ab79e8b28684c152dabc27e5998fbdb69bcdc3744fed2ed27f570b5146"),
         (seeded_search, (7, 4, 2),
          "28e52ef45b90c53baea0493814d9218a5cbc296c654254ed5ba2af7402931686"),
         (seeded_search, (8, 6, 2),
@@ -384,7 +505,7 @@ class TestPinnedReport:
         (seeded_search, (7, 3, 1),
          "df7a1b52ac0ba24fa8eb25069e69e6ed0a96de4070bf23e710dbeb97fa264b41"),
         (greedy_dominate, (6, 3, 2),
-         "d4d5bc221e6f84af0c15797d7d3bb60b9415286408c39ea414581879e27dc8af"),
+         "d560a318a0189334a8ffb30669f5463de95b19dc88a1d564c6ba716fd240272f"),
         (greedy_dominate, (7, 4, 2),
          "32b75b9367696c5496a8d398576365cc9cb3aae279d9ddf4d720f9b59b411aee"),
         (greedy_dominate, (8, 6, 2),
