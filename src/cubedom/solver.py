@@ -35,6 +35,12 @@ DEFAULT_NODE_BUDGET = 10_000_000
 # measured fastest on the 7 to 12 x 3 to 6 conjecture table; 5 is faster
 # on the l = 2 specs at n <= 8 only, and 6 is slower on both.
 ORBIT_DEPTH = 4
+# Nodes with at most this many members chosen, [k] included, check for
+# forced vertices before they branch; deeper nodes skip the check, so the
+# budget-bound searches, nearly all of whose nodes are deep, do not pay
+# for it.  README has the depth-by-time table behind 7.  The orbit step
+# sits inside the check's branch, so this is at least ORBIT_DEPTH.
+FORCED_DEPTH = 7
 
 
 class Method(enum.Enum):
@@ -367,18 +373,33 @@ def branch_and_bound_gamma(
     a + (r - a)*C(n-l,k-l) of the upper ones, and a dominating completion
     must reach L and U.  It prunes wherever uncovered > r * (the largest
     remaining closed neighbourhood) does, since U + L is at most
-    a*(C(k,l) + 1) + (r - a)*(C(n-l,k-l) + 1).  Both prunes read every
-    candidate at or after the position, excluded ones too: a superset of
-    the free ones, so they stay sound, only looser.  A sound prune removes
-    no family smaller than the incumbent, so the incumbents found, and an
-    exhausted search's witness, do not depend on which sound bound runs.
+    a*(C(k,l) + 1) + (r - a)*(C(n-l,k-l) + 1).
+
+    A node with at most FORCED_DEPTH members chosen also applies the
+    forced-vertex rule just before it branches (the set-cover reduction;
+    Fomin, Grandoni and Kratsch, J. ACM 2009).  Let F be its uncovered
+    vertices that no candidate at or after its position dominates, apart
+    from the vertex itself (``dead``).  A completion dominates each of
+    them, and only the vertex itself can, so it chooses all of F: the
+    node is pruned when |F| > r, or when the vertices that its cover and
+    the closed neighbourhoods of F leave fail the cap test with r - |F|
+    picks.  Deeper nodes skip the check, which costs more than the nodes
+    it saves there.
+
+    All these prunes read every candidate at or after the position,
+    excluded ones too: a superset of the free ones, so they stay sound,
+    only looser.  A sound prune removes no family smaller than the
+    incumbent, so the incumbents found, and an exhausted search's
+    witness, do not depend on which sound bound runs.
 
     The search is one loop over an explicit stack, not a recursion.  A
     node that passes the prunes branches, and its include child is counted
     and checked as soon as it is made.  A child that passes pushes its
     exclude sibling and branches in turn; a child that fails, or dominates
     (a leaf), leaves the stack alone, and the loop moves straight to the
-    sibling.  A pruned exclude branch resumes the most recent one pushed.
+    sibling.  A pruned exclude branch, or a node that the forced-vertex
+    rule prunes as it is about to branch, resumes the most recent one
+    pushed.
     An exclude branch keeps the size and cover of its node, so U and L are
     computed once per include, and a run of excludes advances the position
     in place, counting one node per position visited.
@@ -393,7 +414,8 @@ def branch_and_bound_gamma(
     masks = graph.closed
     nv = graph.vertex_count
     full = (1 << nv) - 1
-    root_lb = spec_lower_bound(graph.spec)
+    # The root bound, raised to best_size when the search is exhausted.
+    lower_bound = spec_lower_bound(graph.spec)
 
     if incumbent.spec != graph.spec:
         raise InvalidParametersError(f"incumbent is for {incumbent.spec}, not {graph.spec}")
@@ -407,8 +429,15 @@ def branch_and_bound_gamma(
     ordered_masks = [masks[i] for i in order]
     ncand = len(order)
     suffix_or = [0] * (ncand + 1)
+    # dead[p]: the vertices that no candidate at or after p dominates,
+    # apart from the vertex itself; one that is still uncovered must be
+    # chosen.
+    dead = [full] * (ncand + 1)
+    reach = 0
     for i in range(ncand - 1, -1, -1):
         suffix_or[i] = suffix_or[i + 1] | ordered_masks[i]
+        reach |= ordered_masks[i] & ~(1 << order[i])
+        dead[i] = full ^ reach
     # cap_at[p]: the cap table of the levels with candidates at or after p,
     # indexed [best_size - size][L].  Rows run to the incumbent's size, the
     # largest best_size - size + 1 the search meets.
@@ -456,7 +485,7 @@ def branch_and_bound_gamma(
     # Uncovered lowers and uppers; cover has no bits outside full.
     low = nl - (cover >> nu).bit_count()
     up = nv - cover.bit_count() - low
-    while exhausted and best_size > root_lb:
+    while exhausted and best_size > lower_bound:
         nodes += 1
         if nodes > node_budget:
             exhausted = False
@@ -467,6 +496,7 @@ def branch_and_bound_gamma(
         if (up > cap_at[pos][best_size - size][low]
                 or cover | suffix_or[pos] != full):
             if not stack:
+                lower_bound = best_size
                 break
             pos, size, cover, up, low, nxt = pop()
             continue
@@ -474,30 +504,52 @@ def branch_and_bound_gamma(
         # passes in turn.
         while True:
             # The exclude branch (epos, size, cover, up, low, enxt).
-            if size > ORBIT_DEPTH:
+            if size > FORCED_DEPTH:
                 epos, enxt = nxt[pos], nxt
             else:
-                # It drops pos's whole orbit, which is free and starts at
-                # pos (see the docstring): the orbit's other positions are
-                # unlinked from copies of nxt and prv, the last first.
-                counts = counts_at[size]
-                if counts is None:
-                    chosen = [kmask] + [graph.masks[order[p]] for p in path[:size - 1]]
-                    counts = counts_at[size] = _atom_counts(chosen, contains)
-                orbit = _orbit(counts, pos)
-                prv = prv_at[size]
-                enxt, eprv = nxt.copy(), prv.copy()
-                q = orbit.bit_length() - 1
-                while q > pos:
-                    a, b = eprv[q], enxt[q]
-                    enxt[a], eprv[b] = b, a
-                    orbit ^= 1 << q
+                # Every completion chooses the dead vertices still uncovered:
+                # prune when they, with r - |F| picks after them, cannot
+                # dominate.  rest indexes the cap row of r - |F| picks.
+                forced = dead[pos] & ~cover
+                if forced:
+                    rest = best_size - size - forced.bit_count()
+                    fcover = cover
+                    while forced:
+                        v = forced & -forced
+                        fcover |= masks[v.bit_length() - 1]
+                        forced ^= v
+                    flow = nl - (fcover >> nu).bit_count()
+                    if rest <= 0 or nv - fcover.bit_count() - flow > cap_at[pos][rest][flow]:
+                        if stack:
+                            pos, size, cover, up, low, nxt = pop()
+                        else:
+                            lower_bound = best_size
+                        break
+                if size > ORBIT_DEPTH:
+                    epos, enxt = nxt[pos], nxt
+                else:
+                    # It drops pos's whole orbit, which is free and starts
+                    # at pos (see the docstring): the orbit's other
+                    # positions are unlinked from copies of nxt and prv,
+                    # the last first.
+                    counts = counts_at[size]
+                    if counts is None:
+                        chosen = [kmask] + [graph.masks[order[p]] for p in path[:size - 1]]
+                        counts = counts_at[size] = _atom_counts(chosen, contains)
+                    orbit = _orbit(counts, pos)
+                    prv = prv_at[size]
+                    enxt, eprv = nxt.copy(), prv.copy()
                     q = orbit.bit_length() - 1
-                epos = enxt[pos]
-                # The include child keeps nxt and chooses a new set of
-                # size + 1; the exclude branch takes enxt.
-                prv_at[size + 1], prv_at[size] = prv, eprv
-                counts_at[size + 1] = None
+                    while q > pos:
+                        a, b = eprv[q], enxt[q]
+                        enxt[a], eprv[b] = b, a
+                        orbit ^= 1 << q
+                        q = orbit.bit_length() - 1
+                    epos = enxt[pos]
+                    # The include child keeps nxt and chooses a new set of
+                    # size + 1; the exclude branch takes enxt.
+                    prv_at[size + 1], prv_at[size] = prv, eprv
+                    counts_at[size + 1] = None
             # The include child, counted and checked here.
             path[size - 1] = pos
             child = cover | ordered_masks[pos]
@@ -521,5 +573,4 @@ def branch_and_bound_gamma(
                 break
             push((epos, size, cover, up, low, enxt))
             pos, size, cover, up, low = cpos, size + 1, child, cup, clow
-    lower_bound = best_size if exhausted else root_lb
     return _report(graph, Method.BRANCH_AND_BOUND, best_set, lower_bound, nodes, start)

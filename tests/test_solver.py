@@ -105,8 +105,8 @@ def chain_clique_floor(n, k, m):
 HIGHS_GAMMA = {(8, 3): 18, (9, 3): 24, (9, 4): 15, (9, 5): 10, (10, 3): 30, (10, 4): 19,
                (10, 5): 14, (11, 4): 24, (11, 6): 12, (12, 7): 11}
 # README's frozen values of gamma(G_{k,2}).
-FROZEN_GAMMA = {(6, 3): 9, (6, 4): 6, (7, 3): 13, (7, 4): 9, (8, 4): 12, (8, 5): 8,
-                (8, 6): 6, (10, 6): 9}
+FROZEN_GAMMA = {(6, 3): 9, (6, 4): 6, (7, 3): 13, (7, 4): 9, (8, 3): 18, (8, 4): 12,
+                (8, 5): 8, (8, 6): 6, (10, 6): 9}
 
 
 class TestPairGraphLowerBound:
@@ -182,12 +182,13 @@ class TestPairGraphLowerBound:
 
     def test_root_bound_is_not_read_from_the_incumbent(self):
         # A hand-built report may carry any lower bound; the search still
-        # proves (7,4,2) from its own.
+        # proves (7,4,2) from its own.  The forced-vertex rule cut its tree
+        # from 3,419 nodes to 1,107.
         graph = materialize(LevelGraphSpec(7, 4, 2))
         greedy = greedy_dominate(graph)
         claimed = replace(greedy, lower_bound=greedy.value)
         report = branch_and_bound_gamma(graph, claimed)
-        assert (report.value, report.nodes_explored) == (9, 3_419)
+        assert (report.value, report.nodes_explored) == (9, 1_107)
 
     def test_exported(self):
         import cubedom
@@ -311,24 +312,25 @@ class TestBranchAndBound:
         # Frozen from this solver; also below the ceil(7/2)+6 = 10 bound.
         # Fixing [k] in the set cut the search from 2,518,311 nodes to
         # 406,101, skipping whole orbits of its stabilizer at the root cut
-        # it to 111,757, the two-level cap bound to 25,245, and orbits down
-        # to ORBIT_DEPTH members to 3,419.  The node count is deterministic
+        # it to 111,757, the two-level cap bound to 25,245, orbits down
+        # to ORBIT_DEPTH members to 3,419, and forced vertices down to
+        # FORCED_DEPTH members to 1,107.  The node count is deterministic
         # and pins the search tree.
         report = seeded_search(materialize(LevelGraphSpec(7, 4, 2)))
         assert report.proven_optimal
         assert report.value == 9
         assert report.value <= 10
-        assert report.nodes_explored == 3_419
+        assert report.nodes_explored == 1_107
 
     def test_frozen_n8_k5(self):
         # 1,249,137 nodes with [k] fixed; 234,897 with the root orbits
         # skipped; 30,041 with the two-level cap bound; 3,463 with orbits
-        # below the root.  The count fails if the orbit rule or the cap
-        # bound is lost.
+        # below the root; 3,219 with forced vertices.  The count fails if
+        # the orbit rule, the cap bound or the forced-vertex rule is lost.
         report = seeded_search(materialize(LevelGraphSpec(8, 5, 2)))
         assert report.proven_optimal
         assert report.value == 8
-        assert report.nodes_explored == 3_463
+        assert report.nodes_explored == 3_219
 
     # (7,3,2), (8,4,2) and (10,6,2) are frozen because HiGHS agrees
     # (test_agrees_with_milp).  The ids leave out the node count, so a
@@ -336,11 +338,14 @@ class TestBranchAndBound:
     # 4,141 when greedy began to drop redundant picks: the search starts
     # from 13, the optimum, where it started from 15.  (6,3,2) went from
     # 3,843 to 3,805 with the pair-graph root bound of 9: the search ends
-    # at the first family of 9 it finds.  With the two frozen tests above,
-    # these pin the tree of every l = 2 spec of the bench's prove grid.
+    # at the first family of 9 it finds.  The forced-vertex rule moved
+    # (6,3) 3,805 -> 807, (8,6) 205 -> 169, (7,3) 4,141 -> 223, (8,4)
+    # 92,213 -> 28,777, (10,6) 14,331 -> 10,547, (6,4) 71 -> 39 and (7,5)
+    # 169 -> 133.  With the two frozen tests above, these pin the tree of
+    # every l = 2 spec of the bench's prove grid.
     @pytest.mark.parametrize("n,k,gamma,nodes", [
-        (6, 3, 9, 3_805), (8, 6, 6, 205), (7, 3, 13, 4_141), (8, 4, 12, 92_213),
-        (10, 6, 9, 14_331), (6, 4, 6, 71), (7, 5, 6, 169),
+        (6, 3, 9, 807), (8, 6, 6, 169), (7, 3, 13, 223), (8, 4, 12, 28_777),
+        (10, 6, 9, 10_547), (6, 4, 6, 39), (7, 5, 6, 133),
     ], ids=["6-3", "8-6", "7-3", "8-4", "10-6", "6-4", "7-5"])
     def test_search_tree_pinned(self, n, k, gamma, nodes):
         report = exact_l2(n, k)
@@ -348,25 +353,47 @@ class TestBranchAndBound:
         assert (report.value, report.nodes_explored) == (gamma, nodes)
 
     def test_search_tree_pinned_at_budget(self):
-        # (8,4,2) needs 92,213 nodes, so it spends the whole budget: the
+        # (8,4,2) needs 28,777 nodes, so it spends the whole budget: the
         # node that exceeds it is counted, and the report keeps the
         # incumbent and the root bound, the pair-graph bound of 10 (the
-        # counting bound, 9, until that bound was added).
-        report = seeded_search(materialize(LevelGraphSpec(8, 4, 2)), node_budget=50_000)
+        # counting bound, 9, until that bound was added).  The budget was
+        # 50,000 while the search took 92,213 nodes.
+        report = seeded_search(materialize(LevelGraphSpec(8, 4, 2)), node_budget=20_000)
         assert not report.proven_optimal
-        assert (report.nodes_explored, report.value, report.lower_bound) == (50_001, 12, 10)
+        assert (report.nodes_explored, report.value, report.lower_bound) == (20_001, 12, 10)
 
     @pytest.mark.parametrize("budget,expected", [
-        (1, (2, 12, 10)), (2, (3, 12, 10)), (92_212, (92_213, 12, 10)),
-        (92_213, (92_213, 12, 12)),
+        (1, (2, 12, 10)), (2, (3, 12, 10)),
+        pytest.param(28_776, (28_777, 12, 10), id="one-short"),
+        pytest.param(28_777, (28_777, 12, 12), id="exact"),
     ])
     def test_budget_edges(self, budget, expected):
-        # (8,4,2) proves in exactly 92,213 nodes.  One less, and the node
-        # that exceeds the budget is counted.  The root's include child is
-        # node 2, counted as it is made.
+        # (8,4,2) proves in exactly 28,777 nodes (92,213 before the
+        # forced-vertex rule).  One less, and the node that exceeds the
+        # budget is counted.  The root's include child is node 2, counted
+        # as it is made.
         report = seeded_search(materialize(LevelGraphSpec(8, 4, 2)), node_budget=budget)
         assert (report.nodes_explored, report.value, report.lower_bound) == expected
-        assert report.proven_optimal == (budget == 92_213)
+        assert report.proven_optimal == (budget == 28_777)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_forced_depth_moves_only_the_node_count(self, n, monkeypatch):
+        # The forced-vertex rule is sound at every depth, so checking it
+        # at every node, or only where orbits are taken (its least depth),
+        # finds the same incumbents: the same witness, bound and proof,
+        # with no more nodes where it checks more.
+        for k in range(2, n):
+            for l in range(1, k):
+                graph = materialize(LevelGraphSpec(n, k, l))
+                greedy = greedy_dominate(graph)
+                runs = []
+                for depth in (cubedom.solver.ORBIT_DEPTH, cubedom.solver.FORCED_DEPTH, 10**9):
+                    monkeypatch.setattr(cubedom.solver, "FORCED_DEPTH", depth)
+                    runs.append(branch_and_bound_gamma(graph, greedy, node_budget=200_000))
+                assert len({replace(r, nodes_explored=0, elapsed=0.0) for r in runs}) == 1
+                assert runs[0].proven_optimal, (n, k, l)
+                nodes = [r.nodes_explored for r in runs]
+                assert nodes == sorted(nodes, reverse=True), (n, k, l, nodes)
 
     def test_seeded_with_greedy_report(self):
         # The search starts from the incumbent's witness, and keeps it when
@@ -398,14 +425,25 @@ class TestBranchAndBound:
         assert replace(bounded, elapsed=0.0) == replace(free, elapsed=0.0)
 
     @pytest.mark.parametrize("n,k,gamma", [(7, 4, 9), (8, 5, 8), (8, 6, 6), (7, 3, 13),
-                                           (8, 4, 12), (10, 6, 9)])
+                                           (8, 4, 12), (10, 6, 9), (8, 3, 18)])
     def test_agrees_with_milp(self, n, k, gamma):
         # A second, independent method for the frozen l=2 values.
-        # (10,6,2) takes HiGHS about 10 s.
+        # (10,6,2) takes HiGHS about 10 s, (8,3,2) about 1.4 s; branch and
+        # bound proves (8,3,2) in 542,167 nodes (1,790,409 before the
+        # forced-vertex rule).
         assert milp_gamma(materialize(LevelGraphSpec(n, k, 2))) == gamma
         report = exact_l2(n, k)
         assert report.proven_optimal
         assert report.value == gamma
+
+    def test_complement_duality_n8_k3(self):
+        # S -> [n] \ S maps k-sets to (n-k)-sets and l-sets to (n-l)-sets,
+        # reversing inclusion, so G_{k,l} and G_{n-l,n-k} are isomorphic:
+        # gamma(G_{6,5}) at n = 8 is gamma(G_{3,2}) = 18, proven here by a
+        # search over another graph.
+        report = seeded_search(materialize(LevelGraphSpec(8, 6, 5)))
+        assert report.proven_optimal
+        assert (report.value, report.nodes_explored) == (18, 205_407)
 
     def test_budget_returns_heuristic_report(self):
         report = seeded_search(materialize(LevelGraphSpec(7, 4, 2)), node_budget=100)
@@ -488,20 +526,22 @@ class TestPinnedReport:
     orbits below the root; both changed only ``nodes_explored``.  The
     pair-graph root bound re-took both (6,3,2) digests: ``exact``'s
     ``nodes_explored`` went 3,843 -> 3,805, and greedy's ``lower_bound``
-    8 -> 9.  The
-    brute-force digests were of reports until the oracle returned its
-    certificate; the new ones were taken from the witnesses it found
-    before, so they pin the same witnesses."""
+    8 -> 9.  The forced-vertex rule re-took the four l >= 2 ``exact``
+    digests, changing only ``nodes_explored``: (6,3,2) 3,805 -> 807,
+    (7,4,2) 3,419 -> 1,107, (8,6,2) 205 -> 169 and (6,4,3) 6,867 ->
+    3,193.  The brute-force digests were of reports until the oracle
+    returned its certificate; the new ones were taken from the witnesses
+    it found before, so they pin the same witnesses."""
 
     @pytest.mark.parametrize("solve, spec, digest", [
         (seeded_search, (6, 3, 2),
-         "ab9811ab79e8b28684c152dabc27e5998fbdb69bcdc3744fed2ed27f570b5146"),
+         "041484f617cbf0cb66d52ca5896ddbbb882fdea48eada9c33294e4bbe8b66ec2"),
         (seeded_search, (7, 4, 2),
-         "28e52ef45b90c53baea0493814d9218a5cbc296c654254ed5ba2af7402931686"),
+         "758287b12ba1bbb8bddb22af3e7885ef97444771598d5d9cf0ca65fb172b774d"),
         (seeded_search, (8, 6, 2),
-         "9db662d28d328989a55be7c5708ae1dfdcef2c0e46529021f4ceb2316337e050"),
+         "31619e393bc664c4e610e9132241f2b5b202611c159e39416a06b07c99fb3fe2"),
         (seeded_search, (6, 4, 3),
-         "56825195fa4b0f241b1f966f735fd10e9090a7205d288ff12cddd8807540760d"),
+         "7bdd9b3e5c997f20ad353125d76dcb775b75fff619e12b71b512390f1ff73216"),
         (seeded_search, (7, 3, 1),
          "df7a1b52ac0ba24fa8eb25069e69e6ed0a96de4070bf23e710dbeb97fa264b41"),
         (greedy_dominate, (6, 3, 2),
