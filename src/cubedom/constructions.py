@@ -20,10 +20,13 @@ as a graph on [n].  D dominates G_{k,2} if and only if
 Condition (i) is a scan over the pairs; condition (ii) is a search for a
 k-clique in the complement of H, bounded by a clique partition of H
 (Carraghan & Pardalos 1990; Östergård 2002), which stops at the root for
-the construction above, and by the mask of the pair (i) found uncovered,
-if any.  So the structural check scales to any n within the 64-element
-cap; past VERIFY_CAP search nodes it raises TooLargeError, as the scan
-does past VERIFY_CAP vertex checks.  ``verify_certificate`` picks by the
+the theorem-1 family, and by the mask of the pair (i) found uncovered,
+if any.  A branch with exactly as many free elements as it still needs
+has one completion and is settled in one pass over them, so the
+theorem-2 family takes three search nodes and its check is linear in n.
+The structural check scales to any n within the 64-element cap; past
+VERIFY_CAP search nodes it raises TooLargeError, as the scan does past
+VERIFY_CAP vertex checks.  ``verify_certificate`` picks by the
 certificate's l: the structural check for l = 2, the scan otherwise.
 Both report the same witness on failure: the undominated vertex of least
 mask, that is the colex-least one, over both levels, reported as its
@@ -230,9 +233,10 @@ def verify_structural(cert: DominationCertificate) -> VerificationResult:
     # H as a graph on [n]: bit b of nbr[a] is set iff {a+1, b+1} is a member.
     nbr = [0] * n
     for m in cert.lowers:
-        a, b = (i for i in range(n) if m >> i & 1)
-        nbr[a] |= 1 << b
-        nbr[b] |= 1 << a
+        low = m & -m
+        high = m ^ low
+        nbr[low.bit_length() - 1] |= high
+        nbr[high.bit_length() - 1] |= low
 
     bad_lower = _uncovered_pair(n, cert.uppers, nbr)
     bad_upper = _least_independent_k_set(n, k, cert.uppers, nbr, bad_lower)
@@ -243,9 +247,11 @@ def _uncovered_pair(n: int, upper: frozenset[int], nbr: list[int]) -> Optional[i
     """Condition (i): the least pair mask neither in H nor inside a member of A."""
     joined = list(nbr)
     for u in upper:
-        for i in range(n):
-            if u >> i & 1:
-                joined[i] |= u
+        rest = u
+        while rest:
+            low = rest & -rest
+            joined[low.bit_length() - 1] |= u
+            rest ^= low
     for b in range(1, n):
         apart = ~joined[b] & ((1 << b) - 1)
         if apart:
@@ -262,16 +268,21 @@ def _least_independent_k_set(
 
     Depth-first search deciding elements from the top bit down, excluding
     each before including it, so complete sets arrive in ascending mask
-    order and the first one not in A is the least.  An independent set
-    takes at most one element of each clique of H, so a branch is pruned
-    when a greedy clique partition of its free elements has fewer classes
-    than the elements it still needs.  Every free element lies below every
-    chosen one, so a branch's least completion is its chosen elements plus
-    the lowest free ones it needs, and a branch whose least completion
-    reaches ``below`` is pruned too: the caller already holds a smaller
-    witness.  More than VERIFY_CAP search nodes raise TooLargeError.
+    order and the first one not in A is the least.  A branch whose free
+    elements number exactly the ones it needs has one completion, its
+    chosen elements plus all the free ones; it is settled in one pass over
+    the free elements.  An independent set takes at most one element of
+    each clique of H, so a branch is pruned when a greedy clique partition
+    of its free elements has fewer classes than the elements it still
+    needs; with no edge in H that bound is the count of free elements, so
+    it is skipped.  Every free element lies below every chosen one, so a
+    branch's least completion is its chosen elements plus the lowest free
+    ones it needs, and a branch whose least completion reaches ``below`` is
+    pruned too: the caller already holds a smaller witness.  More than
+    VERIFY_CAP search nodes raise TooLargeError.
     """
     nodes, cap = 0, VERIFY_CAP
+    edgeless = not any(nbr)
 
     def clique_classes(free: int) -> int:
         classes = 0
@@ -294,16 +305,24 @@ def _least_independent_k_set(
             raise TooLargeError(f"structural search nodes exceed the cap of {cap}")
         if need == 0:
             return None if chosen in upper else chosen
-        if free.bit_count() < need or clique_classes(free) < need:
-            return None
-        if below is not None:
-            least, rest = chosen, free
-            for _ in range(need):
-                low = rest & -rest
-                least |= low
-                rest ^= low
-            if least >= below:
+        count = free.bit_count()
+        if count <= need:
+            # No free element is adjacent to a chosen one, so the one
+            # completion is independent iff its free elements are.  It
+            # needs no test against ``below``: the caller keeps the least.
+            only = chosen | free
+            if count < need or only in upper:
                 return None
+            while free:
+                low = free & -free
+                if nbr[low.bit_length() - 1] & only:
+                    return None
+                free ^= low
+            return only
+        if not edgeless and clique_classes(free) < need:
+            return None
+        if below is not None and chosen | _lowest(free, need) >= below:
+            return None
         v = free.bit_length() - 1
         rest = free & ~(1 << v)
         found = search(chosen, rest, need)

@@ -1,7 +1,7 @@
 import hashlib
 import itertools
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from math import ceil
 
 import pytest
@@ -311,6 +311,26 @@ def l2_families(draw):
     return certificate(n, k, uppers, lowers)
 
 
+@st.composite
+def near_top_families(draw):
+    """k in {n-2, n-1} at 5 <= n <= 14: each k-set a member with chance 1/4,
+    1/2 or 3/4, and a few pairs.
+
+    Here the k-set search soon reaches branches whose free elements number
+    exactly the ones they need, and settles them: as members of A, as sets
+    with an edge of H, or as witnesses."""
+    n = draw(st.integers(min_value=5, max_value=14))
+    k = draw(st.sampled_from((n - 2, n - 1)))
+    ground = range(1, n + 1)
+    k_sets = list(itertools.combinations(ground, k))
+    quarters = draw(st.integers(min_value=1, max_value=3))
+    picked = draw(st.lists(st.integers(min_value=0, max_value=3),
+                           min_size=len(k_sets), max_size=len(k_sets)))
+    lowers = draw(st.lists(st.sets(st.sampled_from(ground), min_size=2, max_size=2),
+                           max_size=n, unique_by=frozenset))
+    return certificate(n, k, [e for e, p in zip(k_sets, picked) if p < quarters], lowers)
+
+
 class TestStructuralVerifier:
     def test_accepts_construction(self):
         assert verify_structural(theorem1_construct(6, 4)) == VerificationResult(None)
@@ -358,6 +378,37 @@ class TestStructuralVerifier:
         reference = scan_certificate(cert)
         assert verify_structural(cert) == reference
         assert verify_certificate(cert) == reference
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_top_families())
+    def test_agrees_near_the_top_level(self, cert):
+        assert verify_structural(cert) == scan_certificate(cert)
+
+    @pytest.mark.parametrize("n", range(4, 65))
+    def test_theorem2_agrees_with_the_scan(self, n):
+        # The family and each of its three single-member removals, every one
+        # of which fails; the scan walks C(n, n-1) + C(n, 2) <= 2,080 vertices.
+        # Without {2, ..., n}, the pair {2, n} is uncovered and the search
+        # settles {2, ..., n}, above that pair's mask, as its k-set witness.
+        cert = theorem2_construct(n)
+        removed = [replace(cert, uppers=cert.uppers - {m}) for m in cert.uppers]
+        removed += [replace(cert, lowers=cert.lowers - {m}) for m in cert.lowers]
+        assert len(removed) == 3
+        assert verify_structural(cert) == scan_certificate(cert) == VerificationResult(None)
+        for broken in removed:
+            result = verify_structural(broken)
+            assert not result.verified
+            assert result == scan_certificate(broken)
+
+    def test_theorem2_settles_in_three_nodes(self, monkeypatch):
+        # The root, then one node per branch on element 64: each has as
+        # many free elements as it needs, so each is settled at once, as
+        # [63] and as {2, ..., 64}, both members.
+        monkeypatch.setattr(cubedom.constructions, "VERIFY_CAP", 3)
+        assert verify_structural(theorem2_construct(64)) == VerificationResult(None)
+        monkeypatch.setattr(cubedom.constructions, "VERIFY_CAP", 2)
+        with pytest.raises(TooLargeError):
+            verify_structural(theorem2_construct(64))
 
     @pytest.mark.parametrize("n", [20, 33, 40, 55, 63])
     def test_scales_past_enumeration(self, n):
