@@ -9,7 +9,6 @@ from .constructions import (
     theorem1_construct,
     theorem2_construct,
     verify_certificate,
-    verify_structural,
 )
 from .errors import (
     CheckFailedError,

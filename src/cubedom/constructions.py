@@ -1,4 +1,4 @@
-"""Explicit dominating-set constructions and verifiers for G_{k,2}.
+"""Explicit dominating-set constructions for G_{k,2}, and the verifier.
 
 Two families are built: for k > ceil(n/2), six k-sets (covering every
 pair) plus a spanning family of ceil(n/2) pairs (covering every k-set),
@@ -9,28 +9,20 @@ A certificate holds its family as two sets of masks, the upper members
 (k-sets) and the lower members (l-sets); since k > l, a mask's size names
 its level.
 
-Two checks give the same result.  The vertex scan walks every vertex of
-the graph.  The structural check handles any l = 2 family D = A ∪ H,
-where A is the set of k-set members and H the set of pair members, read
-as a graph on [n].  D dominates G_{k,2} if and only if
+One check serves every l.  Write the family as D = A ∪ H, with A its
+k-sets and H its l-sets, let A' be the (n-k)-sets [n] \\ S for S in A, and
+let Tr_s(F) be the s-sets that meet every member of F.  An l-set lies in
+a k-set S iff it misses [n] \\ S, so an l-set outside H is undominated iff
+it is in Tr_l(A'), and a k-set outside A is undominated iff its
+complement is in Tr_{n-k}(H).  So D dominates G_{k,l} if and only if
 
-  (i) every pair not in H lies inside some member of A, and
-  (ii) every k-set that is independent in H is in A.
+  (a) Tr_{n-k}(H) ⊆ A', and
+  (b) Tr_l(A') ⊆ H.
 
-Condition (i) is a scan over the pairs; condition (ii) is a search for a
-k-clique in the complement of H, bounded by a clique partition of H
-(Carraghan & Pardalos 1990; Östergård 2002), which stops at the root for
-the theorem-1 family, and by the mask of the pair (i) found uncovered,
-if any.  A branch with exactly as many free elements as it still needs
-has one completion and is settled in one pass over them, so the
-theorem-2 family takes three search nodes and its check is linear in n.
-The structural check scales to any n within the 64-element cap; past
-VERIFY_CAP search nodes it raises TooLargeError, as the scan does past
-VERIFY_CAP vertex checks.  ``verify_certificate`` picks by the
-certificate's l: the structural check for l = 2, the scan otherwise.
-Both report the same witness on failure: the undominated vertex of least
-mask, that is the colex-least one, over both levels, reported as its
-mask.
+Each condition is one pruned search for a transversal (``_transversal``),
+so no level is walked and the check runs at any n <= 64; past VERIFY_CAP
+search nodes it raises TooLargeError.  On failure the witness is the
+undominated vertex of least mask over both levels, the colex-least one.
 """
 
 from __future__ import annotations
@@ -38,12 +30,12 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from math import ceil, comb
+from math import ceil
 from typing import Optional
 
 from .errors import InvalidParametersError, TooLargeError
 from .levelgraph import LevelGraphSpec
-from .subsets import elements, enumerate_k_subsets, mask_of, spanning_pairs
+from .subsets import elements, mask_of, spanning_pairs
 
 VERIFY_CAP = 5_000_000
 
@@ -174,163 +166,149 @@ def _result(*bad: Optional[int]) -> VerificationResult:
 
 
 def verify_certificate(cert: DominationCertificate) -> VerificationResult:
-    """Check that every vertex is a member or has a member neighbor:
-    structurally for l = 2, by the vertex scan otherwise."""
-    if cert.spec.l == 2:
-        return verify_structural(cert)
-    return scan_certificate(cert)
+    """Check conditions (a) and (b) of the module docstring, for any l.
 
-
-def scan_certificate(cert: DominationCertificate) -> VerificationResult:
-    """Walk every vertex, each level in colex order, to its first undominated one.
-
-    The witness, when verification fails, is the colex-least (smallest mask)
-    undominated vertex over both levels.
+    One search finds the least l-set of Tr_l(A') outside H; the other the
+    greatest T of Tr_{n-k}(H) outside A', whose complement is the least
+    undominated k-set, and looks only below the l-set found.
     """
-    spec = cert.spec
-    n, k, l = spec.n, spec.k, spec.l
-    total = comb(n, k) + comb(n, l)
-    if total > VERIFY_CAP:
-        raise TooLargeError(f"{total} vertex checks exceed the cap of {VERIFY_CAP}")
-    uppers, lowers = cert.uppers, cert.lowers
-
-    # for-else instead of any(): no generator is built per vertex.
-    bad_lower = None
-    for v in enumerate_k_subsets(n, l):
-        if v in lowers:
-            continue
-        for u in uppers:
-            if v & u == v:
-                break
-        else:
-            bad_lower = v
-            break
-    bad_upper = None
-    for u in enumerate_k_subsets(n, k):
-        if u in uppers:
-            continue
-        for b in lowers:
-            if b & u == b:
-                break
-        else:
-            bad_upper = u
-            break
-    return _result(bad_lower, bad_upper)
+    n, k, l = cert.spec.n, cert.spec.k, cert.spec.l
+    full = (1 << n) - 1
+    complements = frozenset(full ^ u for u in cert.uppers)
+    bad_lower = _transversal(n, l, complements, cert.lowers)
+    top = _transversal(n, n - k, cert.lowers, complements, greatest=True,
+                       bound=None if bad_lower is None else full ^ bad_lower)
+    return _result(bad_lower, None if top is None else full ^ top)
 
 
-def verify_structural(cert: DominationCertificate) -> VerificationResult:
-    """Check conditions (i) and (ii) of the module docstring for an l=2 family.
-
-    Returns the same result as ``scan_certificate``, witness included,
-    without walking the C(n, k) upper vertices, so it runs for any n <= 64.
-    """
-    spec = cert.spec
-    n, k = spec.n, spec.k
-    if spec.l != 2:
-        raise InvalidParametersError(
-            f"structural verification needs l = 2, got l = {spec.l}"
-        )
-    # H as a graph on [n]: bit b of nbr[a] is set iff {a+1, b+1} is a member.
-    nbr = [0] * n
-    for m in cert.lowers:
-        low = m & -m
-        high = m ^ low
-        nbr[low.bit_length() - 1] |= high
-        nbr[high.bit_length() - 1] |= low
-
-    bad_lower = _uncovered_pair(n, cert.uppers, nbr)
-    bad_upper = _least_independent_k_set(n, k, cert.uppers, nbr, bad_lower)
-    return _result(bad_lower, bad_upper)
-
-
-def _uncovered_pair(n: int, upper: frozenset[int], nbr: list[int]) -> Optional[int]:
-    """Condition (i): the least pair mask neither in H nor inside a member of A."""
-    joined = list(nbr)
-    for u in upper:
-        rest = u
-        while rest:
-            low = rest & -rest
-            joined[low.bit_length() - 1] |= u
-            rest ^= low
-    for b in range(1, n):
-        apart = ~joined[b] & ((1 << b) - 1)
-        if apart:
-            return (apart & -apart) | (1 << b)
-    return None
-
-
-def _least_independent_k_set(
-    n: int, k: int, upper: frozenset[int], nbr: list[int], below: Optional[int] = None
+def _transversal(
+    n: int, s: int, meet: frozenset[int], skip: frozenset[int],
+    greatest: bool = False, bound: Optional[int] = None,
 ) -> Optional[int]:
-    """Condition (ii): the least k-set mask independent in H and not in A.
+    """The least s-subset mask of [n] that meets every member of ``meet``
+    and is not in ``skip``, or with ``greatest`` the greatest; None if none.
+    With ``bound`` given, a result that does not come before it in that
+    order may come back as None.
 
-    With ``below`` given, a result at or above it may come back as None.
-
-    Depth-first search deciding elements from the top bit down, excluding
-    each before including it, so complete sets arrive in ascending mask
-    order and the first one not in A is the least.  A branch whose free
-    elements number exactly the ones it needs has one completion, its
-    chosen elements plus all the free ones; it is settled in one pass over
-    the free elements.  An independent set takes at most one element of
-    each clique of H, so a branch is pruned when a greedy clique partition
-    of its free elements has fewer classes than the elements it still
-    needs; with no edge in H that bound is the count of free elements, so
-    it is skipped.  Every free element lies below every chosen one, so a
-    branch's least completion is its chosen elements plus the lowest free
-    ones it needs, and a branch whose least completion reaches ``below`` is
-    pruned too: the caller already holds a smaller witness.  More than
-    VERIFY_CAP search nodes raise TooLargeError.
+    Depth-first search deciding elements from the top bit down, taking an
+    element second for the least and first for the greatest, so complete
+    sets arrive in order.  A node keeps the members its chosen elements do
+    not meet.  It is pruned when more of them are pairwise disjoint on its
+    free elements than it still needs; and, since a transversal takes all
+    but one element of each clique of the pair members, when the classes
+    of one greedy clique partition of [n] need more on its free elements.
+    Leaving an element out takes the other element of each pair member at
+    it.  A node needing one or two elements, or all its free ones, is
+    settled in one pass.  More than VERIFY_CAP nodes raise TooLargeError.
     """
+    nbr = [0] * n
+    for m in meet:
+        if m.bit_count() == 2:
+            low = m & -m
+            nbr[low.bit_length() - 1] |= m ^ low
+            nbr[(m ^ low).bit_length() - 1] |= low
+    cliques = None if any(nbr) else []  # made at the first node that needs it
     nodes, cap = 0, VERIFY_CAP
-    edgeless = not any(nbr)
 
-    def clique_classes(free: int) -> int:
-        classes = 0
-        while free:
-            v = free.bit_length() - 1
-            clique = 1 << v
-            cand = free & nbr[v]
-            while cand:
-                v = cand.bit_length() - 1
-                clique |= 1 << v
-                cand &= nbr[v]
-            free &= ~clique
-            classes += 1
-        return classes
+    def first(mask: int) -> int:
+        return 1 << (mask.bit_length() - 1) if greatest else mask & -mask
 
-    def search(chosen: int, free: int, need: int) -> Optional[int]:
-        nonlocal nodes
+    def pick(chosen: int, cand: int, unmet: list[int]) -> Optional[int]:
+        """``chosen`` plus the first element of ``cand`` in every member of
+        ``unmet`` that ``chosen`` misses, if one makes a set outside ``skip``."""
+        for m in unmet:
+            if not m & chosen:
+                cand &= m
+                if not cand:
+                    return None
+        while cand:
+            x = first(cand)
+            if chosen | x not in skip:
+                return chosen | x
+            cand ^= x
+        return None
+
+    def search(chosen: int, free: int, need: int, unmet: list[int]) -> Optional[int]:
+        nonlocal nodes, cliques
         nodes += 1
         if nodes > cap:
             raise TooLargeError(f"structural search nodes exceed the cap of {cap}")
-        if need == 0:
-            return None if chosen in upper else chosen
+        if need <= 0:
+            return chosen if need == 0 and not unmet and chosen not in skip else None
         count = free.bit_count()
         if count <= need:
-            # No free element is adjacent to a chosen one, so the one
-            # completion is independent iff its free elements are.  It
-            # needs no test against ``below``: the caller keeps the least.
             only = chosen | free
-            if count < need or only in upper:
+            good = count == need and only not in skip and all(m & free for m in unmet)
+            return only if good else None
+        if bound is not None:
+            best, rest = chosen, free
+            for _ in range(need):
+                best |= first(rest)
+                rest &= ~best
+            if not (best > bound if greatest else best < bound):
                 return None
-            while free:
-                low = free & -free
-                if nbr[low.bit_length() - 1] & only:
-                    return None
-                free ^= low
-            return only
-        if not edgeless and clique_classes(free) < need:
+        if need == 1:
+            return pick(chosen, free, unmet)
+        used = pieces = 0
+        for m in unmet:
+            m &= free
+            if not m:
+                return None
+            if not m & used:
+                used |= m
+                pieces += 1
+        if pieces > need:
             return None
-        if below is not None and chosen | _lowest(free, need) >= below:
+        if need == 2:
+            # The higher of the two is at least the least free element of
+            # each member: below that, neither could meet it.
+            highs = free & -max((m & free & -(m & free) for m in unmet), default=1)
+            while highs:
+                x = first(highs)
+                highs ^= x
+                found = pick(chosen | x, free & (x - 1), unmet)
+                if found is not None:
+                    return found
+            return None
+        if cliques is None:
+            cliques = _clique_partition(nbr, (1 << n) - 1)
+        if sum((q & free).bit_count() - 1 for q in cliques if q & free) > need:
             return None
         v = free.bit_length() - 1
-        rest = free & ~(1 << v)
-        found = search(chosen, rest, need)
-        if found is None:
-            found = search(chosen | 1 << v, rest & ~nbr[v], need - 1)
-        return found
+        bit = 1 << v
+        rest = free ^ bit
+        for take in (greatest, not greatest):
+            if take:
+                # Taking v leaves the packed members unmet when none holds it.
+                if pieces == need and not used & bit:
+                    continue
+                found = search(chosen | bit, rest, need - 1, [m for m in unmet if not m & bit])
+            else:
+                forced = nbr[v] & rest
+                found = search(chosen | forced, rest ^ forced, need - forced.bit_count(),
+                               [m for m in unmet if not m & forced] if forced else unmet)
+            if found is not None:
+                return found
+        return None
 
-    return search(0, (1 << n) - 1, k)
+    return search(0, (1 << n) - 1, s, sorted(meet))
+
+
+def _clique_partition(nbr: list[int], free: int) -> list[int]:
+    """The classes of two or more elements of a greedy clique partition of
+    ``free`` in the graph ``nbr``, each grown from its highest element."""
+    cliques = []
+    while free:
+        v = free.bit_length() - 1
+        clique, cand = 1 << v, free & nbr[v]
+        while cand:
+            v = cand.bit_length() - 1
+            clique |= 1 << v
+            cand &= nbr[v]
+        free &= ~clique
+        if clique & (clique - 1):
+            cliques.append(clique)
+    return cliques
 
 
 def certificate_to_json(cert: DominationCertificate) -> dict:

@@ -15,24 +15,24 @@ from math import ceil
 from typing import Optional
 
 from .constructions import (
-    scan_certificate,
+    DominationCertificate,
     theorem1_construct,
     theorem2_construct,
     verify_certificate,
-    verify_structural,
 )
 from .errors import CheckFailedError, InvalidParametersError, TooLargeError
-from .levelgraph import LevelGraphSpec, materialize
+from .levelgraph import LevelGraphSpec, MaterializedGraph, materialize
 from .solver import SolveReport, branch_and_bound_gamma, greedy_dominate, spec_lower_bound
 from .subsets import MAX_GROUND_SET
 
 # Above these n, the theorem-1 sweep stops calling the exact solver and
-# the vertex scan (solver cap <= scan cap).  Up to the scan cap each row
-# is checked by two methods that share no code, the structural check and
-# the scan, so a fault in either fails the sweep; above it the structural
-# check alone certifies the construction, at any n <= 64.
+# building the graph (solver cap <= graph cap).  Up to the graph cap each
+# row is checked by two methods that share no code, the structural check
+# and the members' closed neighbourhoods in the graph, so a fault in
+# either fails the sweep; above it the structural check alone certifies
+# the construction, at any n <= 64.
 THEOREM1_SOLVER_N_CAP = 7
-THEOREM1_ENUM_N_CAP = 12
+THEOREM1_GRAPH_N_CAP = 12
 CONJECTURE_NODE_BUDGET = 200_000
 
 
@@ -91,6 +91,15 @@ def _row(spec: LevelGraphSpec, construction_size: Optional[int],
     )
 
 
+def _covers(graph: MaterializedGraph, cert: DominationCertificate) -> bool:
+    """Whether the members' closed neighbourhoods in the graph cover it."""
+    index = {m: i for i, m in enumerate(graph.masks)}
+    cover = 0
+    for m in cert.uppers | cert.lowers:
+        cover |= graph.closed[index[m]]
+    return cover == (1 << graph.vertex_count) - 1
+
+
 def _check_range(n_min: int, n_max: int) -> None:
     """Reject a range of n before any row runs: one that is empty, starts
     below 4 or ends past the ground-set cap."""
@@ -130,10 +139,11 @@ def run_theorem1_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
     """For each n and ceil(n/2) < k < n: construct, verify, record sizes.
 
     The structural check and the size bound ceil(n/2) + 6 hold on every
-    row.  Up to THEOREM1_ENUM_N_CAP the vertex scan checks the certificate
-    a second time, by a method independent of the structural one, and
-    greedy runs.  Where greedy's report meets its lower bound it is the
-    row's proof; otherwise exact solving runs up to THEOREM1_SOLVER_N_CAP.
+    row.  Up to THEOREM1_GRAPH_N_CAP the graph is built, the members'
+    closed neighbourhoods in it check the certificate a second time, by a
+    method independent of the structural one, and greedy runs.  Where
+    greedy's report meets its lower bound it is the row's proof;
+    otherwise exact solving runs up to THEOREM1_SOLVER_N_CAP.
     """
     _check_range(n_min, n_max)
     rows = []
@@ -145,15 +155,15 @@ def run_theorem1_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
                 raise CheckFailedError(
                     f"(n={n},k={k}): construction has {cert.size} members, bound is {bound}"
                 )
-            if not verify_structural(cert).verified:
+            if not verify_certificate(cert).verified:
                 raise CheckFailedError(f"(n={n},k={k}): structural verification failed")
             greedy = report = None
-            if n <= THEOREM1_ENUM_N_CAP:
-                if not scan_certificate(cert).verified:
-                    raise CheckFailedError(
-                        f"(n={n},k={k}): certificate fails enumerative verification"
-                    )
+            if n <= THEOREM1_GRAPH_N_CAP:
                 graph = materialize(cert.spec)
+                if not _covers(graph, cert):
+                    raise CheckFailedError(
+                        f"(n={n},k={k}): certificate fails to dominate the built graph"
+                    )
                 greedy = greedy_dominate(graph)
                 if greedy.proven_optimal:
                     report = greedy

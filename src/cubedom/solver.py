@@ -177,7 +177,7 @@ def _report(
     graph: MaterializedGraph, method: Method, chosen, lower_bound: int, nodes: int, start: float
 ) -> SolveReport:
     """The report on the chosen vertex indices, its witness re-verified from
-    its masks alone; for l = 2 the check shares no code with ``materialize``."""
+    its masks alone, by a check that shares no code with ``materialize``."""
     nu, masks = graph.upper_count, graph.masks
     witness = DominationCertificate(
         spec=graph.spec,

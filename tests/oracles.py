@@ -1,17 +1,26 @@
-"""Independent oracles for exact values, kept out of the package, and the
-package's search as the ``exact`` command runs it.
+"""Independent oracles for exact values and for verification, kept out of
+the package, and the package's search as the ``exact`` command runs it.
 
 ``brute_force_gamma`` shares no search code with branch and bound and
 serves every spec with n <= 6; ``milp_gamma`` hands the covering program
-to HiGHS and serves the larger ones.  ``seeded_search`` runs branch and
-bound from greedy's report.
+to HiGHS and serves the larger ones.  ``scan_certificate`` walks every
+vertex, the reference for ``verify_certificate``.  ``seeded_search`` runs
+branch and bound from greedy's report.
 """
 
 from itertools import count
+from math import comb
 
-from cubedom.constructions import DominationCertificate, Provenance, scan_certificate
+from cubedom.constructions import (
+    VERIFY_CAP,
+    DominationCertificate,
+    Provenance,
+    VerificationResult,
+    _result,
+)
 from cubedom.errors import TooLargeError
 from cubedom.levelgraph import MaterializedGraph
+from cubedom.subsets import enumerate_k_subsets
 from cubedom.solver import (
     DEFAULT_NODE_BUDGET,
     SolveReport,
@@ -20,6 +29,43 @@ from cubedom.solver import (
 )
 
 BRUTE_FORCE_NODE_BUDGET = 100_000_000
+
+
+def scan_certificate(cert: DominationCertificate) -> VerificationResult:
+    """Walk every vertex, each level in colex order, to its first undominated one.
+
+    The witness, when verification fails, is the colex-least (smallest mask)
+    undominated vertex over both levels.
+    """
+    spec = cert.spec
+    n, k, l = spec.n, spec.k, spec.l
+    total = comb(n, k) + comb(n, l)
+    if total > VERIFY_CAP:
+        raise TooLargeError(f"{total} vertex checks exceed the cap of {VERIFY_CAP}")
+    uppers, lowers = cert.uppers, cert.lowers
+
+    # for-else instead of any(): no generator is built per vertex.
+    bad_lower = None
+    for v in enumerate_k_subsets(n, l):
+        if v in lowers:
+            continue
+        for u in uppers:
+            if v & u == v:
+                break
+        else:
+            bad_lower = v
+            break
+    bad_upper = None
+    for u in enumerate_k_subsets(n, k):
+        if u in uppers:
+            continue
+        for b in lowers:
+            if b & u == b:
+                break
+        else:
+            bad_upper = u
+            break
+    return _result(bad_lower, bad_upper)
 
 
 def seeded_search(graph: MaterializedGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> SolveReport:

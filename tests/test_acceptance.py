@@ -10,11 +10,9 @@ from math import ceil
 import pytest
 
 from cubedom.constructions import (
-    scan_certificate,
     theorem1_construct,
     theorem2_construct,
     verify_certificate,
-    verify_structural,
 )
 from cubedom.experiments import (
     rows_to_csv,
@@ -26,7 +24,7 @@ from cubedom.experiments import (
 from cubedom.levelgraph import LevelGraphSpec, materialize
 from cubedom.solver import counting_lower_bound, greedy_dominate
 
-from oracles import brute_force_gamma, seeded_search
+from oracles import brute_force_gamma, scan_certificate, seeded_search
 
 # Instances proven exactly while running criteria 1-5, consumed by the
 # sandwich check of criterion 6.
@@ -75,7 +73,7 @@ def test_criterion_3_theorem1_bound():
                 ok = False
     for n in range(10, 41):
         for k in range(ceil(n / 2) + 1, n):
-            if not verify_structural(theorem1_construct(n, k)).verified:
+            if not verify_certificate(theorem1_construct(n, k)).verified:
                 ok = False
     _report(3, "construction size <= ceil(n/2)+6, enumerative n<=9, structural n<=40", ok)
 

@@ -16,9 +16,11 @@ import cubedom.errors
 import cubedom.experiments
 import cubedom.solver
 from cubedom.cli import build_parser, main
-from cubedom.constructions import certificate_from_json, scan_certificate
+from cubedom.constructions import certificate_from_json
 from cubedom.errors import CheckFailedError, InvalidParametersError, TooLargeError
 from cubedom.subsets import elements, enumerate_k_subsets
+
+from oracles import scan_certificate
 
 # The fields of a certificate file before its members.
 HEAD = {"n": 4, "k": 3, "l": 2, "provenance": "external"}
@@ -277,8 +279,8 @@ class TestVerifyStructural:
     def test_search_past_the_cap_exits_3(self, capsys, tmp_path, monkeypatch):
         # Six disjoint 5-cycles as pairs at n = 30, k = 13, and one k-set
         # per two blocks of six elements (their union plus one more), so
-        # that every pair is covered and no pair witness bounds the k-set
-        # search: 32,971 search nodes, over a cap of 1,000.
+        # that every pair is covered and no pair witness bounds the search
+        # for the upper witness: 17,570 search nodes, over a cap of 1,000.
         monkeypatch.setattr(cubedom.constructions, "VERIFY_CAP", 1000)
         cycles = [[5 * i + j for j in range(1, 6)] for i in range(6)]
         members = [{"level": "lower", "elements": [c[j], c[(j + 1) % 5]]}
@@ -311,11 +313,32 @@ class TestVerifyStructural:
          "verified\n"),
     ], ids=["l1-refuted", "l3-refuted", "l3-verified"])
     def test_level_other_than_2_takes_the_scan(self, capsys, tmp_path, n, l, members, line):
+        # The scan of tests/oracles.py is the reference: ``verify`` prints
+        # the line it gives.
         data = {"n": n, "k": 4, "l": l, "provenance": "external",
                 "members": [{"level": "upper" if len(e) == 4 else "lower", "elements": e}
                             for e in members]}
         assert scan_line(data) == line
         assert verify_data(capsys, tmp_path, data) == (0 if line == "verified\n" else 1, line, "")
+
+    def test_level_other_than_2_past_the_scan_cap(self, capsys, tmp_path):
+        # At (64,44,3) the scan would refuse C(64,44) vertices with exit 3;
+        # the structural check decides both files.  The 22 triples alone
+        # leave {1,2,4} undominated; with the ten 44-sets whose complements
+        # are 20-subsets of the unions of two of five blocks, every vertex
+        # is dominated.
+        triples = [list(range(3 * i + 1, 3 * i + 4)) for i in range(21)] + [[62, 63, 64]]
+        members = [{"level": "lower", "elements": e} for e in triples]
+        data = {"n": 64, "k": 44, "l": 3, "provenance": "external", "members": members}
+        assert verify_data(capsys, tmp_path, data) == (
+            1, "not dominating; undominated vertex: lower [1, 2, 4]\n", "")
+        starts = (1, 14, 27, 40, 53, 65)
+        blocks = [list(range(a, b)) for a, b in zip(starts, starts[1:])]
+        for b1, b2 in itertools.combinations(blocks, 2):
+            complement = set((b1 + b2)[:20])
+            members.append({"level": "upper",
+                            "elements": [e for e in range(1, 65) if e not in complement]})
+        assert verify_data(capsys, tmp_path, data) == (0, "verified\n", "")
 
 
 class TestSweepTheoremChecks:

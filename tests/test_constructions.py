@@ -18,15 +18,15 @@ from cubedom.constructions import (
     certificate_to_json,
     dump_certificate,
     load_certificate,
-    scan_certificate,
     theorem1_construct,
     theorem2_construct,
     verify_certificate,
-    verify_structural,
 )
 from cubedom.errors import InvalidParametersError, TooLargeError
 from cubedom.levelgraph import LevelGraphSpec
 from cubedom.subsets import elements, mask_of, spanning_pairs
+
+from oracles import scan_certificate
 
 
 def oracle_undominated(n, k, l, members):
@@ -56,26 +56,46 @@ def cert_as_tuples(cert):
     ]
 
 
-def certificate(n, k, uppers=(), lowers=()):
+def certificate(n, k, uppers=(), lowers=(), l=2):
     return DominationCertificate(
-        spec=LevelGraphSpec(n, k, 2),
+        spec=LevelGraphSpec(n, k, l),
         uppers=frozenset(mask_of(e, n) for e in uppers),
         lowers=frozenset(mask_of(e, n) for e in lowers),
         provenance=Provenance.EXTERNAL,
     )
 
 
+def covered_triangles(t):
+    """t disjoint triangles on [3t] as pair members, t odd, k = (3t - 3)/2,
+    and ten k-sets: the union of two of five blocks of ceil(3t/5)
+    consecutive elements, padded with the least elements outside it.
+
+    A vertex cover takes two elements of each triangle, 2t > n - k, so no
+    k-set is independent.  The k-sets cover every pair, so no lower
+    witness bounds the search for an upper one."""
+    n, k = 3 * t, (3 * t - 3) // 2
+    pairs = [(3 * i + a, 3 * i + b) for i in range(t) for a, b in ((1, 2), (1, 3), (2, 3))]
+    size = -(-n // 5)
+    blocks = [set(range(size * i + 1, min(size * i + size, n) + 1)) for i in range(5)]
+    uppers = []
+    for b1, b2 in itertools.combinations(blocks, 2):
+        union = b1 | b2
+        uppers.append(union | set(sorted(set(range(1, n + 1)) - union)[: k - len(union)]))
+    return certificate(n, k, uppers=uppers, lowers=pairs)
+
+
 def five_cycles(m, covered=False):
     """m disjoint 5-cycles on [5m] as pair members, k = 2m + 1.
 
-    No k-set is independent (alpha = 2m), but a 5-cycle needs three cliques
+    No k-set is independent (alpha = 2m): a vertex cover takes three
+    elements of each cycle, 3m > n - k.  But a 5-cycle needs three cliques
     to cover it, so the clique-partition bound cannot prune at the root and
-    the k-set search grows about 5.9-fold per cycle.  With no k-set member,
-    the pair {1,3} is uncovered, and its mask 5 is below every k-set mask,
-    so that search stops at its root.  ``covered`` adds one k-set per two
-    of the five blocks of m consecutive elements, their union plus the
-    least element outside it; these cover every pair, so condition (i)
-    holds and the search runs in full."""
+    the search for the upper witness grows about 6-fold per cycle.  With no
+    k-set member, the pair {1,3} is the lower witness, and its mask 5 is
+    below every k-set mask, so that search stops at its root.  ``covered``
+    adds one k-set per two of the five blocks of m consecutive elements,
+    their union plus the least element outside it; these cover every pair,
+    so condition (b) holds and the search runs in full."""
     n = 5 * m
     cycles = [[5 * i + j for j in range(1, 6)] for i in range(m)]
     pairs = [(c[j], c[(j + 1) % 5]) for c in cycles for j in range(5)]
@@ -279,36 +299,52 @@ class TestVerifyCertificate:
         with pytest.raises(TooLargeError, match="145423110 vertex checks exceed the cap"):
             scan_certificate(cert)
 
-    def test_l2_takes_the_structural_check_past_the_scan_cap(self, monkeypatch):
-        # l = 2 never reaches the scan, so its cap does not apply.
-        def no_scan(cert):
-            raise AssertionError("the vertex scan ran on an l = 2 certificate")
-
-        monkeypatch.setattr(cubedom.constructions, "scan_certificate", no_scan)
+    def test_l2_takes_the_structural_check_past_the_scan_cap(self):
+        # The package has no vertex scan, so its cap does not apply.
+        assert not hasattr(cubedom.constructions, "scan_certificate")
         assert verify_certificate(theorem1_construct(30, 16)) == VerificationResult(None)
         assert verify_certificate(theorem1_construct(64, 33)) == VerificationResult(None)
 
     @pytest.mark.parametrize("l", [1, 3])
-    def test_other_l_takes_the_scan(self, monkeypatch, l):
-        def no_structural(cert):
-            raise AssertionError("the structural check ran on l != 2")
+    def test_other_l_is_checked_structurally(self, l):
+        # Every l takes the same check, so the scan's cap does not apply to
+        # any: the empty family's least undominated vertex is [l] at any n.
+        for n, k in ((7, 4), (64, 40)):
+            cert = DominationCertificate(LevelGraphSpec(n, k, l), frozenset(), frozenset(),
+                                         Provenance.EXTERNAL)
+            assert verify_certificate(cert) == VerificationResult((1 << l) - 1)
 
-        monkeypatch.setattr(cubedom.constructions, "verify_structural", no_structural)
-        cert = DominationCertificate(LevelGraphSpec(7, 4, l), frozenset(), frozenset(),
-                                     Provenance.EXTERNAL)
-        assert verify_certificate(cert) == VerificationResult((1 << l) - 1)
+    def test_l3_triples_past_the_scan_cap(self):
+        # 22 triples at (64,44,3): 21 disjoint ones and {62,63,64}.  Alone
+        # they leave the least triple outside them, {1,2,4}, undominated.
+        # The ten 44-sets whose complements are 20 elements of the union of
+        # two of five blocks of [64] dominate every triple: a triple misses
+        # two blocks, so it misses one complement.  No 20-set meets all 21
+        # disjoint triples, so no 44-set is undominated.
+        triples = [tuple(range(3 * i + 1, 3 * i + 4)) for i in range(21)] + [(62, 63, 64)]
+        bare = certificate(64, 44, lowers=triples, l=3)
+        assert verify_certificate(bare) == VerificationResult(mask_of((1, 2, 4), 64))
+        starts = (1, 14, 27, 40, 53, 65)
+        blocks = [list(range(a, b)) for a, b in zip(starts, starts[1:])]
+        uppers = [set(range(1, 65)) - set((b1 + b2)[:20])
+                  for b1, b2 in itertools.combinations(blocks, 2)]
+        covered = certificate(64, 44, uppers=uppers, lowers=triples, l=3)
+        assert verify_certificate(covered) == VerificationResult(None)
 
 
 @st.composite
-def l2_families(draw):
-    n = draw(st.integers(min_value=4, max_value=8))
-    k = draw(st.integers(min_value=3, max_value=n - 1))
+def listed_families(draw):
+    """Any 1 <= l < k <= n - 1 with n <= 8: up to 12 k-sets and up to
+    C(n, 2) l-sets, each drawn element by element."""
+    n = draw(st.integers(min_value=3, max_value=8))
+    l = draw(st.integers(min_value=1, max_value=n - 2))
+    k = draw(st.integers(min_value=l + 1, max_value=n - 1))
     ground = range(1, n + 1)
     uppers = draw(st.lists(st.sets(st.sampled_from(ground), min_size=k, max_size=k),
                            max_size=12, unique_by=frozenset))
-    lowers = draw(st.lists(st.sets(st.sampled_from(ground), min_size=2, max_size=2),
+    lowers = draw(st.lists(st.sets(st.sampled_from(ground), min_size=l, max_size=l),
                            max_size=n * (n - 1) // 2, unique_by=frozenset))
-    return certificate(n, k, uppers, lowers)
+    return certificate(n, k, uppers, lowers, l)
 
 
 @st.composite
@@ -316,9 +352,9 @@ def near_top_families(draw):
     """k in {n-2, n-1} at 5 <= n <= 14: each k-set a member with chance 1/4,
     1/2 or 3/4, and a few pairs.
 
-    Here the k-set search soon reaches branches whose free elements number
-    exactly the ones they need, and settles them: as members of A, as sets
-    with an edge of H, or as witnesses."""
+    Here n - k is 1 or 2, so the search for the upper witness settles at
+    its root in one pass: as complements of members of A, as sets that
+    miss a pair of H, or as witnesses."""
     n = draw(st.integers(min_value=5, max_value=14))
     k = draw(st.sampled_from((n - 2, n - 1)))
     ground = range(1, n + 1)
@@ -333,7 +369,7 @@ def near_top_families(draw):
 
 class TestStructuralVerifier:
     def test_accepts_construction(self):
-        assert verify_structural(theorem1_construct(6, 4)) == VerificationResult(None)
+        assert verify_certificate(theorem1_construct(6, 4)) == VerificationResult(None)
 
     def test_rejects_non_spanning_pair_family(self):
         # The theorem-1 k-sets at (6,4) with a pair family that misses element 6:
@@ -341,7 +377,7 @@ class TestStructuralVerifier:
         cert = theorem1_construct(6, 4)
         uppers = [elements(m) for m in cert.uppers]
         broken = certificate(6, 4, uppers, [(1, 2), (3, 4), (4, 5)])
-        result = verify_structural(broken)
+        result = verify_certificate(broken)
         assert not result.verified
         assert result == scan_certificate(broken)
         assert elements(result.witness) == (1, 3, 5, 6)
@@ -350,75 +386,68 @@ class TestStructuralVerifier:
         with pytest.raises(InvalidParametersError):
             certificate(6, 4, uppers=[(1, 2, 3, 4)], lowers=[(1,)])
 
-    def test_rejects_level_other_than_2(self):
-        cert = DominationCertificate(
-            spec=LevelGraphSpec(6, 4, 1), uppers=frozenset(), lowers=frozenset(),
-            provenance=Provenance.EXTERNAL,
-        )
-        with pytest.raises(InvalidParametersError):
-            verify_structural(cert)
-
     @pytest.mark.parametrize("n", range(4, 10))
     def test_agrees_with_enumerative_verifier(self, n):
         for k in range(ceil(n / 2) + 1, n):
             cert = theorem1_construct(n, k)
-            assert verify_structural(cert) == scan_certificate(cert)
+            assert verify_certificate(cert) == scan_certificate(cert)
 
     @pytest.mark.parametrize("n", range(4, 13))
     def test_agrees_on_theorem_certificates_up_to_n12(self, n):
         certs = [theorem2_construct(n)]
         certs += [theorem1_construct(n, k) for k in range(ceil(n / 2) + 1, n)]
         for cert in certs:
-            assert verify_structural(cert) == scan_certificate(cert)
+            assert verify_certificate(cert) == scan_certificate(cert)
 
     @settings(max_examples=300, deadline=None)
-    @given(l2_families())
+    @given(listed_families())
     def test_agrees_on_random_families(self, cert):
-        # The scan is the reference; verify_certificate is the default path.
-        reference = scan_certificate(cert)
-        assert verify_structural(cert) == reference
-        assert verify_certificate(cert) == reference
+        # The scan is the reference, witness included.
+        assert verify_certificate(cert) == scan_certificate(cert)
 
     @settings(max_examples=300, deadline=None)
     @given(near_top_families())
     def test_agrees_near_the_top_level(self, cert):
-        assert verify_structural(cert) == scan_certificate(cert)
+        assert verify_certificate(cert) == scan_certificate(cert)
 
     @pytest.mark.parametrize("n", range(4, 65))
     def test_theorem2_agrees_with_the_scan(self, n):
         # The family and each of its three single-member removals, every one
         # of which fails; the scan walks C(n, n-1) + C(n, 2) <= 2,080 vertices.
         # Without {2, ..., n}, the pair {2, n} is uncovered and the search
-        # settles {2, ..., n}, above that pair's mask, as its k-set witness.
+        # for the upper witness finds none below that pair's mask.
         cert = theorem2_construct(n)
         removed = [replace(cert, uppers=cert.uppers - {m}) for m in cert.uppers]
         removed += [replace(cert, lowers=cert.lowers - {m}) for m in cert.lowers]
         assert len(removed) == 3
-        assert verify_structural(cert) == scan_certificate(cert) == VerificationResult(None)
+        assert verify_certificate(cert) == scan_certificate(cert) == VerificationResult(None)
         for broken in removed:
-            result = verify_structural(broken)
+            result = verify_certificate(broken)
             assert not result.verified
             assert result == scan_certificate(broken)
 
-    def test_theorem2_settles_in_three_nodes(self, monkeypatch):
-        # The root, then one node per branch on element 64: each has as
-        # many free elements as it needs, so each is settled at once, as
-        # [63] and as {2, ..., 64}, both members.
-        monkeypatch.setattr(cubedom.constructions, "VERIFY_CAP", 3)
-        assert verify_structural(theorem2_construct(64)) == VerificationResult(None)
-        monkeypatch.setattr(cubedom.constructions, "VERIFY_CAP", 2)
-        with pytest.raises(TooLargeError):
-            verify_structural(theorem2_construct(64))
+    def test_theorem2_settles_in_one_node_per_search(self, monkeypatch):
+        # The k-set search of the former l = 2 check took three nodes: its
+        # root and two settled branches.  Now each search settles at its
+        # root, at any n.  The lower one needs two elements, so it walks the
+        # pairs that meet both {1} and {n}, only {1,n}, a member of H; the
+        # upper one needs one, and {1} and {n}, which meet {1,n}, are in A'.
+        for n in (8, 64):
+            monkeypatch.setattr(cubedom.constructions, "VERIFY_CAP", 1)
+            assert verify_certificate(theorem2_construct(n)) == VerificationResult(None)
+            monkeypatch.setattr(cubedom.constructions, "VERIFY_CAP", 0)
+            with pytest.raises(TooLargeError):
+                verify_certificate(theorem2_construct(n))
 
     @pytest.mark.parametrize("n", [20, 33, 40, 55, 63])
     def test_scales_past_enumeration(self, n):
         k = ceil(n / 2) + 1
-        assert verify_structural(theorem1_construct(n, k)).verified
+        assert verify_certificate(theorem1_construct(n, k)).verified
 
     @pytest.mark.parametrize("n", range(4, 65))
     def test_every_theorem1_certificate_verifies(self, n):
         for k in range(ceil(n / 2) + 1, n):
-            assert verify_structural(theorem1_construct(n, k)).verified
+            assert verify_certificate(theorem1_construct(n, k)).verified
 
     def test_disjoint_triangles_settle_at_the_root(self):
         # 21 disjoint triangles on [63] and no k-sets: alpha(H) = 21 < 30, which
@@ -426,28 +455,38 @@ class TestStructuralVerifier:
         # {1,4}.  A matching bound would search for minutes here.
         triangles = [(3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(21)]
         pairs = [p for t in triangles for p in itertools.combinations(t, 2)]
-        result = verify_structural(certificate(63, 30, lowers=pairs))
+        result = verify_certificate(certificate(63, 30, lowers=pairs))
         assert not result.verified
         assert result.witness == mask_of((1, 4), 63)
 
+    @pytest.mark.parametrize("t", [11, 21])
+    def test_covered_triangles_settle_at_the_root(self, monkeypatch, t):
+        # Each search takes one node at any number of triangles: the lower
+        # one walks the pairs at its root and finds every one covered, and
+        # the upper one is pruned at its root by the clique partition, which
+        # needs 2t elements of n - k.  The former check also took 1 node.
+        monkeypatch.setattr(cubedom.constructions, "VERIFY_CAP", 1)
+        assert verify_certificate(covered_triangles(t)) == VerificationResult(None)
+
     def test_search_past_the_cap_raises(self, monkeypatch):
-        # 32,971 search nodes: every pair is covered, so no pair witness
+        # 17,570 nodes in the search for the upper witness (32,971 in the
+        # former k-set search): every pair is covered, so no lower witness
         # bounds the search.
         monkeypatch.setattr(cubedom.constructions, "VERIFY_CAP", 1000)
         with pytest.raises(TooLargeError, match="structural search nodes exceed the cap of 1000"):
-            verify_structural(five_cycles(6, covered=True))
+            verify_certificate(five_cycles(6, covered=True))
 
     def test_five_cycles_within_the_cap(self):
-        assert verify_structural(five_cycles(6, covered=True)) == VerificationResult(None)
+        assert verify_certificate(five_cycles(6, covered=True)) == VerificationResult(None)
         # The witness is the uncovered pair {1,3}.
-        assert verify_structural(five_cycles(6)) == VerificationResult(mask_of((1, 3), 30))
+        assert verify_certificate(five_cycles(6)) == VerificationResult(mask_of((1, 3), 30))
 
     def test_pair_witness_bounds_the_k_set_search(self, monkeypatch):
         # Nine cycles (n = 45, k = 19) ran into the 5,000,000-node cap
-        # before the search was bounded by the pair witness; now it stops
-        # at its root, one node.
+        # before the search was bounded by the pair witness; now the search
+        # for the upper witness stops at its root, one node.
         monkeypatch.setattr(cubedom.constructions, "VERIFY_CAP", 1)
-        assert verify_structural(five_cycles(9)) == VerificationResult(mask_of((1, 3), 45))
+        assert verify_certificate(five_cycles(9)) == VerificationResult(mask_of((1, 3), 45))
 
 
 class TestSerialization:

@@ -13,6 +13,7 @@ import cubedom.cli
 import cubedom.constructions
 import cubedom.experiments
 import cubedom.solver
+from cubedom.constructions import theorem1_construct
 from cubedom.errors import CheckFailedError, InvalidParametersError, TooLargeError
 from cubedom.experiments import (
     CSV_HEADER,
@@ -24,7 +25,7 @@ from cubedom.experiments import (
     run_theorem1_sweep,
     run_theorem2_sweep,
 )
-from cubedom.levelgraph import LevelGraphSpec
+from cubedom.levelgraph import LevelGraphSpec, materialize
 from cubedom.solver import counting_lower_bound
 
 
@@ -119,21 +120,30 @@ class TestTheorem1Sweep:
         assert proven == [(8, 7), (9, 6), (9, 8), (10, 9), (11, 10), (12, 11)]
         assert all(r.gamma_exact == r.greedy_value == r.lower_bound for r in rows if r.proven)
 
-    def test_two_methods_up_to_the_scan_cap(self, monkeypatch):
-        # A scan that rejects everything fails the sweep at the cap and is
-        # not consulted above it, where the structural check stands alone.
-        scanned = []
+    def test_two_methods_up_to_the_graph_cap(self, monkeypatch):
+        # A graph check that rejects everything fails the sweep at the cap
+        # and is not consulted above it, where the structural check stands
+        # alone.
+        checked = []
 
-        def rejecting_scan(cert):
-            scanned.append(cert.spec.n)
-            return cubedom.constructions.VerificationResult(1)
+        def rejecting_cover(graph, cert):
+            checked.append(cert.spec.n)
+            return False
 
-        monkeypatch.setattr(cubedom.experiments, "scan_certificate", rejecting_scan)
-        cap = cubedom.experiments.THEOREM1_ENUM_N_CAP
-        with pytest.raises(CheckFailedError, match="fails enumerative verification"):
+        monkeypatch.setattr(cubedom.experiments, "_covers", rejecting_cover)
+        cap = cubedom.experiments.THEOREM1_GRAPH_N_CAP
+        with pytest.raises(CheckFailedError, match="fails to dominate the built graph"):
             run_theorem1_sweep(cap, cap)
         assert run_theorem1_sweep(cap + 1, cap + 1)
-        assert scanned == [cap]
+        assert checked == [cap]
+
+    def test_graph_check_refutes_a_broken_certificate(self):
+        # The graph check on its own: the theorem-1 family at (8,5) covers
+        # its graph, and without the pair {1,2} it does not.
+        cert = theorem1_construct(8, 5)
+        graph = materialize(cert.spec)
+        assert cubedom.experiments._covers(graph, cert)
+        assert not cubedom.experiments._covers(graph, replace(cert, lowers=cert.lowers - {0b11}))
 
 
 class TestGk1Check:
