@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import heapq
 import time
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
@@ -29,18 +30,17 @@ from .levelgraph import LevelGraphSpec, MaterializedGraph
 
 DEFAULT_NODE_BUDGET = 10_000_000
 # Branch and bound branches on orbits at nodes with at most this many
-# members chosen, [k] included; 1 is the root alone.  Each such node that
-# branches copies two lists and unlinks its orbit, and each chosen set pays
-# once for its atom counts, so deeper caps cut nodes but cost time.  4
-# measured fastest on the 7 to 12 x 3 to 6 conjecture table; 5 is faster
-# on the l = 2 specs at n <= 8 only, and 6 is slower on both.
-ORBIT_DEPTH = 4
+# members chosen, [k] included; 1 is the root alone.  Deeper caps cut
+# nodes but cost time: each such node that branches reads one table per
+# atom, and copies two lists unless its orbit is its candidate alone.
+# README has the depth-by-time table behind 5.
+ORBIT_DEPTH = 5
 # Nodes with at most this many members chosen, [k] included, check for
 # forced vertices before they branch; deeper nodes skip the check, so the
 # budget-bound searches, nearly all of whose nodes are deep, do not pay
-# for it.  README has the depth-by-time table behind 7.  The orbit step
+# for it.  README has the depth-by-time table behind 8.  The orbit step
 # sits inside the check's branch, so this is at least ORBIT_DEPTH.
-FORCED_DEPTH = 7
+FORCED_DEPTH = 8
 
 
 class Method(enum.Enum):
@@ -173,11 +173,17 @@ def spec_lower_bound(spec: LevelGraphSpec) -> int:
     return counting_lower_bound(spec)
 
 
+# The reports that ``_report`` built, by id, each with its witness verified.
+_BUILT: weakref.WeakValueDictionary[int, SolveReport] = weakref.WeakValueDictionary()
+
+
 def _report(
-    graph: MaterializedGraph, method: Method, chosen, lower_bound: int, nodes: int, start: float
+    graph: MaterializedGraph, method: Method, chosen, lower_bound: int, nodes: int, start: float,
+    verified: bool = False,
 ) -> SolveReport:
     """The report on the chosen vertex indices, its witness re-verified from
-    its masks alone, by a check that shares no code with ``materialize``."""
+    its masks alone, by a check that shares no code with ``materialize``,
+    unless ``verified``: the family is that of a report in ``_BUILT``."""
     nu, masks = graph.upper_count, graph.masks
     witness = DominationCertificate(
         spec=graph.spec,
@@ -186,10 +192,11 @@ def _report(
         provenance=Provenance.GREEDY if method is Method.GREEDY else Provenance.EXACT,
     )
     report = SolveReport(method, witness, lower_bound, nodes, time.perf_counter() - start)
-    if not verify_certificate(witness).verified:
+    if not verified and not verify_certificate(witness).verified:
         raise CheckFailedError(
             f"{method.value} produced a non-dominating witness for {graph.spec}"
         )
+    _BUILT[id(report)] = report
     return report
 
 
@@ -265,54 +272,30 @@ def _cap_table(
     return table
 
 
-def _atom_counts(chosen, contains: list[int]) -> list[int]:
-    """The digits of every atom's count, bit-sliced over a family of
-    non-empty subsets of [n], for ``_orbit``.
-
-    ``chosen`` are subsets of [n], and ``contains`` has n entries: bit i
-    of ``contains[e]`` is set iff subset i contains element e (0-based).
-    The atoms of [n] are its classes of elements that lie in the same
-    chosen subsets.  Each atom's counts, the number of its elements that
-    each subset contains, are added up for all subsets at once in binary:
-    bit i of an atom's digit j is bit j of subset i's count.  The digits
-    of all atoms are returned in one list.
-    """
-    n = len(contains)
-    atoms = [(1 << n) - 1]
-    for m in chosen:
-        atoms = [part for a in atoms for part in (a & m, a & ~m) if part]
-    counts: list[int] = []
-    for a in atoms:
-        digits: list[int] = []
-        while a:
-            e = a.bit_length() - 1
-            a ^= 1 << e
-            carry = contains[e]
-            for j, d in enumerate(digits):
-                digits[j], carry = d ^ carry, d & carry
-            if carry:
-                digits.append(carry)
-        counts += digits
-    return counts
+def _atom_table(atom: int, contains: list[int], every: int) -> list[int]:
+    """``table[c]``: the mask of the candidate positions whose subset
+    meets ``atom`` in exactly c elements, for c in [0, |atom|].  Bit p of
+    ``contains[e]`` is set iff the subset at position p contains element e
+    (0-based), and ``every`` has a bit for each position.  It is grown one
+    element e at a time: a position meets the elements so far in c iff it
+    met the earlier ones in c and misses e, or in c - 1 and contains e."""
+    table = [every]
+    while atom:
+        e = atom.bit_length() - 1
+        atom ^= 1 << e
+        has = contains[e]
+        table = [t & ~has | u & has for t, u in zip(table + [0], [0] + table)]
+    return table
 
 
-def _orbit(counts: list[int], i: int) -> int:
-    """The orbit of subset i under the pointwise stabilizer of the chosen
-    subsets, as a mask of the family's indices; ``counts`` is from
-    ``_atom_counts``.
-
-    A permutation of [n] fixes every chosen subset iff it maps each atom
-    onto itself, so the stabilizer is the Young subgroup on the atoms, and
-    it maps one subset onto another iff both meet every atom in the same
-    number of elements; those counts sum to the subset's size, which names
-    its level.  So the orbit is the subsets that agree with subset i on
-    every digit.  Subset i is non-empty, so some digit has bit i set and
-    bounds the mask.
-    """
-    orbit = -1
-    for d in counts:
-        orbit &= d if d >> i & 1 else ~d
-    return orbit
+def _split_atoms(atoms, member: int, contains: list[int], every: int, tables: dict):
+    """The (atom, ``_atom_table``) pairs of a family with ``member`` added,
+    from the family's ``atoms``, each split by ``member``; cached in ``tables``."""
+    parts = [part for a, _ in atoms for part in (a & member, a & ~member) if part]
+    for part in parts:
+        if part not in tables:
+            tables[part] = _atom_table(part, contains, every)
+    return [(part, tables[part]) for part in parts]
 
 
 def branch_and_bound_gamma(
@@ -337,27 +320,33 @@ def branch_and_bound_gamma(
     Ostrowski, Linderoth, Rossi and Smriglio, Math. Program. 2011).  At a
     node with at most ORBIT_DEPTH members chosen, [k] included, the exclude
     branch drops the whole orbit of the node's candidate v under G, the
-    pointwise stabilizer in S_n of the chosen members C (see ``_orbit``);
-    at the root G is the stabilizer S_k x S_{n-k} of [k].  Deeper nodes
-    exclude v alone.  This loses no family smaller than the incumbent.
-    Let F be the candidates a node has excluded, those behind its position
-    and not chosen included; the node's families are the dominating
-    supersets of C that miss F.  Each exclusion on the way to the node
-    dropped an orbit of the stabilizer of the members chosen then, a subset
-    of C, and groups only shrink as members are added, so F is a union of
-    G-orbits and G maps the node's families onto themselves, keeping their
-    size.  If such a family D meets v's orbit, at u say, some g in G maps u
-    to v, and g(D) is a family of the include branch; otherwise D is one of
-    the exclude branch.  Candidates are sorted by (-degree, -|v & [k]|,
-    index), the coverage order with ties toward larger overlap with [k],
-    and each node carries a list that maps each free position to the next,
-    so excluded positions are skipped without a visit.  The atom counts of
-    each C, over candidate positions, are found once, when its first node
-    branches, and the orbit of v is read from them.  The candidates behind
-    v's position are chosen or in F, and v's orbit misses both, so the
-    orbit is free and starts at v: the exclude branch copies the node's
-    list and unlinks the orbit's other positions, each through a list back
-    to the previous free position, kept at nodes within ORBIT_DEPTH.
+    pointwise stabilizer in S_n of the chosen members C; at the root G is
+    the stabilizer S_k x S_{n-k} of [k].  Deeper nodes exclude v alone.
+    The atoms of C are its classes of elements that lie in the same
+    members.  G is the Young subgroup on the atoms, so it maps one subset
+    onto another iff both meet every atom in as many elements (these sum
+    to the subset's size, which names its level).  This loses no family
+    smaller than the incumbent.  Let F be the candidates a node has
+    excluded, those behind its position and not chosen included; the
+    node's families are the dominating supersets of C that miss F.  Each
+    exclusion on the way to the node dropped an orbit of the stabilizer of
+    the members chosen then, a subset of C, and groups only shrink as
+    members are added, so F is a union of G-orbits and G maps the node's
+    families onto themselves, keeping their size.  If such a family D
+    meets v's orbit, at u say, some g in G maps u to v, and g(D) is a
+    family of the include branch; otherwise D is one of the exclude
+    branch.  Candidates are sorted by (-degree, -|v & [k]|, index), the
+    coverage order with ties toward larger overlap with [k], and each node
+    carries a list that maps each free position to the next, so excluded
+    positions are skipped without a visit.  The atoms of each C are found
+    when its first node branches, by splitting its parent's atoms by its
+    newest member (``_split_atoms``), and the orbit of v is the AND over
+    them of their ``_atom_table`` entries at v's counts.  The candidates
+    behind v's position are chosen or in F, and v's orbit misses both, so
+    the orbit is free and starts at v: the exclude branch copies the
+    node's list and unlinks the orbit's other positions, each through a
+    list back to the previous free position, kept at nodes within
+    ORBIT_DEPTH.
 
     Initialized with the witness of ``incumbent``, a report on the same
     spec (greedy's at every package call), and stopped early when it meets
@@ -458,18 +447,21 @@ def branch_and_bound_gamma(
     cap_at.append(cap_at[-1])
 
     # contains[e]: the positions whose subset contains element e, read off
-    # the columns of the candidates' subsets written in binary, the last
-    # position first.
-    bits = [format(graph.masks[i], f"0{spec.n}b") for i in reversed(order)]
+    # the columns of the subsets in binary, the last position first.
+    subsets = [graph.masks[i] for i in order]
+    bits = [format(m, f"0{spec.n}b") for m in reversed(subsets)]
     contains = [int("".join(col), 2) for col in zip(*bits)][::-1]
+    every = (1 << ncand) - 1
+    atom_tables: dict[int, list[int]] = {}
 
     nodes = 0
     exhausted = True
     # path[:size - 1] holds the positions chosen besides the fixed vertex 0.
     path = [0] * ncand
-    # counts_at[s]: the atom counts of the s members chosen, once a node of
-    # size s has branched on them.
-    counts_at: list[list[int] | None] = [None] * (ORBIT_DEPTH + 2)
+    # atoms_at[s]: the atoms of the s members chosen, with their tables,
+    # once a node of size s has branched on them.
+    atoms_at: list[list[tuple[int, list[int]]] | None] = [None] * (ORBIT_DEPTH + 2)
+    atoms_at[1] = _split_atoms([((1 << spec.n) - 1, [])], kmask, contains, every, atom_tables)
     # Open exclude branches, each the (pos, size, cover, U, L, nxt) of the
     # node it resumes at; the loop is at the node (pos, size, cover, nxt).
     # nxt[p] is the free position after the free position p; ncand, past
@@ -530,16 +522,22 @@ def branch_and_bound_gamma(
                 else:
                     # It drops pos's whole orbit, which is free and starts
                     # at pos (see the docstring): the orbit's other
-                    # positions are unlinked from copies of nxt and prv,
-                    # the last first.
-                    counts = counts_at[size]
-                    if counts is None:
-                        chosen = [kmask] + [graph.masks[order[p]] for p in path[:size - 1]]
-                        counts = counts_at[size] = _atom_counts(chosen, contains)
-                    orbit = _orbit(counts, pos)
-                    prv = prv_at[size]
-                    enxt, eprv = nxt.copy(), prv.copy()
+                    # positions, if any, are unlinked from copies of nxt
+                    # and prv, the last first.
+                    atoms = atoms_at[size]
+                    if atoms is None:
+                        atoms = atoms_at[size] = _split_atoms(
+                            atoms_at[size - 1], subsets[path[size - 2]], contains, every,
+                            atom_tables)
+                    v = subsets[pos]
+                    orbit = every
+                    for a, table in atoms:
+                        orbit &= table[(v & a).bit_count()]
+                    prv = eprv = prv_at[size]
+                    enxt = nxt
                     q = orbit.bit_length() - 1
+                    if q > pos:
+                        enxt, eprv = nxt.copy(), prv.copy()
                     while q > pos:
                         a, b = eprv[q], enxt[q]
                         enxt[a], eprv[b] = b, a
@@ -549,7 +547,7 @@ def branch_and_bound_gamma(
                     # The include child keeps nxt and chooses a new set of
                     # size + 1; the exclude branch takes enxt.
                     prv_at[size + 1], prv_at[size] = prv, eprv
-                    counts_at[size + 1] = None
+                    atoms_at[size + 1] = None
             # The include child, counted and checked here.
             path[size - 1] = pos
             child = cover | ordered_masks[pos]
@@ -573,4 +571,5 @@ def branch_and_bound_gamma(
                 break
             push((epos, size, cover, up, low, enxt))
             pos, size, cover, up, low = cpos, size + 1, child, cup, clow
-    return _report(graph, Method.BRANCH_AND_BOUND, best_set, lower_bound, nodes, start)
+    verified = best_size == incumbent.value and _BUILT.get(id(incumbent)) is incumbent
+    return _report(graph, Method.BRANCH_AND_BOUND, best_set, lower_bound, nodes, start, verified)

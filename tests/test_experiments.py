@@ -346,10 +346,13 @@ class TestPinnedTables:
     # with greedy's report as the proof where it meets the bound: the
     # k = n - 1 rows at n = 8...12 and (9,6) now read proven, and
     # lower_bound rose at (8,5), (9,6), (10,6), (11,7), (11,8), (12,7),
-    # (12,8) and (12,9).
+    # (12,8) and (12,9).  Orbits to five members and forced vertices to
+    # eight (four and seven before) re-took the conjecture digest
+    # (78ceb14d... -> 0793dae8...): they prove (8,3) inside the budget,
+    # 8,3,18,true,18,,18 where it read 8,3,,false,18,,16.
     DIGESTS = {
         "theorem2": "c170bd52bb4ce54c89734969a7ffaaed2a69f47abb5de7cecb170c76cb2ca14a",
-        "conjecture": "78ceb14d51012fb04c0701c2bb4ddd83bd207bbe8011cea0701d72a531a22bb1",
+        "conjecture": "0793dae8cf28d8de1b33f0f0485b64c0d40805c3e0384580966348168b583921",
         "theorem1": "40bb6788c420ec24bb800625055c0cff6ec875598e83ba9133ad845269add4be",
         "gk1": "2a5bfc7231af08f697c021ba5f6f32749b73486cbf1fe8a208cb68cba40078b1",
     }

@@ -10,7 +10,7 @@ import time
 from dataclasses import fields, replace
 from fractions import Fraction
 from math import ceil, comb
-from operator import or_
+from operator import and_, or_
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import cubedom.constructions
 import cubedom.solver
+from cubedom.cli import main
 from cubedom.constructions import (
     Provenance,
     certificate_to_json,
@@ -102,11 +103,13 @@ def chain_clique_floor(n, k, m):
 
 # Values of gamma(G_{k,2}) that HiGHS proved on rows branch and bound
 # leaves open at the conjecture table's budget; (12,7) is a theorem-1 row.
+# (13,8) is past the table; HiGHS took 126 s, and branch and bound proves
+# it at the default budget in 2,586,833 nodes, under a second (CI runs it).
 HIGHS_GAMMA = {(8, 3): 18, (9, 3): 24, (9, 4): 15, (9, 5): 10, (10, 3): 30, (10, 4): 19,
-               (10, 5): 14, (11, 4): 24, (11, 6): 12, (12, 7): 11}
+               (10, 5): 14, (11, 4): 24, (11, 6): 12, (12, 7): 11, (13, 8): 10}
 # README's frozen values of gamma(G_{k,2}).
 FROZEN_GAMMA = {(6, 3): 9, (6, 4): 6, (7, 3): 13, (7, 4): 9, (8, 3): 18, (8, 4): 12,
-                (8, 5): 8, (8, 6): 6, (10, 6): 9}
+                (8, 5): 8, (8, 6): 6, (9, 5): 10, (10, 6): 9}
 
 
 class TestPairGraphLowerBound:
@@ -153,7 +156,10 @@ class TestPairGraphLowerBound:
                 if report.proven_optimal:
                     proven += 1
                     assert pair_graph_lower_bound(n, k) <= report.value, (n, k)
-        assert proven == 14  # all but (8,3)
+        # Every one: (8,3) proves in 179,287 nodes since orbits reach five
+        # members and forced vertices eight; it stopped at the budget when
+        # they reached four and seven.
+        assert proven == 15
 
     def test_at_least_counting_bound(self):
         for n in range(4, 65):
@@ -183,12 +189,13 @@ class TestPairGraphLowerBound:
     def test_root_bound_is_not_read_from_the_incumbent(self):
         # A hand-built report may carry any lower bound; the search still
         # proves (7,4,2) from its own.  The forced-vertex rule cut its tree
-        # from 3,419 nodes to 1,107.
+        # from 3,419 nodes to 1,107, and the deeper orbit and forced-vertex
+        # caps to 1,065.
         graph = materialize(LevelGraphSpec(7, 4, 2))
         greedy = greedy_dominate(graph)
         claimed = replace(greedy, lower_bound=greedy.value)
         report = branch_and_bound_gamma(graph, claimed)
-        assert (report.value, report.nodes_explored) == (9, 1_107)
+        assert (report.value, report.nodes_explored) == (9, 1_065)
 
     def test_exported(self):
         import cubedom
@@ -313,24 +320,34 @@ class TestBranchAndBound:
         # Fixing [k] in the set cut the search from 2,518,311 nodes to
         # 406,101, skipping whole orbits of its stabilizer at the root cut
         # it to 111,757, the two-level cap bound to 25,245, orbits down
-        # to ORBIT_DEPTH members to 3,419, and forced vertices down to
-        # FORCED_DEPTH members to 1,107.  The node count is deterministic
-        # and pins the search tree.
+        # to ORBIT_DEPTH members to 3,419, forced vertices down to
+        # FORCED_DEPTH members to 1,107, and ORBIT_DEPTH 5 with FORCED_DEPTH
+        # 8 (4 and 7 before) to 1,065.  The node count is deterministic and
+        # pins the search tree.
         report = seeded_search(materialize(LevelGraphSpec(7, 4, 2)))
         assert report.proven_optimal
         assert report.value == 9
         assert report.value <= 10
-        assert report.nodes_explored == 1_107
+        assert report.nodes_explored == 1_065
 
     def test_frozen_n8_k5(self):
         # 1,249,137 nodes with [k] fixed; 234,897 with the root orbits
         # skipped; 30,041 with the two-level cap bound; 3,463 with orbits
-        # below the root; 3,219 with forced vertices.  The count fails if
+        # below the root; 3,219 with forced vertices; 1,839 with orbits to
+        # five members and forced vertices to eight.  The count fails if
         # the orbit rule, the cap bound or the forced-vertex rule is lost.
         report = seeded_search(materialize(LevelGraphSpec(8, 5, 2)))
         assert report.proven_optimal
         assert report.value == 8
-        assert report.nodes_explored == 3_219
+        assert report.nodes_explored == 1_839
+
+    def test_frozen_n9_k5(self):
+        # HiGHS gives 10 too (HIGHS_GAMMA), so the value is frozen.  The
+        # search took 1,942,687 nodes with orbits to four members and
+        # forced vertices to seven, and takes 961,545 with five and eight.
+        report = exact_l2(9, 5)
+        assert report.proven_optimal
+        assert (report.value, report.nodes_explored) == (10, 961_545)
 
     # (7,3,2), (8,4,2) and (10,6,2) are frozen because HiGHS agrees
     # (test_agrees_with_milp).  The ids leave out the node count, so a
@@ -341,11 +358,14 @@ class TestBranchAndBound:
     # at the first family of 9 it finds.  The forced-vertex rule moved
     # (6,3) 3,805 -> 807, (8,6) 205 -> 169, (7,3) 4,141 -> 223, (8,4)
     # 92,213 -> 28,777, (10,6) 14,331 -> 10,547, (6,4) 71 -> 39 and (7,5)
-    # 169 -> 133.  With the two frozen tests above, these pin the tree of
-    # every l = 2 spec of the bench's prove grid.
+    # 169 -> 133.  Orbits to five members and forced vertices to eight
+    # (four and seven before) moved (6,3) 807 -> 625, (7,3) 223 -> 209,
+    # (8,4) 28,777 -> 16,843 and (10,6) 10,547 -> 8,659.  With the two
+    # frozen tests above, these pin the tree of every l = 2 spec of the
+    # bench's prove grid.
     @pytest.mark.parametrize("n,k,gamma,nodes", [
-        (6, 3, 9, 807), (8, 6, 6, 169), (7, 3, 13, 223), (8, 4, 12, 28_777),
-        (10, 6, 9, 10_547), (6, 4, 6, 39), (7, 5, 6, 133),
+        (6, 3, 9, 625), (8, 6, 6, 169), (7, 3, 13, 209), (8, 4, 12, 16_843),
+        (10, 6, 9, 8_659), (6, 4, 6, 39), (7, 5, 6, 133),
     ], ids=["6-3", "8-6", "7-3", "8-4", "10-6", "6-4", "7-5"])
     def test_search_tree_pinned(self, n, k, gamma, nodes):
         report = exact_l2(n, k)
@@ -353,28 +373,30 @@ class TestBranchAndBound:
         assert (report.value, report.nodes_explored) == (gamma, nodes)
 
     def test_search_tree_pinned_at_budget(self):
-        # (8,4,2) needs 28,777 nodes, so it spends the whole budget: the
+        # (8,4,2) needs 16,843 nodes, so it spends the whole budget: the
         # node that exceeds it is counted, and the report keeps the
         # incumbent and the root bound, the pair-graph bound of 10 (the
         # counting bound, 9, until that bound was added).  The budget was
-        # 50,000 while the search took 92,213 nodes.
-        report = seeded_search(materialize(LevelGraphSpec(8, 4, 2)), node_budget=20_000)
+        # 50,000 while the search took 92,213 nodes, and 20,000 while it
+        # took 28,777.
+        report = seeded_search(materialize(LevelGraphSpec(8, 4, 2)), node_budget=10_000)
         assert not report.proven_optimal
-        assert (report.nodes_explored, report.value, report.lower_bound) == (20_001, 12, 10)
+        assert (report.nodes_explored, report.value, report.lower_bound) == (10_001, 12, 10)
 
     @pytest.mark.parametrize("budget,expected", [
         (1, (2, 12, 10)), (2, (3, 12, 10)),
-        pytest.param(28_776, (28_777, 12, 10), id="one-short"),
-        pytest.param(28_777, (28_777, 12, 12), id="exact"),
+        pytest.param(16_842, (16_843, 12, 10), id="one-short"),
+        pytest.param(16_843, (16_843, 12, 12), id="exact"),
     ])
     def test_budget_edges(self, budget, expected):
-        # (8,4,2) proves in exactly 28,777 nodes (92,213 before the
-        # forced-vertex rule).  One less, and the node that exceeds the
+        # (8,4,2) proves in exactly 16,843 nodes (92,213 before the
+        # forced-vertex rule, 28,777 with orbits to four members and forced
+        # vertices to seven).  One less, and the node that exceeds the
         # budget is counted.  The root's include child is node 2, counted
         # as it is made.
         report = seeded_search(materialize(LevelGraphSpec(8, 4, 2)), node_budget=budget)
         assert (report.nodes_explored, report.value, report.lower_bound) == expected
-        assert report.proven_optimal == (budget == 28_777)
+        assert report.proven_optimal == (budget == 16_843)
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_forced_depth_moves_only_the_node_count(self, n, monkeypatch):
@@ -390,6 +412,26 @@ class TestBranchAndBound:
                 for depth in (cubedom.solver.ORBIT_DEPTH, cubedom.solver.FORCED_DEPTH, 10**9):
                     monkeypatch.setattr(cubedom.solver, "FORCED_DEPTH", depth)
                     runs.append(branch_and_bound_gamma(graph, greedy, node_budget=200_000))
+                assert len({replace(r, nodes_explored=0, elapsed=0.0) for r in runs}) == 1
+                assert runs[0].proven_optimal, (n, k, l)
+                nodes = [r.nodes_explored for r in runs]
+                assert nodes == sorted(nodes, reverse=True), (n, k, l, nodes)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_orbit_depth_moves_only_the_node_count(self, n, monkeypatch):
+        # Orbital branching drops no family smaller than the incumbent, and
+        # the include branch, where the image of a dropped family lies,
+        # comes first; so orbits at the root only or down to any depth find
+        # the same incumbents: the same witness, bound and proof, with no
+        # more nodes where orbits reach deeper.
+        for k in range(2, n):
+            for l in range(1, k):
+                graph = materialize(LevelGraphSpec(n, k, l))
+                greedy = greedy_dominate(graph)
+                runs = []
+                for depth in (1, 4, 5, 6):
+                    monkeypatch.setattr(cubedom.solver, "ORBIT_DEPTH", depth)
+                    runs.append(branch_and_bound_gamma(graph, greedy, node_budget=1_000_000))
                 assert len({replace(r, nodes_explored=0, elapsed=0.0) for r in runs}) == 1
                 assert runs[0].proven_optimal, (n, k, l)
                 nodes = [r.nodes_explored for r in runs]
@@ -429,8 +471,9 @@ class TestBranchAndBound:
     def test_agrees_with_milp(self, n, k, gamma):
         # A second, independent method for the frozen l=2 values.
         # (10,6,2) takes HiGHS about 10 s, (8,3,2) about 1.4 s; branch and
-        # bound proves (8,3,2) in 542,167 nodes (1,790,409 before the
-        # forced-vertex rule).
+        # bound proves (8,3,2) in 179,287 nodes (1,790,409 before the
+        # forced-vertex rule, 542,167 with orbits to four members and forced
+        # vertices to seven).
         assert milp_gamma(materialize(LevelGraphSpec(n, k, 2))) == gamma
         report = exact_l2(n, k)
         assert report.proven_optimal
@@ -440,10 +483,11 @@ class TestBranchAndBound:
         # S -> [n] \ S maps k-sets to (n-k)-sets and l-sets to (n-l)-sets,
         # reversing inclusion, so G_{k,l} and G_{n-l,n-k} are isomorphic:
         # gamma(G_{6,5}) at n = 8 is gamma(G_{3,2}) = 18, proven here by a
-        # search over another graph.
+        # search over another graph, in 46,309 nodes (205,407 with orbits
+        # to four members and forced vertices to seven).
         report = seeded_search(materialize(LevelGraphSpec(8, 6, 5)))
         assert report.proven_optimal
-        assert (report.value, report.nodes_explored) == (18, 205_407)
+        assert (report.value, report.nodes_explored) == (18, 46_309)
 
     def test_complement_duality_n_le_7(self):
         # The same map at all 35 specs with n <= 7: branch and bound proves
@@ -510,23 +554,71 @@ def young_orbits(n, chosen, members):
             for m in members}
 
 
+def atoms_from_scratch(n, chosen):
+    """The classes of elements of [n] that lie in the same chosen subsets."""
+    classes = {}
+    for e in range(n):
+        key = tuple(c >> e & 1 for c in chosen)
+        classes[key] = classes.get(key, 0) | 1 << e
+    return set(classes.values())
+
+
+def table_orbits(atoms, members):
+    """Each member's orbit, read from the atoms' count tables."""
+    return [functools.reduce(and_, (table[(m & a).bit_count()] for a, table in atoms))
+            for m in members]
+
+
 class TestOrbits:
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_match_permutation_orbits(self, data):
-        # The members are shuffled, as branch and bound's candidates are
-        # sorted, so an orbit read in vertex order instead of position
-        # order fails.
-        n = data.draw(st.integers(3, 6))
+    # The members are shuffled, as branch and bound's candidates are
+    # sorted, so an orbit read in vertex order instead of position order
+    # fails.
+    @staticmethod
+    def draw_members(data, n_max):
+        n = data.draw(st.integers(3, n_max))
         k = data.draw(st.integers(2, n - 1))
         l = data.draw(st.integers(1, k - 1))
         members = data.draw(st.permutations(materialize(LevelGraphSpec(n, k, l)).masks))
-        chosen = data.draw(st.lists(st.sampled_from(members), max_size=4, unique=True))
         contains = [sum(1 << i for i, m in enumerate(members) if m >> e & 1) for e in range(n)]
-        counts = cubedom.solver._atom_counts(chosen, contains)
-        orbits = [cubedom.solver._orbit(counts, i) for i in range(len(members))]
+        return n, members, contains, (1 << len(members)) - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_match_permutation_orbits(self, data):
+        n, members, contains, every = self.draw_members(data, 6)
+        chosen = data.draw(st.lists(st.sampled_from(members), min_size=1, max_size=4,
+                                    unique=True))
+        atoms = [((1 << n) - 1, [])]
+        for c in chosen:
+            atoms = cubedom.solver._split_atoms(atoms, c, contains, every, {})
+        for a, table in atoms:
+            assert len(table) == a.bit_count() + 1
+            for count, positions in enumerate(table):
+                assert positions == sum(1 << i for i, m in enumerate(members)
+                                        if (m & a).bit_count() == count)
+        orbits = table_orbits(atoms, members)
         assert all(orbit >> i & 1 for i, orbit in enumerate(orbits))
         assert set(orbits) == young_orbits(n, chosen, members)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_family_grown_one_member_at_a_time(self, data):
+        # As branch and bound grows a family: each size's atoms are its
+        # parent's split by the newest member, with the tables of one cache,
+        # and at every size they give the atoms and orbits found from
+        # scratch.  An atom that no member splits keeps its table.
+        n, members, contains, every = self.draw_members(data, 5)
+        family = data.draw(st.lists(st.sampled_from(members), min_size=1, max_size=5,
+                                    unique=True))
+        cache = {}
+        atoms = [((1 << n) - 1, [])]
+        for size in range(1, len(family) + 1):
+            parent = dict(atoms)
+            atoms = cubedom.solver._split_atoms(atoms, family[size - 1], contains, every, cache)
+            assert {a for a, _ in atoms} == atoms_from_scratch(n, family[:size])
+            assert all(cache[a] is table for a, table in atoms)
+            assert all(parent[a] is table for a, table in atoms if a in parent)
+            assert set(table_orbits(atoms, members)) == young_orbits(n, family[:size], members)
 
 
 class TestPinnedReport:
@@ -541,19 +633,22 @@ class TestPinnedReport:
     8 -> 9.  The forced-vertex rule re-took the four l >= 2 ``exact``
     digests, changing only ``nodes_explored``: (6,3,2) 3,805 -> 807,
     (7,4,2) 3,419 -> 1,107, (8,6,2) 205 -> 169 and (6,4,3) 6,867 ->
-    3,193.  The brute-force digests were of reports until the oracle
+    3,193.  Orbits to five members and forced vertices to eight (four
+    and seven before) re-took three, changing only ``nodes_explored``:
+    (6,3,2) 807 -> 625, (7,4,2) 1,107 -> 1,065 and (6,4,3) 3,193 ->
+    1,859.  The brute-force digests were of reports until the oracle
     returned its certificate; the new ones were taken from the witnesses
     it found before, so they pin the same witnesses."""
 
     @pytest.mark.parametrize("solve, spec, digest", [
         (seeded_search, (6, 3, 2),
-         "041484f617cbf0cb66d52ca5896ddbbb882fdea48eada9c33294e4bbe8b66ec2"),
+         "ab1c7e5879fe2f9aad33c354dc267e1794daf50993043cdb1fdbf57cc9e56df1"),
         (seeded_search, (7, 4, 2),
-         "758287b12ba1bbb8bddb22af3e7885ef97444771598d5d9cf0ca65fb172b774d"),
+         "f09357329c3f46ec386231b84898fbd129b4e14c4968be4ab1c96cc6c96b129c"),
         (seeded_search, (8, 6, 2),
          "31619e393bc664c4e610e9132241f2b5b202611c159e39416a06b07c99fb3fe2"),
         (seeded_search, (6, 4, 3),
-         "7bdd9b3e5c997f20ad353125d76dcb775b75fff619e12b71b512390f1ff73216"),
+         "e9fdf7ea5966b1cefb21c6299f96a9480166a9512664c0b2e4e5d2bb865ba329"),
         (seeded_search, (7, 3, 1),
          "df7a1b52ac0ba24fa8eb25069e69e6ed0a96de4070bf23e710dbeb97fa264b41"),
         (greedy_dominate, (6, 3, 2),
@@ -620,6 +715,55 @@ class TestReportRecheck:
         chosen += [graph.masks.index(m) for m in theorem1_construct(6, 4).lowers]
         report = cubedom.solver._report(graph, Method.GREEDY, chosen, 0, 0, time.perf_counter())
         assert report.value == 6
+
+
+    @staticmethod
+    def count_verify_calls(monkeypatch):
+        calls = []
+        verify = cubedom.solver.verify_certificate
+        monkeypatch.setattr(cubedom.solver, "verify_certificate",
+                            lambda cert: calls.append(cert) or verify(cert))
+        return calls
+
+    @pytest.mark.parametrize("argv,verified", [
+        (["--n", "9", "--k", "6"], 1),
+        (["--n", "8", "--k", "4", "--node-budget", "1"], 1),
+        (["--n", "6", "--k", "3"], 2),
+    ], ids=["greedy-meets-bound", "budget-keeps-greedy", "search-improves"])
+    def test_unchanged_witness_is_verified_once(self, argv, verified, monkeypatch, capsys):
+        # exact verifies greedy's witness once; branch and bound verifies
+        # its witness again only when it is a smaller family: at (9,6,2)
+        # greedy meets the bound, at (8,4,2) one node keeps greedy's 12,
+        # and at (6,3,2) the search finds 9 where greedy found 11.
+        calls = self.count_verify_calls(monkeypatch)
+        main(["exact", *argv, "--l", "2"])
+        assert len(calls) == verified
+
+    def test_hand_built_report_is_verified_again(self, monkeypatch):
+        # A report that _report did not build is verified even when the
+        # search keeps its family: a copy of greedy's report is verified
+        # once, and a family as large as greedy's that leaves a vertex
+        # undominated raises.
+        graph = materialize(LevelGraphSpec(7, 4, 2))
+        greedy = greedy_dominate(graph)
+
+        def report_on(members):
+            witness = replace(greedy.witness,
+                              uppers=frozenset(m for m in members if m.bit_count() == 4),
+                              lowers=frozenset(m for m in members if m.bit_count() == 2))
+            return replace(greedy, witness=witness)
+
+        # Greedy's family with one member swapped for another vertex.
+        members = sorted(greedy.witness.uppers | greedy.witness.lowers)
+        swapped = (report_on(members[1:] + [m]) for m in graph.masks if m not in members)
+        broken = next(r for r in swapped if not verify_certificate(r.witness).verified)
+        calls = self.count_verify_calls(monkeypatch)
+        branch_and_bound_gamma(graph, greedy, node_budget=1)
+        assert calls == []
+        branch_and_bound_gamma(graph, report_on(members), node_budget=1)
+        assert len(calls) == 1
+        with pytest.raises(CheckFailedError, match="non-dominating witness"):
+            branch_and_bound_gamma(graph, broken, node_budget=1)
 
 
 class TestInvariantsUnderOptimize:
