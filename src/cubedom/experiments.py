@@ -1,7 +1,8 @@
 """Parameter sweeps reproducing the theorem checks, and the conjecture table.
 
 Each sweep emits ExperimentRow records in deterministic (n, k) order; a
-row that contradicts a theorem check raises CheckFailedError.  The
+row that contradicts a theorem check raises CheckFailedError.  One rule,
+``_row``, proves every row; both theorem sweeps run ``_sweep``.  The
 conjectured quadratic main term is tabulated for comparison only: no
 finite computation can confirm or refute an asymptotic statement, so the
 table carries values and ratios, never a verdict.
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, astuple, dataclass, fields
 from math import ceil
-from typing import Optional
+from typing import Iterable, Optional
 
 from .constructions import (
     DominationCertificate,
@@ -25,14 +26,14 @@ from .levelgraph import LevelGraphSpec, MaterializedGraph, materialize
 from .solver import SolveReport, branch_and_bound_gamma, greedy_dominate, spec_lower_bound
 from .subsets import MAX_GROUND_SET
 
-# Above these n, the theorem-1 sweep stops calling the exact solver and
+# Above these n, the theorem sweeps stop calling the exact solver and
 # building the graph (solver cap <= graph cap).  Up to the graph cap each
 # row is checked by two methods that share no code, the structural check
 # and the members' closed neighbourhoods in the graph, so a fault in
 # either fails the sweep; above it the structural check alone certifies
 # the construction, at any n <= 64.
-THEOREM1_SOLVER_N_CAP = 7
-THEOREM1_GRAPH_N_CAP = 12
+SWEEP_SOLVER_N_CAP = 7
+SWEEP_GRAPH_N_CAP = 12
 CONJECTURE_NODE_BUDGET = 200_000
 
 
@@ -67,26 +68,30 @@ def conjecture_main_term(n: int, k: int) -> float:
     return (k + 3) * n * n / (2 * (k - 1) * (k + 1))
 
 
-def _row(spec: LevelGraphSpec, construction_size: Optional[int],
+def _row(spec: LevelGraphSpec, cert: Optional[DominationCertificate],
          greedy: Optional[SolveReport], report: Optional[SolveReport]) -> ExperimentRow:
     """The table row of one spec; every runner builds its rows here.
 
-    A greedy report gives the row its greedy value; where branch and
-    bound ran, it started from that report.  The second report, branch
-    and bound's or one that proves gamma by itself, gives gamma when
-    proven, and the lower bound; with none the lower bound is the one the
-    spec gives alone (``spec_lower_bound``).  The main term is filled on
-    l = 2 rows.
+    The verified construction ``cert``, greedy's report and branch and
+    bound's (from greedy's) may each be missing.  The row is proven when
+    the least of their sizes equals its lower bound, the greatest of
+    ``spec_lower_bound`` and the reports' bounds; a lower bound above a
+    verified size raises CheckFailedError.  l = 2 rows get the main term.
     """
-    proven = report is not None and report.proven_optimal
+    found = [r for r in (greedy, report) if r is not None]
+    upper = min([r.value for r in found] + ([cert.size] if cert is not None else []))
+    lower = max([spec_lower_bound(spec)] + [r.lower_bound for r in found])
+    if lower > upper:
+        raise CheckFailedError(f"(n={spec.n},k={spec.k}): lower bound {lower} exceeds "
+                               f"a verified family of {upper} members")
     return ExperimentRow(
         n=spec.n,
         k=spec.k,
-        gamma_exact=report.value if proven else None,
-        proven=proven,
+        gamma_exact=upper if upper == lower else None,
+        proven=upper == lower,
         greedy_value=None if greedy is None else greedy.value,
-        construction_size=construction_size,
-        lower_bound=spec_lower_bound(spec) if report is None else report.lower_bound,
+        construction_size=None if cert is None else cert.size,
+        lower_bound=lower,
         conjecture_main_term=conjecture_main_term(spec.n, spec.k) if spec.l == 2 else None,
     )
 
@@ -109,72 +114,56 @@ def _check_range(n_min: int, n_max: int) -> None:
         raise InvalidParametersError(f"n={n_max} exceeds {MAX_GROUND_SET}")
 
 
-def run_theorem2_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
-    """Per n: build the 3-vertex certificate, verify it, prove gamma = 3.
+def _sweep(items: Iterable[tuple[DominationCertificate, int]]) -> list[ExperimentRow]:
+    """The rows of a theorem sweep, one per (construction, size bound).
 
-    Greedy finds 3 members, which meets the counting lower bound of 3, so
-    its report proves gamma = 3 on its own at every n <= 64, and no search
-    runs.  A row that greedy does not prove raises CheckFailedError.
+    Every row checks the bound and verifies the construction.  Up to
+    SWEEP_GRAPH_N_CAP the members' closed neighbourhoods in the built graph
+    check it a second time, independently, and greedy runs; up to
+    SWEEP_SOLVER_N_CAP branch and bound runs where greedy proves nothing.
+    """
+    rows = []
+    for cert, bound in items:
+        spec = cert.spec
+        where = f"(n={spec.n},k={spec.k})"
+        if cert.size > bound:
+            raise CheckFailedError(
+                f"{where}: construction has {cert.size} members, bound is {bound}")
+        if not verify_certificate(cert).verified:
+            raise CheckFailedError(f"{where}: structural verification failed")
+        greedy = report = None
+        if spec.n <= SWEEP_GRAPH_N_CAP:
+            graph = materialize(spec)
+            if not _covers(graph, cert):
+                raise CheckFailedError(f"{where}: certificate fails to dominate the built graph")
+            greedy = greedy_dominate(graph)
+            if not greedy.proven_optimal and spec.n <= SWEEP_SOLVER_N_CAP:
+                report = branch_and_bound_gamma(graph, greedy)
+        rows.append(_row(spec, cert, greedy, report))
+    return rows
+
+
+def run_theorem2_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
+    """Per n: build the 3-member certificate, verify it, prove gamma = 3.
+
+    The construction meets the lower bound of 3, which proves every row
+    whether or not greedy ran (see ``_sweep``); a row not proven raises.
     """
     _check_range(n_min, n_max)
-    rows = []
-    for n in range(n_min, n_max + 1):
-        cert = theorem2_construct(n)
-        if cert.size != 3:
-            raise CheckFailedError(f"n={n}: theorem-2 construction has {cert.size} members")
-        if not verify_certificate(cert).verified:
-            raise CheckFailedError(f"n={n}: theorem-2 certificate fails to dominate")
-        graph = materialize(cert.spec)
-        greedy = greedy_dominate(graph)
-        if not (greedy.proven_optimal and greedy.value == 3):
-            raise CheckFailedError(
-                f"n={n}: greedy gives {greedy.value} members against a lower bound "
-                f"of {greedy.lower_bound}, which does not prove gamma = 3"
-            )
-        rows.append(_row(cert.spec, cert.size, greedy, greedy))
+    rows = _sweep((theorem2_construct(n), 3) for n in range(n_min, n_max + 1))
+    for row in rows:
+        if row.gamma_exact != 3:
+            raise CheckFailedError(f"n={row.n}: lower bound {row.lower_bound} and "
+                                   f"construction do not prove gamma = 3")
     return rows
 
 
 def run_theorem1_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
-    """For each n and ceil(n/2) < k < n: construct, verify, record sizes.
-
-    The structural check and the size bound ceil(n/2) + 6 hold on every
-    row.  Up to THEOREM1_GRAPH_N_CAP the graph is built, the members'
-    closed neighbourhoods in it check the certificate a second time, by a
-    method independent of the structural one, and greedy runs.  Where
-    greedy's report meets its lower bound it is the row's proof;
-    otherwise exact solving runs up to THEOREM1_SOLVER_N_CAP.
-    """
+    """For each n and ceil(n/2) < k < n: construct, verify, record sizes,
+    under the size bound ceil(n/2) + 6 (see ``_sweep``)."""
     _check_range(n_min, n_max)
-    rows = []
-    for n in range(n_min, n_max + 1):
-        bound = ceil(n / 2) + 6
-        for k in range(ceil(n / 2) + 1, n):
-            cert = theorem1_construct(n, k)
-            if cert.size > bound:
-                raise CheckFailedError(
-                    f"(n={n},k={k}): construction has {cert.size} members, bound is {bound}"
-                )
-            if not verify_certificate(cert).verified:
-                raise CheckFailedError(f"(n={n},k={k}): structural verification failed")
-            greedy = report = None
-            if n <= THEOREM1_GRAPH_N_CAP:
-                graph = materialize(cert.spec)
-                if not _covers(graph, cert):
-                    raise CheckFailedError(
-                        f"(n={n},k={k}): certificate fails to dominate the built graph"
-                    )
-                greedy = greedy_dominate(graph)
-                if greedy.proven_optimal:
-                    report = greedy
-                elif n <= THEOREM1_SOLVER_N_CAP:
-                    report = branch_and_bound_gamma(graph, greedy)
-                if report is not None and report.proven_optimal and report.value > cert.size:
-                    raise CheckFailedError(
-                        f"(n={n},k={k}): gamma {report.value} exceeds construction"
-                    )
-            rows.append(_row(cert.spec, cert.size, greedy, report))
-    return rows
+    return _sweep((theorem1_construct(n, k), ceil(n / 2) + 6)
+                  for n in range(n_min, n_max + 1) for k in range(ceil(n / 2) + 1, n))
 
 
 def run_gk1_check(n_max: int) -> list[ExperimentRow]:
@@ -205,7 +194,8 @@ def run_conjecture_table(n_min: int, n_max: int, k_min: int, k_max: int) -> list
 
     One row per n_min <= n <= n_max and k_min <= k <= k_max with k < n.
     Only those rows are visited, so the work does not grow with bounds
-    past them.
+    past them.  Where k > ceil(n/2) the verified theorem-1 construction
+    counts in ``_row`` too.
     """
     if n_min > n_max or k_min > k_max:
         raise InvalidParametersError("conjecture table needs a non-empty n range and k range")
@@ -226,8 +216,10 @@ def run_conjecture_table(n_min: int, n_max: int, k_min: int, k_max: int) -> list
             graph = materialize(spec)
             greedy = greedy_dominate(graph)
             report = branch_and_bound_gamma(graph, greedy, CONJECTURE_NODE_BUDGET)
-            size = theorem1_construct(n, k).size if k > ceil(n / 2) else None
-            rows.append(_row(spec, size, greedy, report))
+            cert = theorem1_construct(n, k) if k > ceil(n / 2) else None
+            if cert is not None and not verify_certificate(cert).verified:
+                raise CheckFailedError(f"(n={n},k={k}): structural verification failed")
+            rows.append(_row(spec, cert, greedy, report))
     return rows
 
 

@@ -351,8 +351,9 @@ def branch_and_bound_gamma(
     Initialized with the witness of ``incumbent``, a report on the same
     spec (greedy's at every package call), and stopped early when it meets
     the root lower bound, ``pair_graph_lower_bound`` for l = 2 and the
-    counting bound otherwise.  A node with s vertices chosen, U upper and
-    L lower vertices uncovered, can lead to a family smaller than the
+    counting bound otherwise: at once, before any table is built, when
+    the incumbent meets it.  A node with s vertices chosen, U upper and L
+    lower vertices uncovered, can lead to a family smaller than the
     incumbent's size b only by r = b - s - 1 more picks from the
     candidates at or after its position.  It is pruned when r < 0, when
     U > cap(r, L) (see ``_cap_table``; the level classes are those of its
@@ -411,6 +412,9 @@ def branch_and_bound_gamma(
     index = {m: i for i, m in enumerate(graph.masks)}
     best_set = [index[m] for m in incumbent.witness.uppers | incumbent.witness.lowers]
     best_size = len(best_set)
+    known = _BUILT.get(id(incumbent)) is incumbent
+    if best_size <= lower_bound:
+        return _report(graph, Method.BRANCH_AND_BOUND, best_set, lower_bound, 0, start, known)
 
     nu, kmask = graph.upper_count, graph.masks[0]
     overlap = [(m & kmask).bit_count() for m in graph.masks]
@@ -571,5 +575,5 @@ def branch_and_bound_gamma(
                 break
             push((epos, size, cover, up, low, enxt))
             pos, size, cover, up, low = cpos, size + 1, child, cup, clow
-    verified = best_size == incumbent.value and _BUILT.get(id(incumbent)) is incumbent
+    verified = known and best_size == incumbent.value
     return _report(graph, Method.BRANCH_AND_BOUND, best_set, lower_bound, nodes, start, verified)

@@ -350,7 +350,7 @@ class TestSweepTheoremChecks:
          "(n=8,k=5): construction has 34 members, bound is 10"),
         # A fourth member.
         ("2", "theorem2_construct", lambda cert: replace(cert, lowers=cert.lowers | {0b11}),
-         "n=8: theorem-2 construction has 4 members"),
+         "(n=8,k=7): construction has 4 members, bound is 3"),
     ], ids=["theorem1", "theorem2"])
     def test_oversized_construction_exits_1(self, capsys, monkeypatch, theorem, name, grow,
                                             message):
@@ -558,11 +558,11 @@ EXIT_CODES = {
         # SolveReport: a lower bound above the witness's size.
         ((cubedom.solver, "counting_lower_bound", lambda spec: 10**6),
          ("greedy", "--n", "5", "--k", "3", "--l", "2")),
-        # ExperimentRow: a greedy value below the proven gamma.  The row's
-        # branch and bound starts from greedy's witness, so the stand-in
-        # keeps the real one.
+        # A table row: a greedy value below the proven lower bound.  The
+        # row's branch and bound starts from greedy's witness, so the
+        # stand-in keeps the real one.
         ((cubedom.experiments, "greedy_dominate",
-          lambda g: types.SimpleNamespace(value=1, spec=g.spec,
+          lambda g: types.SimpleNamespace(value=1, lower_bound=1, spec=g.spec,
                                           witness=cubedom.solver.greedy_dominate(g).witness)),
          ("gk1-check", "--n-max", "3")),
     ]),

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import io
 import json
+import types
 from collections import Counter
 from dataclasses import replace
 from math import ceil
@@ -59,22 +60,24 @@ class TestTheorem2Sweep:
 
     @pytest.mark.parametrize("n", [15, 64])
     def test_proves_gamma_3_at_large_n(self, n):
+        # Above the graph cap the construction and the lower bound prove the
+        # row: no graph is built, so greedy does not run.
         (row,) = run_theorem2_sweep(n, n)
         assert row.gamma_exact == 3 and row.proven
-        assert row.lower_bound == row.construction_size == row.greedy_value == 3
+        assert row.lower_bound == row.construction_size == 3
+        assert row.greedy_value is None
 
-    def test_row_that_greedy_does_not_prove_fails(self, monkeypatch, capsys):
-        # Greedy's report is the row's proof, so a greedy report whose lower
-        # bound falls short fails the sweep; no search re-proves the row.
-        real = cubedom.experiments.greedy_dominate
-        monkeypatch.setattr(cubedom.experiments, "greedy_dominate",
-                            lambda graph: replace(real(graph), lower_bound=2))
-        with pytest.raises(CheckFailedError, match="n=4: .*does not prove gamma = 3"):
-            run_theorem2_sweep(4, 6)
-        code = cubedom.cli.main(["sweep", "--theorem", "2", "--n-min", "4", "--n-max", "6"])
+    def test_row_not_proven_at_3_fails(self, monkeypatch, capsys):
+        # Above the graph cap a row's proof is its 3-member construction
+        # against the spec's lower bound, so a bound that falls short
+        # leaves the row unproven and fails the sweep.
+        monkeypatch.setattr(cubedom.experiments, "spec_lower_bound", lambda spec: 2)
+        with pytest.raises(CheckFailedError, match="n=13: .*do not prove gamma = 3"):
+            run_theorem2_sweep(13, 15)
+        code = cubedom.cli.main(["sweep", "--theorem", "2", "--n-min", "13", "--n-max", "15"])
         out, err = capsys.readouterr()
         assert (code, out) == (1, "")
-        assert err.startswith("check failed: n=4: ") and err.count("\n") == 1
+        assert err.startswith("check failed: n=13: ") and err.count("\n") == 1
 
 
 class TestTheorem1Sweep:
@@ -121,9 +124,9 @@ class TestTheorem1Sweep:
         assert all(r.gamma_exact == r.greedy_value == r.lower_bound for r in rows if r.proven)
 
     def test_two_methods_up_to_the_graph_cap(self, monkeypatch):
-        # A graph check that rejects everything fails the sweep at the cap
-        # and is not consulted above it, where the structural check stands
-        # alone.
+        # A graph check that rejects everything fails either theorem sweep
+        # at the cap and is not consulted above it, where the structural
+        # check stands alone.
         checked = []
 
         def rejecting_cover(graph, cert):
@@ -131,11 +134,12 @@ class TestTheorem1Sweep:
             return False
 
         monkeypatch.setattr(cubedom.experiments, "_covers", rejecting_cover)
-        cap = cubedom.experiments.THEOREM1_GRAPH_N_CAP
-        with pytest.raises(CheckFailedError, match="fails to dominate the built graph"):
-            run_theorem1_sweep(cap, cap)
-        assert run_theorem1_sweep(cap + 1, cap + 1)
-        assert checked == [cap]
+        cap = cubedom.experiments.SWEEP_GRAPH_N_CAP
+        for run in (run_theorem1_sweep, run_theorem2_sweep):
+            with pytest.raises(CheckFailedError, match="fails to dominate the built graph"):
+                run(cap, cap)
+            assert run(cap + 1, cap + 1)
+        assert checked == [cap, cap]
 
     def test_graph_check_refutes_a_broken_certificate(self):
         # The graph check on its own: the theorem-1 family at (8,5) covers
@@ -144,6 +148,28 @@ class TestTheorem1Sweep:
         graph = materialize(cert.spec)
         assert cubedom.experiments._covers(graph, cert)
         assert not cubedom.experiments._covers(graph, replace(cert, lowers=cert.lowers - {0b11}))
+
+
+class TestRowRule:
+    def test_lower_bound_above_the_construction_fails(self):
+        # A report whose lower bound exceeds the verified construction's
+        # size contradicts it; one that meets it proves the row.
+        cert = theorem1_construct(8, 5)
+        above = types.SimpleNamespace(value=cert.size + 1, lower_bound=cert.size + 1)
+        with pytest.raises(CheckFailedError, match=r"\(n=8,k=5\): lower bound 11 exceeds"):
+            cubedom.experiments._row(cert.spec, cert, None, above)
+        meets = types.SimpleNamespace(value=cert.size, lower_bound=cert.size)
+        row = cubedom.experiments._row(cert.spec, cert, None, meets)
+        assert (row.proven, row.gamma_exact, row.construction_size) == (True, 10, 10)
+
+    def test_conjecture_construction_is_verified(self, monkeypatch):
+        # The conjecture table counts the theorem-1 construction's size, so
+        # a construction that fails verification fails the table.
+        real = cubedom.experiments.theorem1_construct
+        monkeypatch.setattr(cubedom.experiments, "theorem1_construct",
+                            lambda n, k: replace(real(n, k), lowers=real(n, k).lowers - {0b11}))
+        with pytest.raises(CheckFailedError, match=r"\(n=8,k=5\): structural verification"):
+            run_conjecture_table(8, 8, 5, 5)
 
 
 class TestGk1Check:
@@ -233,9 +259,10 @@ class TestOneGraphPerRow:
     def test_each_row_runs_greedy_once(self, monkeypatch, run):
         # Branch and bound starts from the greedy report of its row, or of
         # its exact command, instead of running greedy again.  Theorem 1
-        # rows above n = 7 run greedy but no branch and bound, and theorem
-        # 2 rows run greedy alone.  The exact command reads greedy_dominate
-        # from cubedom.solver when it runs, so that is where it is counted.
+        # rows above n = 7 run greedy but no branch and bound, nor do the
+        # theorem 2 rows, which greedy proves.  The exact command reads
+        # greedy_dominate from cubedom.solver when it runs, so that is
+        # where it is counted.
         calls = []
         for module in (cubedom.experiments, cubedom.solver):
             real = module.greedy_dominate
@@ -315,6 +342,7 @@ class TestEmission:
 
 TABLES = {
     "theorem2": lambda: run_theorem2_sweep(4, 12),
+    "theorem2-64": lambda: run_theorem2_sweep(4, 64),
     "conjecture": lambda: run_conjecture_table(5, 9, 3, 5),
     "theorem1": lambda: run_theorem1_sweep(4, 12),
     "gk1": lambda: run_gk1_check(8),
@@ -349,9 +377,13 @@ class TestPinnedTables:
     # (12,8) and (12,9).  Orbits to five members and forced vertices to
     # eight (four and seven before) re-took the conjecture digest
     # (78ceb14d... -> 0793dae8...): they prove (8,3) inside the budget,
-    # 8,3,18,true,18,,18 where it read 8,3,,false,18,,16.
+    # 8,3,18,true,18,,18 where it read 8,3,,false,18,,16.  The theorem-2
+    # table to n = 64 was pinned once its rows above the graph cap ran no
+    # greedy: it differs from the earlier output only in their empty
+    # greedy_value cells.
     DIGESTS = {
         "theorem2": "c170bd52bb4ce54c89734969a7ffaaed2a69f47abb5de7cecb170c76cb2ca14a",
+        "theorem2-64": "dc75b415830ff4e4445d73716bc3719c487446b19bc8f3d6f8daf0da7618decd",
         "conjecture": "0793dae8cf28d8de1b33f0f0485b64c0d40805c3e0384580966348168b583921",
         "theorem1": "40bb6788c420ec24bb800625055c0cff6ec875598e83ba9133ad845269add4be",
         "gk1": "2a5bfc7231af08f697c021ba5f6f32749b73486cbf1fe8a208cb68cba40078b1",

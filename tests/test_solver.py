@@ -286,6 +286,26 @@ class TestGreedy:
 
 
 class TestBranchAndBound:
+    @pytest.mark.parametrize("n", [7, 64])
+    def test_incumbent_at_the_root_bound_returns_before_the_tables(self, monkeypatch, n):
+        # Greedy proves (n, n-1, 2) with 3 members, so branch and bound
+        # returns its family with 0 nodes, verified once, by greedy, and
+        # builds none of the search's tables.
+        graph = materialize(LevelGraphSpec(n, n - 1, 2))
+        greedy = greedy_dominate(graph)
+        assert greedy.proven_optimal
+
+        def refuse(*args):
+            raise AssertionError("built a table of the search")
+
+        monkeypatch.setattr(cubedom.solver, "_cap_table", refuse)
+        monkeypatch.setattr(cubedom.solver, "_split_atoms", refuse)
+        calls = TestReportRecheck.count_verify_calls(monkeypatch)
+        report = branch_and_bound_gamma(graph, greedy)
+        assert (report.value, report.lower_bound, report.nodes_explored) == (3, 3, 0)
+        assert report.witness == replace(greedy.witness, provenance=Provenance.EXACT)
+        assert calls == []
+
     def test_matches_brute_force_n_le_6(self):
         for n in range(3, 7):
             for k in range(2, n):
