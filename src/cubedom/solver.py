@@ -5,19 +5,22 @@ graph, one Python int per vertex, so a domination test is one OR/compare.
 ``branch_and_bound_gamma`` is the exact solver and ``greedy_dominate`` the
 heuristic.  Both take a graph materialized by the caller, and a report's
 ``elapsed`` is the solve time alone.  Branch and bound starts from its
-caller's report, greedy's at every call in the package.
+caller's report, greedy's at every call in the package, and improves it
+once by iterated greedy (``_improve``) if the search runs long.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+import random
 import time
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, repeat
+from functools import lru_cache, reduce
+from itertools import accumulate, chain, repeat
 from math import comb, factorial, prod
+from operator import or_
 
 from .constructions import (
     DominationCertificate,
@@ -41,6 +44,16 @@ ORBIT_DEPTH = 5
 # for it.  README has the depth-by-time table behind 8.  The orbit step
 # sits inside the check's branch, so this is at least ORBIT_DEPTH.
 FORCED_DEPTH = 8
+# Branch and bound runs ``_improve`` on its incumbent once, when the search
+# passes IMPROVE_AT nodes without a proof: above every search that proves
+# quickly, so those keep their trees, and well inside the conjecture
+# table's 200,000.  The improver runs IMPROVE_ITERATIONS iterations from
+# a fixed seed, each dropping IMPROVE_SHARE of the members, so its result
+# is the same on every run.  README has the measurements behind them.
+IMPROVE_AT = 50_000
+IMPROVE_ITERATIONS = 100
+IMPROVE_SHARE = 0.35
+IMPROVE_SEED = 0
 
 
 class Method(enum.Enum):
@@ -202,14 +215,11 @@ def _report(
 
 def greedy_dominate(graph: MaterializedGraph) -> SolveReport:
     """Largest-new-coverage-first greedy, lazy-evaluated on a max-heap,
-    less the picks that the others make redundant.
+    less the picks that the others make redundant (``_irredundant``,
+    latest first), so no member of the witness can be left out.
 
-    No member of the witness can be left out.  Ties break toward the
-    smallest vertex index, i.e. upper level first and then colex rank, so
-    runs are deterministic.  Picks are dropped latest first: pick j goes
-    when the picks before it, prefix[j], and the later picks kept so far
-    cover everything.  A kept pick stays needed, since dropping earlier
-    picks only shrinks what covers for it.
+    Ties break toward the smallest vertex index, i.e. upper level first
+    and then colex rank, so runs are deterministic.
     """
     start = time.perf_counter()
     masks = graph.closed
@@ -218,7 +228,6 @@ def greedy_dominate(graph: MaterializedGraph) -> SolveReport:
     heapq.heapify(heap)
     cover = 0
     chosen: list[int] = []
-    prefix: list[int] = []
     while cover != full:
         neg_gain, i = heapq.heappop(heap)
         gain = (masks[i] & ~cover).bit_count()
@@ -226,16 +235,124 @@ def greedy_dominate(graph: MaterializedGraph) -> SolveReport:
             heapq.heappush(heap, (-gain, i))
             continue
         chosen.append(i)
-        prefix.append(cover)
         cover |= masks[i]
-    kept = 0
-    for j in range(len(chosen) - 1, -1, -1):
-        if prefix[j] | kept == full:
-            del chosen[j]
-        else:
-            kept |= masks[chosen[j]]
+    chosen = _irredundant(masks, chosen, full)
     lb = spec_lower_bound(graph.spec)
     return _report(graph, Method.GREEDY, chosen, lb, len(chosen), start)
+
+
+def _irredundant(masks, picks: list[int], full: int) -> list[int]:
+    """``picks``, a dominating list of vertices, less those that the others
+    make redundant, dropped latest first.  Pick j goes when the picks
+    before it and the later picks kept so far cover everything; a kept
+    pick stays needed, since dropping earlier picks only shrinks what
+    covers for it.  So no member of the result can be left out."""
+    # prefix[j]: what the picks before pick j cover.
+    prefix = list(accumulate(map(masks.__getitem__, picks), or_, initial=0))
+    prefix.pop()
+    kept = 0
+    out = []
+    for v, before in zip(reversed(picks), reversed(prefix)):
+        if before | kept != full:
+            kept |= masks[v]
+            out.append(v)
+    out.reverse()
+    return out
+
+
+def _improve(graph: MaterializedGraph, chosen: list[int], bound: int) -> list[int]:
+    """A dominating family no larger than ``chosen``, by iterated greedy
+    (Ruiz and Stuetzle, EJOR 2007): ``chosen`` itself unless a smaller
+    family turns up.
+
+    Each of IMPROVE_ITERATIONS iterations drops IMPROVE_SHARE of the
+    current family's members, drawn by a ``random.Random`` seeded with
+    IMPROVE_SEED, and repairs the rest: while a vertex is undominated, it
+    adds the dominator of one undominated vertex u that dominates the
+    most undominated vertices (``_best_dominator``).  u is the least
+    undominated vertex of the level whose vertices have fewer dominators,
+    while that level has one, so that few candidates are weighed.  The
+    repaired family then loses its redundant members, the kept ones first
+    (``_irredundant``), and becomes the current family if it is no
+    larger.  The loop also ends once a family meets ``bound``, a lower
+    bound on every dominating family.
+    """
+    masks = graph.closed
+    full = (1 << len(masks)) - 1
+    n, k, l = graph.spec.n, graph.spec.k, graph.spec.l
+    uppers = (1 << graph.upper_count) - 1
+    # An upper vertex has 1 + C(k,l) dominators and a lower one 1 + C(n-l,k-l).
+    first = uppers if comb(k, l) <= comb(n - l, k - l) else full ^ uppers
+    rng = random.Random(IMPROVE_SEED)
+    lists: dict[int, list[tuple[int, int]]] = {}
+    best = chosen
+    current = sorted(chosen)
+    for _ in range(IMPROVE_ITERATIONS):
+        if len(best) <= bound:
+            break
+        dropped = set(rng.sample(current, round(IMPROVE_SHARE * len(current))))
+        kept = [v for v in current if v not in dropped]
+        missing = full ^ reduce(or_, map(masks.__getitem__, kept), 0)
+        added = []
+        while missing:
+            u = missing & first or missing
+            v = _best_dominator(masks, (u & -u).bit_length() - 1, missing, lists)
+            added.append(v)
+            missing &= ~masks[v]
+        family = _irredundant(masks, added + kept, full)
+        if len(family) <= len(current):
+            current = family
+            if len(family) < len(best):
+                best = family
+    return best
+
+
+def _best_dominator(masks, u: int, missing: int, lists: dict) -> int:
+    """The least vertex v of N[u] with the most vertices of ``missing`` in
+    N[v], ``masks`` being the closed neighbourhoods.
+
+    v is in N[w] iff w is in N[v], so v's count is also the number of w in
+    ``missing`` with v in N[w].  When ``missing`` has under an eighth as
+    many vertices as N[u] (one of them costs about as much as eight
+    dominators counted in turn), the counts are summed over its vertices
+    w, as bitsets N[w] & N[u], in bit-sliced binary: ``digits[i]`` holds
+    bit i of every count.  Otherwise each v in N[u] is counted in turn,
+    from u's list of dominators and their masks, cached in ``lists`` when
+    first built.
+    """
+    candidates = masks[u]
+    if 8 * missing.bit_count() < candidates.bit_count():
+        digits: list[int] = []
+        while missing:
+            w = missing & -missing
+            missing ^= w
+            carry = masks[w.bit_length() - 1] & candidates
+            for i, d in enumerate(digits):
+                digits[i] = d ^ carry
+                carry &= d
+                if not carry:
+                    break
+            else:
+                digits.append(carry)
+        # Those with the largest count, read from its top bit down.
+        for d in reversed(digits):
+            if candidates & d:
+                candidates &= d
+        return (candidates & -candidates).bit_length() - 1
+    dominators = lists.get(u)
+    if dominators is None:
+        dominators, m = [], candidates
+        while m:
+            v = (m & -m).bit_length() - 1
+            dominators.append((v, masks[v]))
+            m ^= 1 << v
+        lists[u] = dominators
+    best = most = -1
+    for v, reach in dominators:
+        count = (reach & missing).bit_count()
+        if count > most:
+            best, most = v, count
+    return best
 
 
 def _cap_table(
@@ -394,6 +511,16 @@ def branch_and_bound_gamma(
     computed once per include, and a run of excludes advances the position
     in place, counting one node per position visited.
 
+    Once, when the node count passes IMPROVE_AT without a proof, the loop
+    hands the incumbent's family to ``_improve``, and the family it
+    returns, no larger, is the incumbent from then on.  If it is smaller,
+    the open branches with at least as many members chosen, the loop's
+    node included, can lead to no smaller family and are dropped, and the
+    search ends at once if the family meets the root bound.  The
+    improver's iterations are not counted as nodes.  It can only lower
+    the incumbent's size, under which every prune stays sound, so a proof
+    means what it meant without it.
+
     Exceeding the node budget is a normal outcome: the report then carries
     the incumbent and the root lower bound with proven_optimal=False.  A
     budget below one node is rejected with InvalidParametersError.
@@ -412,6 +539,7 @@ def branch_and_bound_gamma(
     index = {m: i for i, m in enumerate(graph.masks)}
     best_set = [index[m] for m in incumbent.witness.uppers | incumbent.witness.lowers]
     best_size = len(best_set)
+    start_set = sorted(best_set)
     known = _BUILT.get(id(incumbent)) is incumbent
     if best_size <= lower_bound:
         return _report(graph, Method.BRANCH_AND_BOUND, best_set, lower_bound, 0, start, known)
@@ -481,11 +609,31 @@ def branch_and_bound_gamma(
     # Uncovered lowers and uppers; cover has no bits outside full.
     low = nl - (cover >> nu).bit_count()
     up = nv - cover.bit_count() - low
+    # The first node count at which the loop stops to act: the budget, or
+    # the improver's trigger before it.
+    limit = min(node_budget, IMPROVE_AT)
     while exhausted and best_size > lower_bound:
         nodes += 1
-        if nodes > node_budget:
-            exhausted = False
-            break
+        if nodes > limit:
+            if nodes > node_budget:
+                exhausted = False
+                break
+            # Once: the improver's family is the incumbent from here on.
+            # The open branches of its size or more, the node's own
+            # included, cannot beat it, and are dropped: they sit on top of
+            # the stack, whose sizes rise.
+            limit = node_budget
+            best_set = _improve(graph, best_set, lower_bound)
+            best_size = len(best_set)
+            while stack and stack[-1][1] >= best_size:
+                pop()
+            if size >= best_size:
+                if not stack:
+                    lower_bound = best_size
+                    break
+                pos, size, cover, up, low, nxt = pop()
+            if best_size <= lower_bound:
+                break
         # Row 0 of every table is -1, which prunes r = best_size - size - 1
         # < 0.  suffix_or[ncand] is 0, so the last test also ends a run at
         # ncand.
@@ -575,5 +723,5 @@ def branch_and_bound_gamma(
                 break
             push((epos, size, cover, up, low, enxt))
             pos, size, cover, up, low = cpos, size + 1, child, cup, clow
-    verified = known and best_size == incumbent.value
+    verified = known and sorted(best_set) == start_set
     return _report(graph, Method.BRANCH_AND_BOUND, best_set, lower_bound, nodes, start, verified)

@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -28,6 +30,7 @@ from cubedom.constructions import (
 from cubedom.errors import CheckFailedError, InvalidParametersError, TooLargeError
 from cubedom.levelgraph import LevelGraphSpec, materialize
 from cubedom.solver import (
+    DEFAULT_NODE_BUDGET,
     Method,
     SolveReport,
     branch_and_bound_gamma,
@@ -101,15 +104,18 @@ def chain_clique_floor(n, k, m):
     return ceil(total)
 
 
-# Values of gamma(G_{k,2}) that HiGHS proved on rows branch and bound
-# leaves open at the conjecture table's budget; (12,7) is a theorem-1 row.
+# Values of gamma(G_{k,2}) that HiGHS proved on rows branch and bound left
+# open at the conjecture table's budget when they were taken; (12,7) is a
+# theorem-1 row.
 # (13,8) is past the table; HiGHS took 126 s, and branch and bound proves
 # it at the default budget in 2,586,833 nodes, under a second (CI runs it).
-HIGHS_GAMMA = {(8, 3): 18, (9, 3): 24, (9, 4): 15, (9, 5): 10, (10, 3): 30, (10, 4): 19,
+# (9,4) moved to FROZEN_GAMMA once branch and bound proved it too, from
+# the improver's incumbent.
+HIGHS_GAMMA = {(8, 3): 18, (9, 3): 24, (9, 5): 10, (10, 3): 30, (10, 4): 19,
                (10, 5): 14, (11, 4): 24, (11, 6): 12, (12, 7): 11, (13, 8): 10}
 # README's frozen values of gamma(G_{k,2}).
 FROZEN_GAMMA = {(6, 3): 9, (6, 4): 6, (7, 3): 13, (7, 4): 9, (8, 3): 18, (8, 4): 12,
-                (8, 5): 8, (8, 6): 6, (9, 5): 10, (10, 6): 9}
+                (8, 5): 8, (8, 6): 6, (9, 4): 15, (9, 5): 10, (10, 6): 9}
 
 
 class TestPairGraphLowerBound:
@@ -364,10 +370,20 @@ class TestBranchAndBound:
     def test_frozen_n9_k5(self):
         # HiGHS gives 10 too (HIGHS_GAMMA), so the value is frozen.  The
         # search took 1,942,687 nodes with orbits to four members and
-        # forced vertices to seven, and takes 961,545 with five and eight.
+        # forced vertices to seven, and 961,545 with five and eight.  Now
+        # the improver turns greedy's 11 into 10 at IMPROVE_AT nodes, and
+        # the search ends about 1,200 nodes later: 51,165.
         report = exact_l2(9, 5)
         assert report.proven_optimal
-        assert (report.value, report.nodes_explored) == (10, 961_545)
+        assert (report.value, report.nodes_explored) == (10, 51_165)
+
+    def test_frozen_n9_k4(self):
+        # HiGHS gives 15 too (HIGHS_GAMMA until this proof), so the value
+        # is frozen.  Greedy gives 16, and the search alone found nothing
+        # smaller in 10^7 nodes; from the improver's 15 it proves it.
+        report = exact_l2(9, 4)
+        assert report.proven_optimal
+        assert (report.value, report.nodes_explored) == (15, 353_303)
 
     # (7,3,2), (8,4,2) and (10,6,2) are frozen because HiGHS agrees
     # (test_agrees_with_milp).  The ids leave out the node count, so a
@@ -423,7 +439,9 @@ class TestBranchAndBound:
         # The forced-vertex rule is sound at every depth, so checking it
         # at every node, or only where orbits are taken (its least depth),
         # finds the same incumbents: the same witness, bound and proof,
-        # with no more nodes where it checks more.
+        # with no more nodes where it checks more.  The improver stays
+        # off: it runs at a node count, which the depth moves.
+        monkeypatch.setattr(cubedom.solver, "IMPROVE_AT", 10**9)
         for k in range(2, n):
             for l in range(1, k):
                 graph = materialize(LevelGraphSpec(n, k, l))
@@ -443,7 +461,11 @@ class TestBranchAndBound:
         # the include branch, where the image of a dropped family lies,
         # comes first; so orbits at the root only or down to any depth find
         # the same incumbents: the same witness, bound and proof, with no
-        # more nodes where orbits reach deeper.
+        # more nodes where orbits reach deeper.  The improver stays off: it
+        # runs at a node count, which the depth moves; with orbits at the
+        # root only, (7,5,4) passes 50,000 nodes, and the improver's 13
+        # is another family than the one the search finds later.
+        monkeypatch.setattr(cubedom.solver, "IMPROVE_AT", 10**9)
         for k in range(2, n):
             for l in range(1, k):
                 graph = materialize(LevelGraphSpec(n, k, l))
@@ -538,6 +560,188 @@ class TestBranchAndBound:
             b.nodes_explored,
         )
         assert a.witness == b.witness
+
+
+def transposed(graph, chosen, a, b):
+    """The vertices of ``chosen`` under the transposition of elements a
+    and b (0-based), an automorphism of the graph."""
+    def swap(m):
+        if (m >> a & 1) != (m >> b & 1):
+            m ^= 1 << a | 1 << b
+        return m
+
+    index = {m: i for i, m in enumerate(graph.masks)}
+    return [index[swap(graph.masks[i])] for i in chosen]
+
+
+def family_of(report, graph):
+    """The vertex indices of a report's witness, sorted."""
+    index = {m: i for i, m in enumerate(graph.masks)}
+    return sorted(index[m] for m in report.witness.uppers | report.witness.lowers)
+
+
+class TestImprover:
+    """The iterated-greedy improver that branch and bound runs once, past
+    IMPROVE_AT nodes, and its mid-search incumbent."""
+
+    @staticmethod
+    def solve(monkeypatch, spec, trigger, node_budget=DEFAULT_NODE_BUDGET):
+        monkeypatch.setattr(cubedom.solver, "IMPROVE_AT", trigger)
+        graph = materialize(LevelGraphSpec(*spec))
+        return branch_and_bound_gamma(graph, greedy_dominate(graph), node_budget)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_trigger_moves_only_the_node_count(self, n, monkeypatch):
+        # Fired at once or never, the improver leaves every spec with
+        # n <= 7 with the same value, bound and proof; fired at once, the
+        # search visits no more nodes, since every prune is at least as
+        # tight under a smaller incumbent.
+        for k in range(2, n):
+            for l in range(1, k):
+                early, never = (self.solve(monkeypatch, (n, k, l), trigger, 1_000_000)
+                                for trigger in (1, 10**9))
+                assert never.proven_optimal, (n, k, l)
+                assert (early.value, early.lower_bound, early.proven_optimal) == (
+                    never.value, never.lower_bound, never.proven_optimal), (n, k, l)
+                assert early.nodes_explored <= never.nodes_explored, (n, k, l)
+
+    @pytest.mark.parametrize("n,k,gamma", [(7, 3, 13), (8, 4, 12), (6, 3, 9), (9, 5, 10)])
+    def test_fired_mid_search(self, n, k, gamma, monkeypatch):
+        # Wherever the search is when the improver runs, it ends with the
+        # same proven value.  Greedy is optimal at (7,3) and (8,4); at
+        # (6,3) and (9,5) the improver's family is smaller than greedy's,
+        # and replaces the incumbent with the stack part-way down.
+        for trigger in (1, 2, 3, 10, 100, 1_000):
+            report = self.solve(monkeypatch, (n, k, 2), trigger)
+            assert (report.value, report.lower_bound, report.proven_optimal) == (
+                gamma, gamma, True), trigger
+
+    def test_drop_to_the_root_bound_returns_proven(self, monkeypatch):
+        # At (6,3,2) greedy gives 11 and the root bound is 9.  With the
+        # trigger at 1, the improver runs where the loop next tests a node,
+        # node 8, after the root's chain of include children; it finds 9,
+        # and the search returns proven at once, with that family
+        # re-verified (greedy's verification is the other call).
+        calls = TestReportRecheck.count_verify_calls(monkeypatch)
+        report = self.solve(monkeypatch, (6, 3, 2), 1)
+        assert (report.value, report.lower_bound, report.nodes_explored) == (9, 9, 8)
+        assert report.proven_optimal
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("n,k,l,gamma", [(6, 3, 2, 9), (6, 4, 3, 9), (7, 5, 4, 13),
+                                             (9, 5, 2, 10)])
+    def test_drop_reads_no_negative_cap_row(self, n, k, l, gamma, monkeypatch):
+        # From greedy's family padded with six more vertices, the search
+        # runs deep before the improver cuts the incumbent by several
+        # members.  The open branches that can no longer beat it must go:
+        # kept, they would index the cap tables below row 0, which Python
+        # reads from the end.  Here every cap table raises on such a read.
+        class NoNegativeRows(list):
+            def __getitem__(self, row):
+                assert row >= 0, f"cap-table row {row}"
+                return list.__getitem__(self, row)
+
+        cap_table = cubedom.solver._cap_table
+        monkeypatch.setattr(cubedom.solver, "_cap_table",
+                            lambda *args: NoNegativeRows(cap_table(*args)))
+        graph = materialize(LevelGraphSpec(n, k, l))
+        greedy = greedy_dominate(graph)
+        members = greedy.witness.uppers | greedy.witness.lowers
+        padded = members | frozenset([m for m in graph.masks if m not in members][:6])
+        incumbent = replace(greedy, witness=replace(
+            greedy.witness, uppers=frozenset(m for m in padded if m.bit_count() == k),
+            lowers=frozenset(m for m in padded if m.bit_count() == l)))
+        for trigger in (1, 10, 30, 100, 300, 1_000):
+            monkeypatch.setattr(cubedom.solver, "IMPROVE_AT", trigger)
+            report = branch_and_bound_gamma(graph, incumbent)
+            assert (report.value, report.proven_optimal) == (gamma, True), trigger
+
+    def test_equal_family_is_verified_again(self, monkeypatch):
+        # An improver that returns another family of the same size makes
+        # it the incumbent.  The search keeps it, since it finds nothing
+        # smaller, and verifies it, though the size is greedy's: the
+        # verify-once shortcut compares families, not sizes.  Returning
+        # greedy's own family adds no verification.
+        graph = materialize(LevelGraphSpec(8, 4, 2))
+        greedy = greedy_dominate(graph)
+        own = family_of(greedy, graph)
+        image = transposed(graph, own, 0, 7)
+        assert sorted(image) != own
+        monkeypatch.setattr(cubedom.solver, "IMPROVE_AT", 1)
+        for family, verified in ((own, 0), (image, 1)):
+            monkeypatch.setattr(cubedom.solver, "_improve", lambda graph, chosen, bound: family)
+            calls = TestReportRecheck.count_verify_calls(monkeypatch)
+            report = branch_and_bound_gamma(graph, greedy)
+            assert report.proven_optimal and report.value == 12
+            assert family_of(report, graph) == sorted(family)
+            assert len(calls) == verified
+
+    def test_result_dominates_and_sits_between_gamma_and_greedy(self):
+        # On every l = 2 spec with n <= 8, the improver's family dominates,
+        # is no larger than greedy's and no smaller than the frozen gamma.
+        for n in range(4, 9):
+            for k in range(3, n):
+                graph = materialize(LevelGraphSpec(n, k, 2))
+                greedy = greedy_dominate(graph)
+                better = cubedom.solver._improve(graph, family_of(greedy, graph), 0)
+                report = cubedom.solver._report(graph, Method.GREEDY, better, 0, 0, 0.0)
+                assert report.value <= greedy.value, (n, k)
+                assert report.value >= FROZEN_GAMMA.get((n, k), 0), (n, k)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_reaches_highs_on_every_seed(self, seed, monkeypatch):
+        # From greedy's 11 and 16, the improver reaches HiGHS's 10 at (9,5)
+        # and 15 at (9,4) with each of ten seeds, not only the one in use.
+        monkeypatch.setattr(cubedom.solver, "IMPROVE_SEED", seed)
+        for (n, k), values in {(9, 5): (11, 10), (9, 4): (16, 15)}.items():
+            graph = materialize(LevelGraphSpec(n, k, 2))
+            greedy = greedy_dominate(graph)
+            better = cubedom.solver._improve(graph, family_of(greedy, graph), 0)
+            assert (greedy.value, len(better)) == values
+
+    def test_best_dominator_counting_paths_agree(self):
+        # The pick is the least dominator of u with the most vertices of
+        # missing in its closed neighbourhood, whether those are counted
+        # per dominator or, bit-sliced, per missing vertex.
+        rng = random.Random(7)
+        for spec in [(7, 3, 2), (9, 5, 2), (8, 6, 3), (7, 2, 1)]:
+            graph = materialize(LevelGraphSpec(*spec))
+            masks, nv = graph.closed, graph.vertex_count
+            for size in (1, 2, 3, 5, 10, nv // 2, nv):
+                for _ in range(10):
+                    missing = sum(1 << v for v in rng.sample(range(nv), size))
+                    u = rng.choice([v for v in range(nv) if missing >> v & 1])
+                    want = min((v for v in range(nv) if masks[u] >> v & 1),
+                               key=lambda v: (-(masks[v] & missing).bit_count(), v))
+                    assert cubedom.solver._best_dominator(masks, u, missing, {}) == want
+
+    def test_global_random_state_untouched(self, monkeypatch):
+        random.seed(12345)
+        state = random.getstate()
+        report = self.solve(monkeypatch, (9, 5, 2), 1)
+        assert report.value == 10
+        assert random.getstate() == state
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "9", "--k", "5", "--l", "2"],
+        ["--n", "9", "--k", "3", "--l", "2", "--node-budget", "200000"],
+    ], ids=["9-5-2", "9-3-2-at-200000"])
+    def test_exact_output_identical_across_processes(self, argv):
+        # The improver draws from its own seeded generator, so exact
+        # prints the same JSON, elapsed_seconds aside, in every process,
+        # whatever the hash seed.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        script = "import sys; from cubedom.cli import main; sys.exit(main(sys.argv[1:]))"
+        outputs = []
+        for hash_seed in ("0", "0", "1"):
+            env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
+                       PYTHONHASHSEED=hash_seed)
+            proc = subprocess.run([sys.executable, "-c", script, "exact", *argv],
+                                  capture_output=True, text=True, timeout=120, env=env)
+            assert proc.returncode in (0, 3), proc.stderr
+            outputs.append(re.sub(r'"elapsed_seconds": [^,]*,', "", proc.stdout))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert json.loads(outputs[0])["value"] == (10 if argv[3] == "5" else 24)
 
 
 def oracle_cap(r, low, cu, cl, uppers, lowers):
