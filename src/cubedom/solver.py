@@ -6,7 +6,8 @@ graph, one Python int per vertex, so a domination test is one OR/compare.
 heuristic.  Both take a graph materialized by the caller, and a report's
 ``elapsed`` is the solve time alone.  Branch and bound starts from its
 caller's report, greedy's at every call in the package, and improves it
-once by iterated greedy (``_improve``) if the search runs long.
+once by iterated greedy (``_improve``) if the search runs long; from
+then on it searches from two anchors in turn.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ from .levelgraph import LevelGraphSpec, MaterializedGraph
 
 DEFAULT_NODE_BUDGET = 10_000_000
 # Branch and bound branches on orbits at nodes with at most this many
-# members chosen, [k] included; 1 is the root alone.  Deeper caps cut
+# members chosen, the anchor included; 1 is the root alone.  Deeper caps cut
 # nodes but cost time: each such node that branches reads one table per
 # atom, and copies two lists unless its orbit is its candidate alone.
 # README has the depth-by-time table behind 5.
 ORBIT_DEPTH = 5
-# Nodes with at most this many members chosen, [k] included, check for
+# Nodes with at most this many members chosen, the anchor included, check for
 # forced vertices before they branch; deeper nodes skip the check, so the
 # budget-bound searches, nearly all of whose nodes are deep, do not pay
 # for it.  README has the depth-by-time table behind 8.  The orbit step
@@ -47,7 +48,8 @@ FORCED_DEPTH = 8
 # Branch and bound runs ``_improve`` on its incumbent once, when the search
 # passes IMPROVE_AT nodes without a proof: above every search that proves
 # quickly, so those keep their trees, and well inside the conjecture
-# table's 200,000.  The improver runs IMPROVE_ITERATIONS iterations from
+# table's 200,000; then its two sides take turns in slices of as many
+# nodes.  The improver runs IMPROVE_ITERATIONS iterations from
 # a fixed seed, each dropping IMPROVE_SHARE of the members, so its result
 # is the same on every run.  README has the measurements behind them.
 IMPROVE_AT = 50_000
@@ -180,9 +182,13 @@ def _pair_graph_min(n: int, k: int) -> int:
 
 def spec_lower_bound(spec: LevelGraphSpec) -> int:
     """The lower bound known from the spec alone, branch and bound's root
-    bound: the pair-graph bound for l = 2, the counting bound otherwise."""
-    if spec.l == 2:
-        return pair_graph_lower_bound(spec.n, spec.k)
+    bound: the larger of the bounds of G_{k,l} and of G_{n-l,n-k}, its
+    image under S -> [n] \\ S, each the pair-graph bound for l = 2 and the
+    counting bound otherwise.  The counting bound is the same on both, so
+    only k = n - 2 gains: its image has l = 2."""
+    n, k, l = spec.n, spec.k, spec.l
+    if l == 2 or k == n - 2:
+        return pair_graph_lower_bound(n, k if l == 2 else n - l)
     return counting_lower_bound(spec)
 
 
@@ -420,106 +426,28 @@ def branch_and_bound_gamma(
     incumbent: SolveReport,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SolveReport:
-    """Exact search via include/exclude on coverage-ordered candidates.
+    """Exact search via include/exclude on coverage-ordered candidates,
+    from two anchors in turn; README "Notes" has the proofs.
 
-    Only families containing the upper vertex [k] = {1..k} (vertex 0, colex
-    rank 0) are searched: the search starts with [k] chosen and branches on
-    the other vertices.  This loses no optimum for any n > k > l >= 1.
-    Lower vertices are adjacent only to upper ones, so a family with no
-    upper member must contain all C(n,l) lower vertices; but [k] plus every
-    l-set not inside [k] dominates with 1 + C(n,l) - C(k,l) < C(n,l)
-    members (any other k-set has an element outside [k], and so contains an
-    l-set through it).  Hence every minimum family has an upper member, and
-    since S_n acts transitively on k-sets by automorphisms of the graph,
-    some minimum family contains [k].
+    Each side (``_search``) searches only the families that contain its
+    anchor: the upper vertex [k] (vertex 0), or the lower vertex
+    {n-l+1, ..., n} (the last vertex).  Some minimum family contains [k]:
+    [k] plus every l-set not inside it dominates with fewer members than
+    the whole lower level, so a minimum family has an upper member, and
+    S_n permutes the k-sets transitively.  S -> [n] \\ S maps G_{k,l} onto
+    G_{n-l,n-k} and {n-l+1, ..., n} to [n-l], so the same argument there
+    covers the lower anchor.
 
-    Near the root the search branches on orbits (orbital branching:
-    Ostrowski, Linderoth, Rossi and Smriglio, Math. Program. 2011).  At a
-    node with at most ORBIT_DEPTH members chosen, [k] included, the exclude
-    branch drops the whole orbit of the node's candidate v under G, the
-    pointwise stabilizer in S_n of the chosen members C; at the root G is
-    the stabilizer S_k x S_{n-k} of [k].  Deeper nodes exclude v alone.
-    The atoms of C are its classes of elements that lie in the same
-    members.  G is the Young subgroup on the atoms, so it maps one subset
-    onto another iff both meet every atom in as many elements (these sum
-    to the subset's size, which names its level).  This loses no family
-    smaller than the incumbent.  Let F be the candidates a node has
-    excluded, those behind its position and not chosen included; the
-    node's families are the dominating supersets of C that miss F.  Each
-    exclusion on the way to the node dropped an orbit of the stabilizer of
-    the members chosen then, a subset of C, and groups only shrink as
-    members are added, so F is a union of G-orbits and G maps the node's
-    families onto themselves, keeping their size.  If such a family D
-    meets v's orbit, at u say, some g in G maps u to v, and g(D) is a
-    family of the include branch; otherwise D is one of the exclude
-    branch.  Candidates are sorted by (-degree, -|v & [k]|, index), the
-    coverage order with ties toward larger overlap with [k], and each node
-    carries a list that maps each free position to the next, so excluded
-    positions are skipped without a visit.  The atoms of each C are found
-    when its first node branches, by splitting its parent's atoms by its
-    newest member (``_split_atoms``), and the orbit of v is the AND over
-    them of their ``_atom_table`` entries at v's counts.  The candidates
-    behind v's position are chosen or in F, and v's orbit misses both, so
-    the orbit is free and starts at v: the exclude branch copies the
-    node's list and unlinks the orbit's other positions, each through a
-    list back to the previous free position, kept at nodes within
-    ORBIT_DEPTH.
-
-    Initialized with the witness of ``incumbent``, a report on the same
-    spec (greedy's at every package call), and stopped early when it meets
-    the root lower bound, ``pair_graph_lower_bound`` for l = 2 and the
-    counting bound otherwise: at once, before any table is built, when
-    the incumbent meets it.  A node with s vertices chosen, U upper and L
-    lower vertices uncovered, can lead to a family smaller than the
-    incumbent's size b only by r = b - s - 1 more picks from the
-    candidates at or after its position.  It is pruned when r < 0, when
-    U > cap(r, L) (see ``_cap_table``; the level classes are those of its
-    remaining candidates), or when those candidates together miss a
-    vertex.  The cap bound is sound for every l: any r such picks with a
-    uppers dominate at most a*C(k,l) + (r - a) of the lower vertices and
-    a + (r - a)*C(n-l,k-l) of the upper ones, and a dominating completion
-    must reach L and U.  It prunes wherever uncovered > r * (the largest
-    remaining closed neighbourhood) does, since U + L is at most
-    a*(C(k,l) + 1) + (r - a)*(C(n-l,k-l) + 1).
-
-    A node with at most FORCED_DEPTH members chosen also applies the
-    forced-vertex rule just before it branches (the set-cover reduction;
-    Fomin, Grandoni and Kratsch, J. ACM 2009).  Let F be its uncovered
-    vertices that no candidate at or after its position dominates, apart
-    from the vertex itself (``dead``).  A completion dominates each of
-    them, and only the vertex itself can, so it chooses all of F: the
-    node is pruned when |F| > r, or when the vertices that its cover and
-    the closed neighbourhoods of F leave fail the cap test with r - |F|
-    picks.  Deeper nodes skip the check, which costs more than the nodes
-    it saves there.
-
-    All these prunes read every candidate at or after the position,
-    excluded ones too: a superset of the free ones, so they stay sound,
-    only looser.  A sound prune removes no family smaller than the
-    incumbent, so the incumbents found, and an exhausted search's
-    witness, do not depend on which sound bound runs.
-
-    The search is one loop over an explicit stack, not a recursion.  A
-    node that passes the prunes branches, and its include child is counted
-    and checked as soon as it is made.  A child that passes pushes its
-    exclude sibling and branches in turn; a child that fails, or dominates
-    (a leaf), leaves the stack alone, and the loop moves straight to the
-    sibling.  A pruned exclude branch, or a node that the forced-vertex
-    rule prunes as it is about to branch, resumes the most recent one
-    pushed.
-    An exclude branch keeps the size and cover of its node, so U and L are
-    computed once per include, and a run of excludes advances the position
-    in place, counting one node per position visited.
-
-    Once, when the node count passes IMPROVE_AT without a proof, the loop
-    hands the incumbent's family to ``_improve``, and the family it
-    returns, no larger, is the incumbent from then on.  If it is smaller,
-    the open branches with at least as many members chosen, the loop's
-    node included, can lead to no smaller family and are dropped, and the
-    search ends at once if the family meets the root bound.  The
-    improver's iterations are not counted as nodes.  It can only lower
-    the incumbent's size, under which every prune stays sound, so a proof
-    means what it meant without it.
+    The [k] side runs alone until IMPROVE_AT nodes.  Then ``_improve``
+    runs once on the incumbent, and the sides take turns in
+    IMPROVE_AT-node slices, the lower side first, its tables built then;
+    where k + l = n, the map sends the graph onto itself and the lower
+    side's tree onto the [k] side's, so the [k] side goes on alone.
+    The sides share the incumbent, started from ``incumbent``'s witness, and
+    the node budget: ``nodes_explored`` is their sum.  The search stops
+    when the incumbent meets the root bound ``spec_lower_bound``, at once
+    if ``incumbent`` does, or when either side exhausts its tree: no
+    family smaller than the incumbent then exists, and its size is proven.
 
     Exceeding the node budget is a normal outcome: the report then carries
     the incumbent and the root lower bound with proven_optimal=False.  A
@@ -528,25 +456,98 @@ def branch_and_bound_gamma(
     if node_budget < 1:
         raise InvalidParametersError(f"node budget must be at least 1, got {node_budget}")
     start = time.perf_counter()
+    # The root bound, raised to the incumbent's size when a side is done.
+    spec = graph.spec
+    lower_bound = spec_lower_bound(spec)
+    if incumbent.spec != spec:
+        raise InvalidParametersError(f"incumbent is for {incumbent.spec}, not {spec}")
+    index = {m: i for i, m in enumerate(graph.masks)}
+    start_set = sorted(index[m] for m in incumbent.witness.uppers | incumbent.witness.lowers)
+    known = _BUILT.get(id(incumbent)) is incumbent
+    # best[0]: the incumbent's vertices, shared by the sides.
+    best = [start_set]
+    nodes = [0]
+    if len(start_set) > lower_bound:
+        tables: dict[tuple[bool, bool], list[list[int]]] = {}
+        sides = [_search(graph, 0, best, lower_bound, tables)]
+        next(sides[0])
+        turn, improved = 0, False
+        while True:
+            hard = nodes[turn] + node_budget - sum(nodes)
+            try:
+                nodes[turn] = sides[turn].send((min(nodes[turn] + IMPROVE_AT, hard), hard))
+            except StopIteration as stop:
+                done, nodes[turn] = stop.value
+                break
+            if not improved:
+                # Once: the improver's family is the incumbent from here on.
+                improved = True
+                best[0] = _improve(graph, best[0], lower_bound)
+                done = len(best[0]) <= lower_bound
+                if done:
+                    break
+                if spec.k + spec.l != spec.n:
+                    sides.append(_search(graph, graph.vertex_count - 1, best, lower_bound,
+                                         tables))
+                    nodes.append(next(sides[1]))
+            turn = (turn + 1) % len(sides)
+        if done:
+            lower_bound = len(best[0])
+    verified = known and sorted(best[0]) == start_set
+    return _report(graph, Method.BRANCH_AND_BOUND, best[0], lower_bound, sum(nodes), start,
+                   verified)
+
+
+def _search(graph: MaterializedGraph, anchor: int, best: list, lower_bound: int, tables: dict):
+    """One side of ``branch_and_bound_gamma``: a generator that searches
+    the families containing vertex ``anchor``, 0 or the last vertex.
+
+    The candidates, the other vertices, are sorted by (-degree, -overlap,
+    index): on the [k] side the overlap is |v & [k]| and the index
+    ascends; on the lower side the overlap is |[n] \\ (v | anchor)| and the
+    index descends.  That is the [k] side's order on G_{n-l,n-k} read back
+    through S -> [n] \\ S, which reverses the vertex order, and the cap
+    tables bound the same (upper, lower) counts from either level, so the
+    lower side visits the nodes of the [k] side on G_{n-l,n-k} one for one.
+
+    A node is pruned when it can lead to no family smaller than the
+    incumbent, ``best[0]``: by the cap bound (``_cap_table``) on its
+    uncovered upper and lower vertices, with the level classes of the
+    candidates at or after its position, or when those candidates miss a
+    vertex.  A node with at most FORCED_DEPTH members chosen, the anchor
+    included, first applies the forced-vertex rule (Fomin, Grandoni and
+    Kratsch, J. ACM 2009): each uncovered vertex that no candidate at or
+    after its position dominates but itself (``dead``) is chosen, and the
+    rest must pass the cap test.  One with at most ORBIT_DEPTH members
+    branches on orbits (Ostrowski, Linderoth, Rossi and Smriglio, Math.
+    Program. 2011): the exclude branch drops its candidate's orbit under
+    the pointwise stabilizer of the chosen members, the AND of their
+    atoms' ``_atom_table`` entries at its counts, by unlinking the orbit
+    from copies of the lists that link each free position to the next
+    and the previous.  Every prune reads excluded candidates too, so it
+    is sound, only looser.
+
+    The search is one loop over an explicit stack of open exclude
+    branches.  An include child is counted and checked as it is made; a
+    run of excludes advances the position in place, one node per
+    position.  Primed by ``next``, the generator is sent (limit, hard)
+    node counts.  At the first node past limit it yields its count; when
+    resumed with a smaller ``best[0]``, from the improver or the other
+    side, it drops the open branches, its node's included, with as many
+    members.  Past hard it returns (False, count): the budget is spent.
+    It returns (True, count) when its tree is exhausted or the incumbent
+    meets ``lower_bound``, and ``best[0]`` is then optimal.
+    """
     masks = graph.closed
     nv = graph.vertex_count
     full = (1 << nv) - 1
-    # The root bound, raised to best_size when the search is exhausted.
-    lower_bound = spec_lower_bound(graph.spec)
-
-    if incumbent.spec != graph.spec:
-        raise InvalidParametersError(f"incumbent is for {incumbent.spec}, not {graph.spec}")
-    index = {m: i for i, m in enumerate(graph.masks)}
-    best_set = [index[m] for m in incumbent.witness.uppers | incumbent.witness.lowers]
-    best_size = len(best_set)
-    start_set = sorted(best_set)
-    known = _BUILT.get(id(incumbent)) is incumbent
-    if best_size <= lower_bound:
-        return _report(graph, Method.BRANCH_AND_BOUND, best_set, lower_bound, 0, start, known)
-
-    nu, kmask = graph.upper_count, graph.masks[0]
-    overlap = [(m & kmask).bit_count() for m in graph.masks]
-    order = sorted(range(1, nv), key=lambda i: (-masks[i].bit_count(), -overlap[i], i))
+    spec = graph.spec
+    amask = graph.masks[anchor]
+    # The lower side reads subsets through the complement map.
+    flip, sign = ((1 << spec.n) - 1, -1) if anchor else (0, 1)
+    overlap = [((m ^ flip) & (amask ^ flip)).bit_count() for m in graph.masks]
+    order = sorted((i for i in range(nv) if i != anchor),
+                   key=lambda i: (-masks[i].bit_count(), -overlap[i], sign * i))
     ordered_masks = [masks[i] for i in order]
     ncand = len(order)
     suffix_or = [0] * (ncand + 1)
@@ -559,13 +560,13 @@ def branch_and_bound_gamma(
         suffix_or[i] = suffix_or[i + 1] | ordered_masks[i]
         reach |= ordered_masks[i] & ~(1 << order[i])
         dead[i] = full ^ reach
+    best_size = len(best[0])
     # cap_at[p]: the cap table of the levels with candidates at or after p,
-    # indexed [best_size - size][L].  Rows run to the incumbent's size, the
-    # largest best_size - size + 1 the search meets.
-    spec = graph.spec
+    # indexed [best_size - size][L].  Rows run to the incumbent's size when
+    # a table is first built, the largest best_size - size + 1 met since.
+    nu = graph.upper_count
     nl = nv - nu
     cu, cl = comb(spec.k, spec.l), comb(spec.n - spec.l, spec.k - spec.l)
-    tables: dict[tuple[bool, bool], list[list[int]]] = {}
     cap_at = []
     uppers = lowers = False
     for p in range(ncand - 1, -1, -1):
@@ -587,13 +588,12 @@ def branch_and_bound_gamma(
     atom_tables: dict[int, list[int]] = {}
 
     nodes = 0
-    exhausted = True
-    # path[:size - 1] holds the positions chosen besides the fixed vertex 0.
+    # path[:size - 1] holds the positions chosen besides the anchor.
     path = [0] * ncand
     # atoms_at[s]: the atoms of the s members chosen, with their tables,
     # once a node of size s has branched on them.
     atoms_at: list[list[tuple[int, list[int]]] | None] = [None] * (ORBIT_DEPTH + 2)
-    atoms_at[1] = _split_atoms([((1 << spec.n) - 1, [])], kmask, contains, every, atom_tables)
+    atoms_at[1] = _split_atoms([((1 << spec.n) - 1, [])], amask, contains, every, atom_tables)
     # Open exclude branches, each the (pos, size, cover, U, L, nxt) of the
     # node it resumes at; the loop is at the node (pos, size, cover, nxt).
     # nxt[p] is the free position after the free position p; ncand, past
@@ -604,43 +604,38 @@ def branch_and_bound_gamma(
     stack: list[tuple[int, int, int, int, int, list[int]]] = []
     push, pop = stack.append, stack.pop
     prv_at = [list(range(-1, ncand))] * (ORBIT_DEPTH + 2)
-    # The root: [k] alone never dominates, since no two uppers are adjacent.
-    pos, size, cover, nxt = 0, 1, masks[0], list(range(1, ncand + 2))
+    # The root: the anchor alone never dominates, since no two vertices of
+    # a level are adjacent.
+    pos, size, cover, nxt = 0, 1, masks[anchor], list(range(1, ncand + 2))
     # Uncovered lowers and uppers; cover has no bits outside full.
     low = nl - (cover >> nu).bit_count()
     up = nv - cover.bit_count() - low
-    # The first node count at which the loop stops to act: the budget, or
-    # the improver's trigger before it.
-    limit = min(node_budget, IMPROVE_AT)
-    while exhausted and best_size > lower_bound:
+    limit, hard = yield nodes
+    while best_size > lower_bound:
         nodes += 1
         if nodes > limit:
-            if nodes > node_budget:
-                exhausted = False
-                break
-            # Once: the improver's family is the incumbent from here on.
-            # The open branches of its size or more, the node's own
-            # included, cannot beat it, and are dropped: they sit on top of
-            # the stack, whose sizes rise.
-            limit = node_budget
-            best_set = _improve(graph, best_set, lower_bound)
-            best_size = len(best_set)
-            while stack and stack[-1][1] >= best_size:
-                pop()
-            if size >= best_size:
-                if not stack:
-                    lower_bound = best_size
+            if nodes > hard:
+                return False, nodes
+            limit, hard = yield nodes
+            if len(best[0]) < best_size:
+                # The open branches of the new size or more, the node's own
+                # included, cannot beat it, and are dropped: they sit on
+                # top of the stack, whose sizes rise.
+                best_size = len(best[0])
+                while stack and stack[-1][1] >= best_size:
+                    pop()
+                if size >= best_size:
+                    if not stack:
+                        break
+                    pos, size, cover, up, low, nxt = pop()
+                if best_size <= lower_bound:
                     break
-                pos, size, cover, up, low, nxt = pop()
-            if best_size <= lower_bound:
-                break
         # Row 0 of every table is -1, which prunes r = best_size - size - 1
         # < 0.  suffix_or[ncand] is 0, so the last test also ends a run at
         # ncand.
         if (up > cap_at[pos][best_size - size][low]
                 or cover | suffix_or[pos] != full):
             if not stack:
-                lower_bound = best_size
                 break
             pos, size, cover, up, low, nxt = pop()
             continue
@@ -664,18 +659,16 @@ def branch_and_bound_gamma(
                         forced ^= v
                     flow = nl - (fcover >> nu).bit_count()
                     if rest <= 0 or nv - fcover.bit_count() - flow > cap_at[pos][rest][flow]:
-                        if stack:
-                            pos, size, cover, up, low, nxt = pop()
-                        else:
-                            lower_bound = best_size
+                        if not stack:
+                            return True, nodes
+                        pos, size, cover, up, low, nxt = pop()
                         break
                 if size > ORBIT_DEPTH:
                     epos, enxt = nxt[pos], nxt
                 else:
                     # It drops pos's whole orbit, which is free and starts
-                    # at pos (see the docstring): the orbit's other
-                    # positions, if any, are unlinked from copies of nxt
-                    # and prv, the last first.
+                    # at pos: the orbit's other positions, if any, are
+                    # unlinked from copies of nxt and prv, the last first.
                     atoms = atoms_at[size]
                     if atoms is None:
                         atoms = atoms_at[size] = _split_atoms(
@@ -704,14 +697,13 @@ def branch_and_bound_gamma(
             path[size - 1] = pos
             child = cover | ordered_masks[pos]
             nodes += 1
-            if nodes > node_budget:
-                exhausted = False
-                break
+            if nodes > hard:
+                return False, nodes
             if child == full:
                 # A leaf.
                 if size + 1 < best_size:
                     best_size = size + 1
-                    best_set = [0] + [order[p] for p in path[:size]]
+                    best[0] = [anchor] + [order[p] for p in path[:size]]
                 pos, nxt = epos, enxt
                 break
             cpos = nxt[pos]
@@ -723,5 +715,4 @@ def branch_and_bound_gamma(
                 break
             push((epos, size, cover, up, low, enxt))
             pos, size, cover, up, low = cpos, size + 1, child, cup, clow
-    verified = known and sorted(best_set) == start_set
-    return _report(graph, Method.BRANCH_AND_BOUND, best_set, lower_bound, nodes, start, verified)
+    return True, nodes

@@ -384,11 +384,14 @@ class TestPinnedTables:
     # 50,000 nodes re-took the conjecture digest (0793dae8... ->
     # 3073535e...): it turns greedy's 11 into 10 at (9,5), and the search
     # then proves it inside the budget, 9,5,10,true,11,,10 where it read
-    # 9,5,,false,11,,9.
+    # 9,5,,false,11,,9.  Branch and bound on both sides of the complement
+    # map re-took it (3073535e... -> 2d6d18fc...): the lower side proves
+    # (9,4) inside the budget, 9,4,15,true,16,,15 where it read
+    # 9,4,,false,16,,14.
     DIGESTS = {
         "theorem2": "c170bd52bb4ce54c89734969a7ffaaed2a69f47abb5de7cecb170c76cb2ca14a",
         "theorem2-64": "dc75b415830ff4e4445d73716bc3719c487446b19bc8f3d6f8daf0da7618decd",
-        "conjecture": "3073535e042d73c188caae1e55d11ad68f961b0cba8d9a08c0a31cfc1cf1879e",
+        "conjecture": "2d6d18fc69a10dda43c0692f0c5a5aa991a13b0ac2c5b8b5ce8176f4aedfe892",
         "theorem1": "40bb6788c420ec24bb800625055c0cff6ec875598e83ba9133ad845269add4be",
         "gk1": "2a5bfc7231af08f697c021ba5f6f32749b73486cbf1fe8a208cb68cba40078b1",
     }

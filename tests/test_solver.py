@@ -22,6 +22,7 @@ import cubedom.constructions
 import cubedom.solver
 from cubedom.cli import main
 from cubedom.constructions import (
+    DominationCertificate,
     Provenance,
     certificate_to_json,
     theorem1_construct,
@@ -37,6 +38,7 @@ from cubedom.solver import (
     counting_lower_bound,
     greedy_dominate,
     pair_graph_lower_bound,
+    spec_lower_bound,
 )
 
 import oracles
@@ -162,9 +164,10 @@ class TestPairGraphLowerBound:
                 if report.proven_optimal:
                     proven += 1
                     assert pair_graph_lower_bound(n, k) <= report.value, (n, k)
-        # Every one: (8,3) proves in 179,287 nodes since orbits reach five
-        # members and forced vertices eight; it stopped at the budget when
-        # they reached four and seven.
+        # Every one: (8,3) proves in 179,287 nodes on the [k] side since
+        # orbits reach five members and forced vertices eight (it stopped
+        # at the budget when they reached four and seven), and in 96,311
+        # with the lower side in turn.
         assert proven == 15
 
     def test_at_least_counting_bound(self):
@@ -372,18 +375,22 @@ class TestBranchAndBound:
         # search took 1,942,687 nodes with orbits to four members and
         # forced vertices to seven, and 961,545 with five and eight.  Now
         # the improver turns greedy's 11 into 10 at IMPROVE_AT nodes, and
-        # the search ends about 1,200 nodes later: 51,165.
+        # the search ends about 1,200 nodes later: 51,165 on the [k] side
+        # alone, 51,626 with the lower side's turn first.
         report = exact_l2(9, 5)
         assert report.proven_optimal
-        assert (report.value, report.nodes_explored) == (10, 51_165)
+        assert (report.value, report.nodes_explored) == (10, 51_626)
 
     def test_frozen_n9_k4(self):
         # HiGHS gives 15 too (HIGHS_GAMMA until this proof), so the value
         # is frozen.  Greedy gives 16, and the search alone found nothing
-        # smaller in 10^7 nodes; from the improver's 15 it proves it.
+        # smaller in 10^7 nodes; from the improver's 15 the [k] side proves
+        # it in 353,303 nodes, and with the lower side in turn, which
+        # needs 57,531 from 15, in 157,534: inside the conjecture table's
+        # budget.
         report = exact_l2(9, 4)
         assert report.proven_optimal
-        assert (report.value, report.nodes_explored) == (15, 353_303)
+        assert (report.value, report.nodes_explored) == (15, 157_534)
 
     # (7,3,2), (8,4,2) and (10,6,2) are frozen because HiGHS agrees
     # (test_agrees_with_milp).  The ids leave out the node count, so a
@@ -398,11 +405,13 @@ class TestBranchAndBound:
     # (four and seven before) moved (6,3) 807 -> 625, (7,3) 223 -> 209,
     # (8,4) 28,777 -> 16,843 and (10,6) 10,547 -> 8,659.  With the two
     # frozen tests above, these pin the tree of every l = 2 spec of the
-    # bench's prove grid.
+    # bench's prove grid.  (8,3,2) passes IMPROVE_AT, so the lower side
+    # takes turns with the [k] side: 96,311 nodes, where the [k] side
+    # alone took 179,287.
     @pytest.mark.parametrize("n,k,gamma,nodes", [
         (6, 3, 9, 625), (8, 6, 6, 169), (7, 3, 13, 209), (8, 4, 12, 16_843),
-        (10, 6, 9, 8_659), (6, 4, 6, 39), (7, 5, 6, 133),
-    ], ids=["6-3", "8-6", "7-3", "8-4", "10-6", "6-4", "7-5"])
+        (10, 6, 9, 8_659), (6, 4, 6, 39), (7, 5, 6, 133), (8, 3, 18, 96_311),
+    ], ids=["6-3", "8-6", "7-3", "8-4", "10-6", "6-4", "7-5", "8-3"])
     def test_search_tree_pinned(self, n, k, gamma, nodes):
         report = exact_l2(n, k)
         assert report.proven_optimal
@@ -513,9 +522,10 @@ class TestBranchAndBound:
     def test_agrees_with_milp(self, n, k, gamma):
         # A second, independent method for the frozen l=2 values.
         # (10,6,2) takes HiGHS about 10 s, (8,3,2) about 1.4 s; branch and
-        # bound proves (8,3,2) in 179,287 nodes (1,790,409 before the
+        # bound proves (8,3,2) in 96,311 nodes (1,790,409 before the
         # forced-vertex rule, 542,167 with orbits to four members and forced
-        # vertices to seven).
+        # vertices to seven, 179,287 with five and eight on the [k] side
+        # alone).
         assert milp_gamma(materialize(LevelGraphSpec(n, k, 2))) == gamma
         report = exact_l2(n, k)
         assert report.proven_optimal
@@ -574,10 +584,167 @@ def transposed(graph, chosen, a, b):
     return [index[swap(graph.masks[i])] for i in chosen]
 
 
+def count_sides(monkeypatch):
+    """A dict that maps each side's anchor to the nodes that side has
+    counted, kept up to date as branch and bound's sides run."""
+    counts = {}
+    search = cubedom.solver._search
+
+    def counted(graph, anchor, *rest):
+        side = search(graph, anchor, *rest)
+        sent = None
+        while True:
+            try:
+                counts[anchor] = side.send(sent)
+            except StopIteration as stop:
+                counts[anchor] = stop.value[1]
+                return stop.value
+            sent = yield counts[anchor]
+
+    monkeypatch.setattr(cubedom.solver, "_search", counted)
+    return counts
+
+
 def family_of(report, graph):
     """The vertex indices of a report's witness, sorted."""
     index = {m: i for i, m in enumerate(graph.masks)}
     return sorted(index[m] for m in report.witness.uppers | report.witness.lowers)
+
+
+def side_bounds(n, k, l):
+    """The root bounds of G_{k,l} and of its image G_{n-l,n-k}, each the
+    pair-graph bound for l = 2 and the counting bound otherwise."""
+    def bound(k, l):
+        return pair_graph_lower_bound(n, k) if l == 2 else counting_lower_bound(
+            LevelGraphSpec(n, k, l))
+    return bound(k, l), bound(n - l, n - k)
+
+
+def image_report(report, spec):
+    """``report`` with its witness carried by S -> [n] \\ S onto ``spec``,
+    the image of its spec."""
+    full = (1 << spec.n) - 1
+    witness = DominationCertificate(spec, frozenset(full ^ m for m in report.witness.lowers),
+                                    frozenset(full ^ m for m in report.witness.uppers),
+                                    report.witness.provenance)
+    return replace(report, witness=witness)
+
+
+class TestTwoSides:
+    """Branch and bound's two anchors, [k] and the lower vertex
+    {n-l+1, ..., n}, which S -> [n] \\ S maps to the [k] of the image
+    G_{n-l,n-k}."""
+
+    def test_root_bound_is_the_larger_of_both_sides(self):
+        # The counting bound is the same on both sides, so only k = n - 2
+        # gains, from the pair-graph bound of its image: 25 bounds rise
+        # for n <= 12, none of them with l = 2.
+        risen = []
+        for n in range(3, 13):
+            for k in range(2, n):
+                for l in range(1, k):
+                    spec, image = LevelGraphSpec(n, k, l), LevelGraphSpec(n, n - l, n - k)
+                    assert counting_lower_bound(spec) == counting_lower_bound(image)
+                    own, other = side_bounds(n, k, l)
+                    assert spec_lower_bound(spec) == spec_lower_bound(image) == max(own, other)
+                    if other > own:
+                        risen.append((n, k, l, own, other))
+        assert len(risen) == 25 and all(l != 2 for _, _, l, _, _ in risen)
+        assert {(9, 7, 5, 11, 14), (12, 10, 7, 13, 18)} <= set(risen)
+
+    def test_root_bounds_at_most_gamma(self):
+        # Both sides' bounds, at every frozen and HiGHS value of
+        # gamma(G_{k,2}) and its image, and at every gamma that branch and
+        # bound proves at n <= 8, for every l.
+        for (n, k), gamma in {**FROZEN_GAMMA, **HIGHS_GAMMA}.items():
+            for spec in ((n, k, 2), (n, n - 2, n - k)):
+                assert max(side_bounds(*spec)) <= gamma, spec
+        proven = 0
+        for n in range(3, 9):
+            for k in range(2, n):
+                for l in range(1, k):
+                    report = seeded_search(materialize(LevelGraphSpec(n, k, l)), 200_000)
+                    if report.proven_optimal:
+                        proven += 1
+                        assert max(side_bounds(n, k, l)) <= report.value, (n, k, l)
+        # All but (8,4,3), (8,5,3) and (8,5,4).
+        assert proven == 53
+
+    def test_lower_side_is_the_k_side_on_the_image(self, monkeypatch):
+        # With the improver out of reach, the lower side on G_{k,l}, from
+        # greedy's family, visits the nodes of the [k] side on
+        # G_{n-l,n-k}, from that family's image, one for one: the same
+        # value, node count and proof, and the image of its witness.  On
+        # every spec with n <= 8 (at most 126 vertices), at a budget that
+        # three of them spend.
+        monkeypatch.setattr(cubedom.solver, "IMPROVE_AT", 10**9)
+        budget, spent = 300_000, 0
+        for n in range(3, 9):
+            for k in range(2, n):
+                for l in range(1, k):
+                    graph = materialize(LevelGraphSpec(n, k, l))
+                    greedy = greedy_dominate(graph)
+                    best = [family_of(greedy, graph)]
+                    side = cubedom.solver._search(graph, graph.vertex_count - 1, best,
+                                                  spec_lower_bound(graph.spec), {})
+                    next(side)
+                    with pytest.raises(StopIteration) as stop:
+                        side.send((budget, budget))
+                    done, nodes = stop.value.value
+                    image = materialize(LevelGraphSpec(n, n - l, n - k))
+                    report = branch_and_bound_gamma(image, image_report(greedy, image.spec),
+                                                    budget)
+                    full = (1 << n) - 1
+                    assert (len(best[0]), nodes, done) == (
+                        report.value, report.nodes_explored, report.proven_optimal), (n, k, l)
+                    assert {full ^ graph.masks[i] for i in best[0]} == (
+                        report.witness.uppers | report.witness.lowers), (n, k, l)
+                    spent += not done
+        assert spent == 3
+
+    def test_budget_spans_both_sides(self, monkeypatch):
+        # (8,4,3) is open at any budget here.  The [k] side runs alone to
+        # IMPROVE_AT, then the sides take turns, the lower side first, and
+        # nodes_explored is their sum, one past the budget.  A side ends
+        # its slice at the first node it tests past the slice, which can
+        # come after a run of include children: the lower side's first
+        # slice ends at 50,002.  At 50,001 the lower side counts one node
+        # and stops.
+        counts = count_sides(monkeypatch)
+        graph = materialize(LevelGraphSpec(8, 4, 3))
+        greedy = greedy_dominate(graph)
+        last = graph.vertex_count - 1
+        for budget, k_side in ((30_000, 30_001), (50_001, 50_001), (120_000, 69_999)):
+            counts.clear()
+            report = branch_and_bound_gamma(graph, greedy, budget)
+            assert not report.proven_optimal
+            assert report.nodes_explored == budget + 1 == sum(counts.values())
+            assert (counts[0], counts.get(last, 0)) == (k_side, budget + 1 - k_side)
+
+    def test_own_image_runs_one_side(self, monkeypatch):
+        # Where k + l = n, the complement map sends G_{k,l} onto itself and
+        # the lower side's tree onto the [k] side's, so the [k] side runs
+        # alone past IMPROVE_AT: (9,6,3) proves in 779,157 nodes, as each
+        # side alone does, where taking turns took 1,529,185.  The
+        # improver still runs once.
+        counts = count_sides(monkeypatch)
+        improve, calls = cubedom.solver._improve, []
+        monkeypatch.setattr(cubedom.solver, "_improve",
+                            lambda *args: calls.append(args) or improve(*args))
+        graph = materialize(LevelGraphSpec(8, 5, 3))
+        report = branch_and_bound_gamma(graph, greedy_dominate(graph), 120_000)
+        assert not report.proven_optimal
+        assert counts == {0: 120_001}
+        assert len(calls) == 1
+
+    def test_image_bound_at_9_7_5(self):
+        # The pair-graph bound of the image (9,4,2) gives 14 where the
+        # counting bound gives 11; both sides in turn prove 15 in 205,703
+        # nodes, the [k] side alone in 105,701.
+        graph = materialize(LevelGraphSpec(9, 7, 5))
+        assert greedy_dominate(graph).lower_bound == 14
+        report = seeded_search(graph)
+        assert (report.value, report.proven_optimal, report.nodes_explored) == (15, True, 205_703)
 
 
 class TestImprover:
@@ -593,17 +760,23 @@ class TestImprover:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_trigger_moves_only_the_node_count(self, n, monkeypatch):
         # Fired at once or never, the improver leaves every spec with
-        # n <= 7 with the same value, bound and proof; fired at once, the
-        # search visits no more nodes, since every prune is at least as
-        # tight under a smaller incumbent.
+        # n <= 7 with the same value, bound and proof.  Fired at once, the
+        # [k] side visits no more nodes than the whole search that never
+        # fires it, the [k] side alone, since every prune is at least as
+        # tight under a smaller incumbent; the report counts both sides,
+        # which then take turns in slices of one node.
+        counts = count_sides(monkeypatch)
         for k in range(2, n):
             for l in range(1, k):
-                early, never = (self.solve(monkeypatch, (n, k, l), trigger, 1_000_000)
-                                for trigger in (1, 10**9))
+                counts.clear()
+                early = self.solve(monkeypatch, (n, k, l), 1, 1_000_000)
+                assert early.nodes_explored == sum(counts.values()), (n, k, l)
+                early_k = counts.get(0, 0)
+                never = self.solve(monkeypatch, (n, k, l), 10**9, 1_000_000)
                 assert never.proven_optimal, (n, k, l)
                 assert (early.value, early.lower_bound, early.proven_optimal) == (
                     never.value, never.lower_bound, never.proven_optimal), (n, k, l)
-                assert early.nodes_explored <= never.nodes_explored, (n, k, l)
+                assert early_k <= never.nodes_explored, (n, k, l)
 
     @pytest.mark.parametrize("n,k,gamma", [(7, 3, 13), (8, 4, 12), (6, 3, 9), (9, 5, 10)])
     def test_fired_mid_search(self, n, k, gamma, monkeypatch):
@@ -860,7 +1033,11 @@ class TestPinnedReport:
     3,193.  Orbits to five members and forced vertices to eight (four
     and seven before) re-took three, changing only ``nodes_explored``:
     (6,3,2) 807 -> 625, (7,4,2) 1,107 -> 1,065 and (6,4,3) 3,193 ->
-    1,859.  The brute-force digests were of reports until the oracle
+    1,859.  The root bound of both sides of the complement map re-took
+    both (6,4,3) digests, with the same witnesses: it is the pair-graph
+    bound of (6,3,2), 9, where the counting bound read 8, so greedy's
+    ``lower_bound`` went 8 -> 9 and ``exact``'s ``nodes_explored``
+    1,859 -> 1,847.  The brute-force digests were of reports until the oracle
     returned its certificate; the new ones were taken from the witnesses
     it found before, so they pin the same witnesses."""
 
@@ -872,7 +1049,7 @@ class TestPinnedReport:
         (seeded_search, (8, 6, 2),
          "31619e393bc664c4e610e9132241f2b5b202611c159e39416a06b07c99fb3fe2"),
         (seeded_search, (6, 4, 3),
-         "e9fdf7ea5966b1cefb21c6299f96a9480166a9512664c0b2e4e5d2bb865ba329"),
+         "4e3280e4ec019c7b6bc05e31754c5ba70407b87a5b4cc2f1d67f47d233cc055a"),
         (seeded_search, (7, 3, 1),
          "df7a1b52ac0ba24fa8eb25069e69e6ed0a96de4070bf23e710dbeb97fa264b41"),
         (greedy_dominate, (6, 3, 2),
@@ -882,7 +1059,7 @@ class TestPinnedReport:
         (greedy_dominate, (8, 6, 2),
          "29d1a3ea8088ca508ec52c4bed0823a2363c762f522274e61597793743c38a51"),
         (greedy_dominate, (6, 4, 3),
-         "4ceb743c70fb6f2a8a777e4f6a53d4152aec27030b52d2998cac008226e09c81"),
+         "1b6f2333d1780763beb07750324dda2d97751809dbb5cb5d23318a8b52d7dcf4"),
         (greedy_dominate, (7, 3, 1),
          "735fe0a0fb2b00fdcb21176953a82420f88fa808089cf96c06e2de9c14d373e1"),
         (brute_force_gamma, (5, 3, 2),
