@@ -35,11 +35,9 @@ from typing import Optional
 
 from .errors import InvalidParametersError, TooLargeError
 from .levelgraph import LevelGraphSpec
-from .subsets import MAX_GROUND_SET, elements, mask_of, spanning_pairs
+from .subsets import elements, mask_of, spanning_pairs
 
 VERIFY_CAP = 5_000_000
-# _BIT[e]: the mask of element e of [n].
-_BIT = (0, *(1 << i for i in range(MAX_GROUND_SET)))
 
 
 class Provenance(enum.Enum):
@@ -338,7 +336,6 @@ def certificate_from_json(data: dict) -> DominationCertificate:
     try:
         _checked("certificate", data, dict)
         spec = LevelGraphSpec(data["n"], data["k"], data["l"])
-        n = spec.n
         provenance = Provenance(data["provenance"])
         listed: dict[str, list[int]] = {"upper": [], "lower": []}
         for m in _checked("members", data["members"], list):
@@ -346,20 +343,9 @@ def certificate_from_json(data: dict) -> DominationCertificate:
             # A membership test by ==, so an unhashable level is named too.
             if level not in ("upper", "lower"):
                 raise ValueError(f"member level {level!r} is not 'upper' or 'lower'")
-            els = _checked("member elements", m["elements"], list)
-            # The elements' bits are summed; a list the sum cannot take, or
-            # whose sum carries (a repeated element), goes to mask_of, which
-            # names its first bad element.
-            mask = 0
-            for e in els:
-                if type(e) is not int or not 0 < e <= n:
-                    mask = mask_of(els, n)
-                    break
-                mask += _BIT[e]
-            else:
-                if mask.bit_count() != len(els):
-                    mask = mask_of(els, n)
-            listed[level].append(mask)
+            listed[level].append(
+                mask_of(_checked("member elements", m["elements"], list), spec.n)
+            )
     except KeyError as exc:
         raise InvalidParametersError(f"malformed certificate: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:

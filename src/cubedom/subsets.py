@@ -21,8 +21,27 @@ def elements(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+# _BIT[e]: the mask of element e of [MAX_GROUND_SET].
+_BIT = (0, *(1 << i for i in range(MAX_GROUND_SET)))
+
+
 def mask_of(elements: Iterable[int], n: int) -> int:
-    """The mask of a collection of distinct integer elements of [n]."""
+    """The mask of a collection of distinct integer elements of [n].
+
+    The elements' bits are summed in one pass; a collection the sum cannot
+    take, or whose sum carries (a repeated element), is read again element
+    by element, which names its first bad element.
+    """
+    elements = tuple(elements)
+    top = n if n < MAX_GROUND_SET else MAX_GROUND_SET
+    mask = 0
+    for e in elements:
+        if type(e) is not int or not 0 < e <= top:
+            break
+        mask += _BIT[e]
+    else:
+        if mask.bit_count() == len(elements):
+            return mask
     mask = 0
     for e in elements:
         if isinstance(e, bool) or not isinstance(e, int):

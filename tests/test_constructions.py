@@ -511,30 +511,3 @@ class TestSerialization:
                 "n": 4, "k": 3, "l": 2, "provenance": "theorem2",
                 "members": [{"level": "upper", "elements": [1, 2]}],
             }))
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_members_read_as_mask_of_reads_them(self, data):
-        # The members' elements are summed as bits, and a list the sum
-        # cannot take goes to mask_of; either way each member reads as
-        # mask_of reads it, and a bad element gets mask_of's message.
-        n = data.draw(st.integers(3, 12), label="n")
-        element = st.one_of(st.integers(-2, n + 2), st.sampled_from([True, False, 1.0, "1", None]))
-        lists = data.draw(st.lists(st.lists(element, max_size=5), max_size=4), label="lists")
-        members = [{"level": "lower", "elements": els} for els in lists]
-        try:
-            want = frozenset(mask_of(els, n) for els in lists)
-        except InvalidParametersError as exc:
-            with pytest.raises(InvalidParametersError) as got:
-                certificate_from_json({"n": n, "k": n - 1, "l": n - 2,
-                                       "provenance": "external", "members": members})
-            assert str(got.value) == f"malformed certificate: {exc}"
-            return
-        try:
-            cert = certificate_from_json({"n": n, "k": n - 1, "l": n - 2,
-                                          "provenance": "external", "members": members})
-        except InvalidParametersError as exc:
-            # A wrong size or a duplicate member, found after the masks.
-            assert "cardinality" in str(exc) or "duplicate" in str(exc)
-        else:
-            assert cert.lowers == want

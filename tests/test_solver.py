@@ -763,8 +763,12 @@ class TestImprover:
         # n <= 7 with the same value, bound and proof.  Fired at once, the
         # [k] side visits no more nodes than the whole search that never
         # fires it, the [k] side alone, since every prune is at least as
-        # tight under a smaller incumbent; the report counts both sides,
-        # which then take turns in slices of one node.
+        # tight under a smaller incumbent.  The sides then take turns in
+        # slices of one node, the lower side first, so the lower side
+        # counts at most one node more than the [k] side when either
+        # exhausts its tree: the total is at most 2 * never + 1.  Where
+        # k + l = n the [k] side goes on alone, and the total is at most
+        # never's.
         counts = count_sides(monkeypatch)
         for k in range(2, n):
             for l in range(1, k):
@@ -777,6 +781,10 @@ class TestImprover:
                 assert (early.value, early.lower_bound, early.proven_optimal) == (
                     never.value, never.lower_bound, never.proven_optimal), (n, k, l)
                 assert early_k <= never.nodes_explored, (n, k, l)
+                if k + l == n:
+                    assert early.nodes_explored <= never.nodes_explored, (n, k, l)
+                else:
+                    assert early.nodes_explored <= 2 * never.nodes_explored + 1, (n, k, l)
 
     @pytest.mark.parametrize("n,k,gamma", [(7, 3, 13), (8, 4, 12), (6, 3, 9), (9, 5, 10)])
     def test_fired_mid_search(self, n, k, gamma, monkeypatch):

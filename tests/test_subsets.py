@@ -4,6 +4,8 @@ import math
 import operator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubedom.errors import InvalidParametersError
 from cubedom.levelgraph import LevelGraphSpec, graph_stats
@@ -37,6 +39,7 @@ class TestSubset:
         assert mask_of(reversed(elements(mask)), 6) == mask
         assert elements(0) == () and mask_of([], 6) == 0
         assert elements((1 << 64) - 1) == tuple(range(1, 65))
+        assert mask_of([70, 65, 1], 70) == 1 << 69 | 1 << 64 | 1
 
     def test_rejects_out_of_range_bits(self):
         with pytest.raises(InvalidParametersError, match="outside"):
@@ -52,6 +55,30 @@ class TestSubset:
     def test_rejects_non_integers(self, bad):
         with pytest.raises(InvalidParametersError, match="not an integer"):
             mask_of([bad, 2, 3], 4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 70), data=st.data())
+    def test_reads_as_element_by_element(self, n, data):
+        # Summed in one pass or read one element at a time, a collection
+        # gets the same mask, or the same error for its first bad element.
+        element = st.one_of(st.integers(-2, n + 2),
+                            st.sampled_from([True, False, 1.0, "1", None]))
+        els = data.draw(st.lists(element, max_size=8), label="elements")
+        mask, error = 0, None
+        for e in els:
+            if isinstance(e, bool) or not isinstance(e, int):
+                error = f"element {e!r} is not an integer"
+            elif not 1 <= e <= n:
+                error = f"element {e} outside [{n}]"
+            elif mask >> (e - 1) & 1:
+                error = f"repeated element {e}"
+            if error:
+                with pytest.raises(InvalidParametersError) as got:
+                    mask_of(iter(els), n)
+                assert str(got.value) == error
+                return
+            mask |= 1 << (e - 1)
+        assert mask_of(iter(els), n) == mask
 
 
 class TestBinomial:
