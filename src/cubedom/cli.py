@@ -103,11 +103,8 @@ def _emit_rows(rows, args) -> None:
 def _cmd_sweep(args) -> int:
     from .experiments import run_theorem1_sweep, run_theorem2_sweep
 
-    if args.theorem == 1:
-        rows = run_theorem1_sweep(args.n_min, args.n_max)
-    else:
-        rows = run_theorem2_sweep(args.n_min, args.n_max)
-    _emit_rows(rows, args)
+    run = run_theorem1_sweep if args.theorem == 1 else run_theorem2_sweep
+    _emit_rows(run(args.n_min, args.n_max), args)
     return 0
 
 

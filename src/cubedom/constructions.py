@@ -1,9 +1,10 @@
-"""Explicit dominating-set constructions for G_{k,2}, and the verifier.
+"""Explicit dominating-set constructions, and the verifier.
 
-Two families are built: for k > ceil(n/2), six k-sets (covering every
-pair) plus a spanning family of ceil(n/2) pairs (covering every k-set),
-of total size at most ceil(n/2) + 6; and for k = n-1 the fixed
-three-vertex family {[n-1], [n]\\{1}, {1,n}}.
+Three families are built: for G_{k,2} with k > ceil(n/2), six k-sets
+(covering every pair) plus a spanning family of ceil(n/2) pairs (covering
+every k-set), at most ceil(n/2) + 6 members; for G_{n-1,2}, the fixed
+three-vertex family {[n-1], [n]\\{1}, {1,n}}; and for G_{k,1}, the
+singletons of [n-k] plus the k-set [n] \\ [n-k].
 
 A certificate holds its family as two sets of masks, the upper members
 (k-sets) and the lower members (l-sets); since k > l, a mask's size names
@@ -43,6 +44,7 @@ VERIFY_CAP = 5_000_000
 class Provenance(enum.Enum):
     THEOREM1 = "theorem1"
     THEOREM2 = "theorem2"
+    GK1 = "gk1"
     GREEDY = "greedy"
     EXACT = "exact"
     EXTERNAL = "external"
@@ -158,6 +160,13 @@ def theorem2_construct(n: int) -> DominationCertificate:
     uppers = frozenset({_interval(1, n - 1), _interval(2, n)})
     lowers = frozenset({mask_of((1, n), n)})
     return DominationCertificate(spec, uppers, lowers, Provenance.THEOREM2)
+
+
+def gk1_construct(n: int, k: int) -> DominationCertificate:
+    """The n-k+1 members dominating G_{k,1}: the singletons of [n-k] and
+    the k-set [n] \\ [n-k]."""
+    return DominationCertificate(LevelGraphSpec(n, k, 1), frozenset({_interval(n - k + 1, n)}),
+                                 frozenset(1 << i for i in range(n - k)), Provenance.GK1)
 
 
 def _result(*bad: Optional[int]) -> VerificationResult:

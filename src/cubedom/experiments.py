@@ -2,10 +2,11 @@
 
 Each sweep emits ExperimentRow records in deterministic (n, k) order; a
 row that contradicts a theorem check raises CheckFailedError.  One rule,
-``_row``, proves every row; both theorem sweeps run ``_sweep``.  The
-conjectured quadratic main term is tabulated for comparison only: no
-finite computation can confirm or refute an asymptotic statement, so the
-table carries values and ratios, never a verdict.
+``_row``, proves every row; both theorem sweeps and the gk1 check run
+``_sweep``.  The conjectured quadratic main term is tabulated for
+comparison only: no finite computation can confirm or refute an
+asymptotic statement, so the table carries values and ratios, never a
+verdict.
 """
 
 from __future__ import annotations
@@ -17,22 +18,20 @@ from typing import Iterable, Optional
 
 from .constructions import (
     DominationCertificate,
+    gk1_construct,
     theorem1_construct,
     theorem2_construct,
     verify_certificate,
 )
-from .errors import CheckFailedError, InvalidParametersError, TooLargeError
+from .errors import CheckFailedError, InvalidParametersError
 from .levelgraph import LevelGraphSpec, MaterializedGraph, materialize
 from .solver import SolveReport, branch_and_bound_gamma, greedy_dominate, spec_lower_bound
 from .subsets import MAX_GROUND_SET
 
-# Above these n, the theorem sweeps stop calling the exact solver and
-# building the graph (solver cap <= graph cap).  Up to the graph cap each
-# row is checked by two methods that share no code, the structural check
-# and the members' closed neighbourhoods in the graph, so a fault in
-# either fails the sweep; above it the structural check alone certifies
-# the construction, at any n <= 64.
-SWEEP_SOLVER_N_CAP = 7
+# Above this n, the sweeps build no graph.  Up to it each row is checked by
+# two methods that share no code, the structural check and the members'
+# closed neighbourhoods in the graph, so a fault in either fails the sweep;
+# above it the structural check alone certifies the construction.
 SWEEP_GRAPH_N_CAP = 12
 CONJECTURE_NODE_BUDGET = 200_000
 
@@ -114,13 +113,16 @@ def _check_range(n_min: int, n_max: int) -> None:
         raise InvalidParametersError(f"n={n_max} exceeds {MAX_GROUND_SET}")
 
 
-def _sweep(items: Iterable[tuple[DominationCertificate, int]]) -> list[ExperimentRow]:
-    """The rows of a theorem sweep, one per (construction, size bound).
+def _sweep(items: Iterable[tuple[DominationCertificate, int]],
+           tight: bool = False) -> list[ExperimentRow]:
+    """The rows of a sweep, one per (construction, size bound).
 
     Every row checks the bound and verifies the construction.  Up to
     SWEEP_GRAPH_N_CAP the members' closed neighbourhoods in the built graph
-    check it a second time, independently, and greedy runs; up to
-    SWEEP_SOLVER_N_CAP branch and bound runs where greedy proves nothing.
+    check it a second time, independently, and greedy runs.  No row
+    searches: the construction or greedy against ``spec_lower_bound`` is
+    the proof of every row proven.  With ``tight`` the size bound is gamma
+    itself, and a row that does not prove it raises.
     """
     rows = []
     for cert, bound in items:
@@ -131,31 +133,25 @@ def _sweep(items: Iterable[tuple[DominationCertificate, int]]) -> list[Experimen
                 f"{where}: construction has {cert.size} members, bound is {bound}")
         if not verify_certificate(cert).verified:
             raise CheckFailedError(f"{where}: structural verification failed")
-        greedy = report = None
+        greedy = None
         if spec.n <= SWEEP_GRAPH_N_CAP:
             graph = materialize(spec)
             if not _covers(graph, cert):
                 raise CheckFailedError(f"{where}: certificate fails to dominate the built graph")
             greedy = greedy_dominate(graph)
-            if not greedy.proven_optimal and spec.n <= SWEEP_SOLVER_N_CAP:
-                report = branch_and_bound_gamma(graph, greedy)
-        rows.append(_row(spec, cert, greedy, report))
+        row = _row(spec, cert, greedy, None)
+        if tight and row.gamma_exact != bound:
+            raise CheckFailedError(f"n={spec.n}: lower bound {row.lower_bound} and construction "
+                                   f"do not prove gamma = {bound} at k={spec.k}")
+        rows.append(row)
     return rows
 
 
 def run_theorem2_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
-    """Per n: build the 3-member certificate, verify it, prove gamma = 3.
-
-    The construction meets the lower bound of 3, which proves every row
-    whether or not greedy ran (see ``_sweep``); a row not proven raises.
-    """
+    """Per n: build the 3-member certificate, verify it, and prove gamma = 3
+    from it and the lower bound of 3, whether or not greedy ran (see ``_sweep``)."""
     _check_range(n_min, n_max)
-    rows = _sweep((theorem2_construct(n), 3) for n in range(n_min, n_max + 1))
-    for row in rows:
-        if row.gamma_exact != 3:
-            raise CheckFailedError(f"n={row.n}: lower bound {row.lower_bound} and "
-                                   f"construction do not prove gamma = 3")
-    return rows
+    return _sweep(((theorem2_construct(n), 3) for n in range(n_min, n_max + 1)), tight=True)
 
 
 def run_theorem1_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
@@ -167,26 +163,12 @@ def run_theorem1_sweep(n_min: int, n_max: int) -> list[ExperimentRow]:
 
 
 def run_gk1_check(n_max: int) -> list[ExperimentRow]:
-    """Prove gamma(G_{k,1}) = n - k + 1 for all 2 <= k < n <= n_max."""
-    if n_max > 8:
-        raise TooLargeError(f"gk1 check is limited to n_max <= 8, got {n_max}")
-    if n_max < 3:
-        raise InvalidParametersError(f"need n_max >= 3, got {n_max}")
-    rows = []
-    for n in range(3, n_max + 1):
-        for k in range(2, n):
-            spec = LevelGraphSpec(n, k, 1)
-            graph = materialize(spec)
-            greedy = greedy_dominate(graph)
-            report = branch_and_bound_gamma(graph, greedy)
-            expected = n - k + 1
-            if not report.proven_optimal or report.value != expected:
-                raise CheckFailedError(
-                    f"(n={n},k={k},l=1): got {report.value} "
-                    f"(proven={report.proven_optimal}), expected {expected}"
-                )
-            rows.append(_row(spec, None, greedy, report))
-    return rows
+    """Prove gamma(G_{k,1}) = n - k + 1 for all 2 <= k < n <= n_max <= 64:
+    the l = 1 construction meets the duality bound (see ``_sweep``)."""
+    if not 3 <= n_max <= MAX_GROUND_SET:
+        raise InvalidParametersError(f"need 3 <= n_max <= {MAX_GROUND_SET}, got {n_max}")
+    return _sweep(((gk1_construct(n, k), n - k + 1)
+                   for n in range(3, n_max + 1) for k in range(2, n)), tight=True)
 
 
 def run_conjecture_table(n_min: int, n_max: int, k_min: int, k_max: int) -> list[ExperimentRow]:

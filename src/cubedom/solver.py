@@ -180,16 +180,26 @@ def _pair_graph_min(n: int, k: int) -> int:
     return best
 
 
+def duality_lower_bound(spec: LevelGraphSpec) -> int:
+    """With c = n - k: c + 1 for l = 1, l + 1 for c = 1, and min(n, c + l + 2)
+    otherwise.  Symmetric in c and l, so equal on G_{k,l} and on its image
+    G_{n-l,n-k}.  README has the proof, from the duality of ``constructions``."""
+    c, l = spec.n - spec.k, spec.l
+    return max(c, l) + 1 if min(c, l) == 1 else min(spec.n, c + l + 2)
+
+
 def spec_lower_bound(spec: LevelGraphSpec) -> int:
     """The lower bound known from the spec alone, branch and bound's root
-    bound: the larger of the bounds of G_{k,l} and of G_{n-l,n-k}, its
-    image under S -> [n] \\ S, each the pair-graph bound for l = 2 and the
-    counting bound otherwise.  The counting bound is the same on both, so
-    only k = n - 2 gains: its image has l = 2."""
+    bound: the largest of the duality bound and the bounds of G_{k,l} and
+    of G_{n-l,n-k}, its image under S -> [n] \\ S, each the pair-graph
+    bound for l = 2 and the counting bound otherwise.  The counting bound
+    is the same on both, so only k = n - 2 gains: its image has l = 2."""
     n, k, l = spec.n, spec.k, spec.l
     if l == 2 or k == n - 2:
-        return pair_graph_lower_bound(n, k if l == 2 else n - l)
-    return counting_lower_bound(spec)
+        side = pair_graph_lower_bound(n, k if l == 2 else n - l)
+    else:
+        side = counting_lower_bound(spec)
+    return max(side, duality_lower_bound(spec))
 
 
 # The reports that ``_report`` built, by id, each with its witness verified.

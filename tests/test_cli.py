@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import json
 import os
@@ -468,9 +470,15 @@ class TestSweeps:
         assert code == 0
         assert "5,2,4,true" in out
 
-    def test_gk1_over_budget_exits_3(self, capsys):
-        code, _, _ = run(capsys, "gk1-check", "--n-max", "9")
-        assert code == 3
+    def test_gk1_past_n_8_proves_every_row(self, capsys):
+        # The check searched to n = 8 and exited 3 above; it now proves
+        # every row from the construction and the duality bound.
+        code, out, err = run(capsys, "gk1-check", "--n-max", "9")
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 28
+        assert all(r["proven"] == "true" and int(r["gamma_exact"]) == int(r["n"]) - int(r["k"]) + 1
+                   for r in rows)
 
     def test_conjecture(self, capsys):
         code, out, _ = run(
@@ -553,17 +561,14 @@ class TestReadme:
 # it, with the attribute patched (if any) to force the fault.
 EXIT_CODES = {
     InvalidParametersError: (2, [(None, ("stats", "--n", "4", "--k", "4", "--l", "2"))]),
-    TooLargeError: (3, [(None, ("gk1-check", "--n-max", "9"))]),
+    TooLargeError: (3, [(None, ("greedy", "--n", "30", "--k", "15", "--l", "2"))]),
     CheckFailedError: (1, [
         # SolveReport: a lower bound above the witness's size.
         ((cubedom.solver, "counting_lower_bound", lambda spec: 10**6),
          ("greedy", "--n", "5", "--k", "3", "--l", "2")),
-        # A table row: a greedy value below the proven lower bound.  The
-        # row's branch and bound starts from greedy's witness, so the
-        # stand-in keeps the real one.
+        # A table row: a greedy value below the proven lower bound.
         ((cubedom.experiments, "greedy_dominate",
-          lambda g: types.SimpleNamespace(value=1, lower_bound=1, spec=g.spec,
-                                          witness=cubedom.solver.greedy_dominate(g).witness)),
+          lambda g: types.SimpleNamespace(value=1, lower_bound=1)),
          ("gk1-check", "--n-max", "3")),
     ]),
 }

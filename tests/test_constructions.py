@@ -17,6 +17,7 @@ from cubedom.constructions import (
     certificate_from_json,
     certificate_to_json,
     dump_certificate,
+    gk1_construct,
     load_certificate,
     theorem1_construct,
     theorem2_construct,
@@ -216,6 +217,36 @@ class TestTheorem2Construct:
         assert cert.size == 3
         assert verify_certificate(cert).verified
         assert not oracle_undominated(n, n - 1, 2, cert_as_tuples(cert))
+
+
+class TestGk1Construct:
+    def test_n5_k3(self):
+        cert = gk1_construct(5, 3)
+        assert cert_as_tuples(cert) == [("u", (3, 4, 5)), ("l", (1,)), ("l", (2,))]
+        assert cert.provenance is Provenance.GK1
+
+    def test_rejects_what_is_not_a_spec(self):
+        for n, k in ((4, 1), (4, 4), (65, 3)):
+            with pytest.raises(InvalidParametersError):
+                gk1_construct(n, k)
+
+    def test_verifies_at_every_spec_to_64(self):
+        # n - k + 1 members at every 2 <= k < n <= 64, and the structural
+        # check accepts each.  Without its k-set or a singleton the family
+        # no longer dominates, since n - k + 1 is gamma.
+        for n in range(3, 65):
+            for k in range(2, n):
+                cert = gk1_construct(n, k)
+                assert cert.size == n - k + 1
+                assert verify_certificate(cert).verified, (n, k)
+                for broken in (replace(cert, uppers=frozenset()),
+                               replace(cert, lowers=cert.lowers - {1 << (n - k - 1)})):
+                    assert not verify_certificate(broken).verified, (n, k)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_agrees_with_the_oracle(self, n):
+        for k in range(2, n):
+            assert not oracle_undominated(n, k, 1, cert_as_tuples(gk1_construct(n, k)))
 
 
 @st.composite
@@ -491,7 +522,7 @@ class TestStructuralVerifier:
 
 class TestSerialization:
     def test_round_trip(self):
-        for cert in [theorem2_construct(7), theorem1_construct(8, 6)]:
+        for cert in [theorem2_construct(7), theorem1_construct(8, 6), gk1_construct(9, 4)]:
             data = certificate_to_json(cert)
             again = certificate_from_json(data)
             assert again == cert

@@ -14,8 +14,8 @@ import cubedom.cli
 import cubedom.constructions
 import cubedom.experiments
 import cubedom.solver
-from cubedom.constructions import theorem1_construct
-from cubedom.errors import CheckFailedError, InvalidParametersError, TooLargeError
+from cubedom.constructions import gk1_construct, theorem1_construct
+from cubedom.errors import CheckFailedError, InvalidParametersError
 from cubedom.experiments import (
     CSV_HEADER,
     conjecture_main_term,
@@ -27,7 +27,11 @@ from cubedom.experiments import (
     run_theorem2_sweep,
 )
 from cubedom.levelgraph import LevelGraphSpec, materialize
-from cubedom.solver import counting_lower_bound
+from cubedom.solver import branch_and_bound_gamma, counting_lower_bound, greedy_dominate
+
+
+def no_search(*args):
+    raise AssertionError("branch and bound ran")
 
 
 class TestMainTerm:
@@ -105,22 +109,19 @@ class TestTheorem1Sweep:
             run_theorem1_sweep(3, 6)
 
     def test_greedy_proves_where_it_meets_the_bound(self, monkeypatch):
-        # Greedy's report is the proof of every row it proves, so branch and
-        # bound runs only on the other rows up to the solver cap: (6,4)
-        # and (7,5).  Above the cap the k = n - 1 rows read 3 = 3, and
-        # (9,6) reads greedy's 7 against the pair-graph bound of 7.
-        searched = []
-        real = cubedom.experiments.branch_and_bound_gamma
-
-        def counted(graph, incumbent, *args):
-            searched.append((graph.spec.n, graph.spec.k))
-            return real(graph, incumbent, *args)
-
-        monkeypatch.setattr(cubedom.experiments, "branch_and_bound_gamma", counted)
+        # Greedy's report against the spec's bound is the proof of every
+        # row proven, and the sweep never searches.  The k = n - 1 rows
+        # read 3 = 3, and the rows with n - k >= 2 and n >= 3(n - k) read
+        # greedy's n - k + 4 against the duality bound (at (9,6) the
+        # pair-graph bound reads 7 too).  All rows with n <= 7 are proven;
+        # (8,5), (10,6), (11,7) and (12,7) are not.
+        monkeypatch.setattr(cubedom.experiments, "branch_and_bound_gamma", no_search)
         rows = run_theorem1_sweep(4, 12)
-        assert searched == [(6, 4), (7, 5)]
         proven = [(r.n, r.k) for r in rows if r.proven and r.n > 7]
-        assert proven == [(8, 7), (9, 6), (9, 8), (10, 9), (11, 10), (12, 11)]
+        assert proven == [(8, 6), (8, 7), (9, 6), (9, 7), (9, 8), (10, 7), (10, 8), (10, 9),
+                          (11, 8), (11, 9), (11, 10), (12, 8), (12, 9), (12, 10), (12, 11)]
+        assert all(r.proven for r in rows if r.n <= 7)
+        assert len([r for r in rows if r.proven]) == 21
         assert all(r.gamma_exact == r.greedy_value == r.lower_bound for r in rows if r.proven)
 
     def test_two_methods_up_to_the_graph_cap(self, monkeypatch):
@@ -182,8 +183,56 @@ class TestGk1Check:
         assert by_nk[(4, 3)] == 2
 
     def test_rejects_large_n(self):
-        with pytest.raises(TooLargeError):
-            run_gk1_check(9)
+        # n_max runs to the ground-set cap, 64; past it, or below 3, the
+        # check refuses before any row.
+        for n_max in (65, 2):
+            with pytest.raises(InvalidParametersError, match=f"got {n_max}"):
+                run_gk1_check(n_max)
+
+    def test_proves_every_row_to_64_without_search(self, monkeypatch):
+        # The l = 1 construction against the duality bound n - k + 1 proves
+        # all 1,953 rows with 2 <= k < n <= 64; rows above the graph cap
+        # have no greedy value.
+        monkeypatch.setattr(cubedom.experiments, "branch_and_bound_gamma", no_search)
+        rows = run_gk1_check(64)
+        assert len(rows) == 1953
+        for r in rows:
+            assert r.proven and r.gamma_exact == r.construction_size == r.lower_bound == r.n - r.k + 1
+            assert (r.greedy_value is None) == (r.n > cubedom.experiments.SWEEP_GRAPH_N_CAP)
+
+    def test_row_not_proven_fails(self, monkeypatch):
+        # Above the graph cap a row's proof is the construction against the
+        # spec's bound, so a bound that falls short fails the check.
+        monkeypatch.setattr(cubedom.experiments, "spec_lower_bound", lambda spec: 1)
+        with pytest.raises(CheckFailedError, match="n=13: .*do not prove gamma = 12 at k=2"):
+            run_gk1_check(13)
+
+    def test_construction_covers_the_built_graph(self):
+        # The second, independent check of the construction, at every spec
+        # up to the graph cap; without one singleton it fails.
+        for n in range(3, cubedom.experiments.SWEEP_GRAPH_N_CAP + 1):
+            for k in range(2, n):
+                cert = gk1_construct(n, k)
+                graph = materialize(cert.spec)
+                assert cubedom.experiments._covers(graph, cert), (n, k)
+                assert not cubedom.experiments._covers(graph, replace(cert, lowers=cert.lowers - {1}))
+
+    def test_branch_and_bound_proves_the_formula(self, monkeypatch):
+        # The search that this check ran before the duality bound, kept as
+        # a second method: with the duality bound's stand-in 1, branch and
+        # bound from greedy proves n - k + 1 at every spec with n <= 8 from
+        # the counting bound and its own tree.  Greedy meets the counting
+        # bound except at (8,2), (8,3) and (8,4), which the search proves.
+        monkeypatch.setattr(cubedom.solver, "duality_lower_bound", lambda spec: 1)
+        searched = []
+        for n in range(3, 9):
+            for k in range(2, n):
+                graph = materialize(LevelGraphSpec(n, k, 1))
+                report = branch_and_bound_gamma(graph, greedy_dominate(graph))
+                assert report.proven_optimal and report.value == n - k + 1, (n, k)
+                if report.nodes_explored:
+                    searched.append((n, k))
+        assert searched == [(8, 2), (8, 3), (8, 4)]
 
 
 class TestConjectureTable:
@@ -258,9 +307,8 @@ class TestOneGraphPerRow:
     ], ids=["conjecture", "theorem1", "theorem2", "gk1", "exact"])
     def test_each_row_runs_greedy_once(self, monkeypatch, run):
         # Branch and bound starts from the greedy report of its row, or of
-        # its exact command, instead of running greedy again.  Theorem 1
-        # rows above n = 7 run greedy but no branch and bound, nor do the
-        # theorem 2 rows, which greedy proves.  The exact command reads
+        # its exact command, instead of running greedy again.  No sweep
+        # row, nor any gk1 row, runs branch and bound.  The exact command reads
         # greedy_dominate from cubedom.solver when it runs, so that is
         # where it is counted.
         calls = []
@@ -387,13 +435,19 @@ class TestPinnedTables:
     # 9,5,,false,11,,9.  Branch and bound on both sides of the complement
     # map re-took it (3073535e... -> 2d6d18fc...): the lower side proves
     # (9,4) inside the budget, 9,4,15,true,16,,15 where it read
-    # 9,4,,false,16,,14.
+    # 9,4,,false,16,,14.  The duality bound re-took the theorem-1 digest
+    # (40bb6788... -> ebf3c04c...): (8,6), (9,7), (10,7), (10,8), (11,8),
+    # (11,9), (12,8), (12,9) and (12,10) read proven at greedy's value,
+    # which their lower_bound rose to, and nothing else moved.  The gk1
+    # check's construction re-took the gk1 digest (2a5bfc72... ->
+    # f5ad9c72...): construction_size reads n - k + 1 on every row, where
+    # it was empty.
     DIGESTS = {
         "theorem2": "c170bd52bb4ce54c89734969a7ffaaed2a69f47abb5de7cecb170c76cb2ca14a",
         "theorem2-64": "dc75b415830ff4e4445d73716bc3719c487446b19bc8f3d6f8daf0da7618decd",
         "conjecture": "2d6d18fc69a10dda43c0692f0c5a5aa991a13b0ac2c5b8b5ce8176f4aedfe892",
-        "theorem1": "40bb6788c420ec24bb800625055c0cff6ec875598e83ba9133ad845269add4be",
-        "gk1": "2a5bfc7231af08f697c021ba5f6f32749b73486cbf1fe8a208cb68cba40078b1",
+        "theorem1": "ebf3c04c3b1d6ce16a8382336f8bd59c26837cb38e0e81a0dcdc8d1d5529f5d2",
+        "gk1": "f5ad9c723d0c444fc119166e4c399980105db70bfc43f6b0b2083cff1accaf68",
     }
 
     @pytest.mark.parametrize("name", TABLES)

@@ -36,6 +36,7 @@ from cubedom.solver import (
     SolveReport,
     branch_and_bound_gamma,
     counting_lower_bound,
+    duality_lower_bound,
     greedy_dominate,
     pair_graph_lower_bound,
     spec_lower_bound,
@@ -110,7 +111,7 @@ def chain_clique_floor(n, k, m):
 # open at the conjecture table's budget when they were taken; (12,7) is a
 # theorem-1 row.
 # (13,8) is past the table; HiGHS took 126 s, and branch and bound proves
-# it at the default budget in 2,586,833 nodes, under a second (CI runs it).
+# it at the default budget in 5,136,931 nodes, about 1.7 s (CI runs it).
 # (9,4) moved to FROZEN_GAMMA once branch and bound proved it too, from
 # the improver's incumbent.
 HIGHS_GAMMA = {(8, 3): 18, (9, 3): 24, (9, 5): 10, (10, 3): 30, (10, 4): 19,
@@ -407,10 +408,12 @@ class TestBranchAndBound:
     # frozen tests above, these pin the tree of every l = 2 spec of the
     # bench's prove grid.  (8,3,2) passes IMPROVE_AT, so the lower side
     # takes turns with the [k] side: 96,311 nodes, where the [k] side
-    # alone took 179,287.
+    # alone took 179,287.  The duality bound min(n, n - k + 4) is the
+    # root bound of (8,6), (6,4) and (7,5), 6 where the pair-graph bound
+    # read 4, 5 and 4, and greedy's 6 meets it: 169, 39 and 133 nodes -> 0.
     @pytest.mark.parametrize("n,k,gamma,nodes", [
-        (6, 3, 9, 625), (8, 6, 6, 169), (7, 3, 13, 209), (8, 4, 12, 16_843),
-        (10, 6, 9, 8_659), (6, 4, 6, 39), (7, 5, 6, 133), (8, 3, 18, 96_311),
+        (6, 3, 9, 625), (8, 6, 6, 0), (7, 3, 13, 209), (8, 4, 12, 16_843),
+        (10, 6, 9, 8_659), (6, 4, 6, 0), (7, 5, 6, 0), (8, 3, 18, 96_311),
     ], ids=["6-3", "8-6", "7-3", "8-4", "10-6", "6-4", "7-5", "8-3"])
     def test_search_tree_pinned(self, n, k, gamma, nodes):
         report = exact_l2(n, k)
@@ -620,6 +623,16 @@ def side_bounds(n, k, l):
     return bound(k, l), bound(n - l, n - k)
 
 
+def duality_cases(n, k, l):
+    """README's case split of the duality bound, with c = n - k."""
+    c = n - k
+    if l == 1:
+        return c + 1
+    if c == 1:
+        return l + 1
+    return min(n, c + l + 2)
+
+
 def image_report(report, spec):
     """``report`` with its witness carried by S -> [n] \\ S onto ``spec``,
     the image of its spec."""
@@ -636,39 +649,65 @@ class TestTwoSides:
     G_{n-l,n-k}."""
 
     def test_root_bound_is_the_larger_of_both_sides(self):
-        # The counting bound is the same on both sides, so only k = n - 2
-        # gains, from the pair-graph bound of its image: 25 bounds rise
-        # for n <= 12, none of them with l = 2.
-        risen = []
+        # The root bound is the largest of the duality bound and both
+        # sides' bounds.  The counting bound is the same on both sides, so
+        # only k = n - 2 gains from its image, from the pair-graph bound:
+        # 25 side bounds rise for n <= 12, none of them with l = 2.  The
+        # duality bound then raises 69 root bounds for n <= 12, 11 of them
+        # with l = 2.
+        risen, raised = [], []
         for n in range(3, 13):
             for k in range(2, n):
                 for l in range(1, k):
                     spec, image = LevelGraphSpec(n, k, l), LevelGraphSpec(n, n - l, n - k)
                     assert counting_lower_bound(spec) == counting_lower_bound(image)
                     own, other = side_bounds(n, k, l)
-                    assert spec_lower_bound(spec) == spec_lower_bound(image) == max(own, other)
+                    dual = duality_cases(n, k, l)
+                    assert spec_lower_bound(spec) == spec_lower_bound(image) == max(own, other, dual)
                     if other > own:
                         risen.append((n, k, l, own, other))
+                    if dual > max(own, other):
+                        raised.append((n, k, l, max(own, other), dual))
         assert len(risen) == 25 and all(l != 2 for _, _, l, _, _ in risen)
         assert {(9, 7, 5, 11, 14), (12, 10, 7, 13, 18)} <= set(risen)
+        assert len(raised) == 69 and sum(l == 2 for _, _, l, _, _ in raised) == 11
+        assert {(8, 6, 2, 4, 6), (8, 2, 1, 6, 7), (12, 11, 10, 9, 11)} <= set(raised)
 
-    def test_root_bounds_at_most_gamma(self):
-        # Both sides' bounds, at every frozen and HiGHS value of
-        # gamma(G_{k,2}) and its image, and at every gamma that branch and
-        # bound proves at n <= 8, for every l.
-        for (n, k), gamma in {**FROZEN_GAMMA, **HIGHS_GAMMA}.items():
-            for spec in ((n, k, 2), (n, n - 2, n - k)):
-                assert max(side_bounds(*spec)) <= gamma, spec
-        proven = 0
-        for n in range(3, 9):
+    def test_duality_bound_is_the_case_split_and_equal_on_the_image(self):
+        # At every spec with n <= 64: README's three cases, and the same
+        # value on G_{k,l} and on its image G_{n-l,n-k}, so both sides of
+        # the complement map keep one root bound.
+        for n in range(3, 65):
             for k in range(2, n):
                 for l in range(1, k):
-                    report = seeded_search(materialize(LevelGraphSpec(n, k, l)), 200_000)
-                    if report.proven_optimal:
-                        proven += 1
-                        assert max(side_bounds(n, k, l)) <= report.value, (n, k, l)
-        # All but (8,4,3), (8,5,3) and (8,5,4).
-        assert proven == 53
+                    got = duality_lower_bound(LevelGraphSpec(n, k, l))
+                    assert got == duality_cases(n, k, l), (n, k, l)
+                    assert got == duality_lower_bound(LevelGraphSpec(n, n - l, n - k)), (n, k, l)
+
+    def test_root_bounds_at_most_gamma(self, monkeypatch):
+        # The root bound, and so both sides' bounds and the duality bound,
+        # at every frozen and HiGHS value of gamma(G_{k,2}) and its image,
+        # and at every gamma that branch and bound proves at n <= 8, for
+        # every l.  The searches run without the duality bound, whose
+        # stand-in 1 leaves the root bound as it was before it, so a bound
+        # above gamma cannot end one early and prove itself.
+        for (n, k), gamma in {**FROZEN_GAMMA, **HIGHS_GAMMA}.items():
+            for spec in (LevelGraphSpec(n, k, 2), LevelGraphSpec(n, n - 2, n - k)):
+                assert spec_lower_bound(spec) <= gamma, spec
+        bounds = {(n, k, l): spec_lower_bound(LevelGraphSpec(n, k, l))
+                  for n in range(3, 9) for k in range(2, n) for l in range(1, k)}
+        monkeypatch.setattr(cubedom.solver, "duality_lower_bound", lambda spec: 1)
+        proven = tight = 0
+        for (n, k, l), bound in bounds.items():
+            report = seeded_search(materialize(LevelGraphSpec(n, k, l)), 200_000)
+            if report.proven_optimal:
+                proven += 1
+                assert bound <= report.value, (n, k, l)
+                tight += duality_cases(n, k, l) == report.value
+        # All but (8,4,3), (8,5,3) and (8,5,4).  The duality bound is gamma
+        # at all 21 specs with l = 1, all 15 with k = n - 1 and l >= 2, and
+        # at (6,4,2), (7,5,2) and (8,6,2).
+        assert (proven, tight) == (53, 39)
 
     def test_lower_side_is_the_k_side_on_the_image(self, monkeypatch):
         # With the improver out of reach, the lower side on G_{k,l}, from
@@ -1045,9 +1084,13 @@ class TestPinnedReport:
     both (6,4,3) digests, with the same witnesses: it is the pair-graph
     bound of (6,3,2), 9, where the counting bound read 8, so greedy's
     ``lower_bound`` went 8 -> 9 and ``exact``'s ``nodes_explored``
-    1,859 -> 1,847.  The brute-force digests were of reports until the oracle
-    returned its certificate; the new ones were taken from the witnesses
-    it found before, so they pin the same witnesses."""
+    1,859 -> 1,847.  The duality bound, 6 at (8,6,2) where the pair-graph
+    bound read 4, re-took both (8,6,2) digests, with the same witness:
+    greedy's ``lower_bound`` went 4 -> 6 (``proven_optimal`` false ->
+    true), and ``exact``'s ``nodes_explored`` 169 -> 0.  The brute-force
+    digests were of reports until the oracle returned its certificate; the
+    new ones were taken from the witnesses it found before, so they pin
+    the same witnesses."""
 
     @pytest.mark.parametrize("solve, spec, digest", [
         (seeded_search, (6, 3, 2),
@@ -1055,7 +1098,7 @@ class TestPinnedReport:
         (seeded_search, (7, 4, 2),
          "f09357329c3f46ec386231b84898fbd129b4e14c4968be4ab1c96cc6c96b129c"),
         (seeded_search, (8, 6, 2),
-         "31619e393bc664c4e610e9132241f2b5b202611c159e39416a06b07c99fb3fe2"),
+         "b3e56b1ebded8c2a11e9c881d70fb9ef1902dd615d6ae70a3ba31fd5c1db8030"),
         (seeded_search, (6, 4, 3),
          "4e3280e4ec019c7b6bc05e31754c5ba70407b87a5b4cc2f1d67f47d233cc055a"),
         (seeded_search, (7, 3, 1),
@@ -1065,7 +1108,7 @@ class TestPinnedReport:
         (greedy_dominate, (7, 4, 2),
          "32b75b9367696c5496a8d398576365cc9cb3aae279d9ddf4d720f9b59b411aee"),
         (greedy_dominate, (8, 6, 2),
-         "29d1a3ea8088ca508ec52c4bed0823a2363c762f522274e61597793743c38a51"),
+         "5b14e86040857b93a4b9e0a4719743d6b05c206f67c6a8403d052183347e3994"),
         (greedy_dominate, (6, 4, 3),
          "1b6f2333d1780763beb07750324dda2d97751809dbb5cb5d23318a8b52d7dcf4"),
         (greedy_dominate, (7, 3, 1),
