@@ -538,11 +538,14 @@ def _search(graph: MaterializedGraph, anchor: int, best: list, lower_bound: int,
     is sound, only looser.
 
     The search is one loop over an explicit stack of open exclude
-    branches.  An include child is counted and checked as it is made; a
-    run of excludes advances the position in place, one node per
-    position.  Primed by ``next``, the generator is sent (limit, hard)
-    node counts.  At the first node past limit it yields its count; when
-    resumed with a smaller ``best[0]``, from the improver or the other
+    branches; a node carries ``need``, the vertices its members leave
+    undominated.  An include child is counted and checked as it is made; a
+    run of excludes advances the position in place, one node per position.
+    Past FORCED_DEPTH members, a tight inner loop walks the include
+    children and the exclude siblings of those that fail, the same nodes in
+    the same order.  Primed by ``next``, the generator is sent (limit,
+    hard) node counts.  At the first node past limit it yields its count;
+    when resumed with a smaller ``best[0]``, from the improver or the other
     side, it drops the open branches, its node's included, with as many
     members.  Past hard it returns (False, count): the budget is spent.
     It returns (True, count) when its tree is exhausted or the incumbent
@@ -558,18 +561,21 @@ def _search(graph: MaterializedGraph, anchor: int, best: list, lower_bound: int,
     overlap = [((m ^ flip) & (amask ^ flip)).bit_count() for m in graph.masks]
     order = sorted((i for i in range(nv) if i != anchor),
                    key=lambda i: (-masks[i].bit_count(), -overlap[i], sign * i))
-    ordered_masks = [masks[i] for i in order]
+    # ordered_need[p]: the vertices that the candidate at p leaves undominated.
+    ordered_need = [full ^ masks[i] for i in order]
     ncand = len(order)
-    suffix_or = [0] * (ncand + 1)
-    # dead[p]: the vertices that no candidate at or after p dominates,
-    # apart from the vertex itself; one that is still uncovered must be
-    # chosen.
+    # miss[p]: the vertices that no candidate at or after p dominates;
+    # dead[p]: those that none dominates but the vertex itself, which must
+    # be chosen while it is uncovered.
+    miss = [full] * (ncand + 1)
     dead = [full] * (ncand + 1)
     reach = 0
     for i in range(ncand - 1, -1, -1):
-        suffix_or[i] = suffix_or[i + 1] | ordered_masks[i]
-        reach |= ordered_masks[i] & ~(1 << order[i])
+        miss[i] = miss[i + 1] & ordered_need[i]
+        reach |= masks[order[i]] & ~(1 << order[i])
         dead[i] = full ^ reach
+    # miss[p] only grows with p: it is 0 exactly before position gap.
+    gap = miss.count(0)
     best_size = len(best[0])
     # cap_at[p]: the cap table of the levels with candidates at or after p,
     # indexed [best_size - size][L].  Rows run to the incumbent's size when
@@ -604,8 +610,9 @@ def _search(graph: MaterializedGraph, anchor: int, best: list, lower_bound: int,
     # once a node of size s has branched on them.
     atoms_at: list[list[tuple[int, list[int]]] | None] = [None] * (ORBIT_DEPTH + 2)
     atoms_at[1] = _split_atoms([((1 << spec.n) - 1, [])], amask, contains, every, atom_tables)
-    # Open exclude branches, each the (pos, size, cover, U, L, nxt) of the
-    # node it resumes at; the loop is at the node (pos, size, cover, nxt).
+    # Open exclude branches, each the (pos, size, need, U, L, nxt) of the
+    # node it resumes at; the loop is at the node (pos, size, need, nxt),
+    # need being the vertices that its members leave undominated.
     # nxt[p] is the free position after the free position p; ncand, past
     # the last candidate, is never excluded.  For s up to ORBIT_DEPTH,
     # prv_at[s][q] is the free position before q, for each free q after
@@ -616,10 +623,10 @@ def _search(graph: MaterializedGraph, anchor: int, best: list, lower_bound: int,
     prv_at = [list(range(-1, ncand))] * (ORBIT_DEPTH + 2)
     # The root: the anchor alone never dominates, since no two vertices of
     # a level are adjacent.
-    pos, size, cover, nxt = 0, 1, masks[anchor], list(range(1, ncand + 2))
-    # Uncovered lowers and uppers; cover has no bits outside full.
-    low = nl - (cover >> nu).bit_count()
-    up = nv - cover.bit_count() - low
+    pos, size, need, nxt = 0, 1, full ^ masks[anchor], list(range(1, ncand + 2))
+    # Uncovered lowers and uppers.
+    low = (need >> nu).bit_count()
+    up = need.bit_count() - low
     limit, hard = yield nodes
     while best_size > lower_bound:
         nodes += 1
@@ -637,79 +644,114 @@ def _search(graph: MaterializedGraph, anchor: int, best: list, lower_bound: int,
                 if size >= best_size:
                     if not stack:
                         break
-                    pos, size, cover, up, low, nxt = pop()
+                    pos, size, need, up, low, nxt = pop()
                 if best_size <= lower_bound:
                     break
         # Row 0 of every table is -1, which prunes r = best_size - size - 1
-        # < 0.  suffix_or[ncand] is 0, so the last test also ends a run at
+        # < 0.  miss[ncand] is full, so the last test also ends a run at
         # ncand.
-        if (up > cap_at[pos][best_size - size][low]
-                or cover | suffix_or[pos] != full):
+        if up > cap_at[pos][best_size - size][low] or need & miss[pos]:
             if not stack:
                 break
-            pos, size, cover, up, low, nxt = pop()
+            pos, size, need, up, low, nxt = pop()
             continue
         # The node passed: branch on it, and on each include child that
         # passes in turn.
         while True:
-            # The exclude branch (epos, size, cover, up, low, enxt).
             if size > FORCED_DEPTH:
+                # The run reads each include child against its own table:
+                # a later one is never looser, so only a child that passes
+                # across a border is read again.  A failed child's exclude
+                # sibling has the need, size and table of a node that
+                # passed, so only its feasibility test, empty before gap,
+                # is left.  One that fails it, lies across a border or
+                # would pass limit goes to the loop's top, which counts and
+                # tests it, so every yield falls where it did.
+                table = cap_at[pos]
+                row = table[best_size - size - 1]
+                while True:
+                    path[size - 1] = pos
+                    child = need & ordered_need[pos]
+                    nodes += 1
+                    if nodes > hard:
+                        return False, nodes
+                    pos = nxt[pos]
+                    if not child:
+                        if size + 1 < best_size:
+                            best_size = size + 1
+                            best[0] = [anchor] + [order[p] for p in path[:size]]
+                        break
+                    clow = (child >> nu).bit_count()
+                    cup = child.bit_count() - clow
+                    if cup > row[clow] or child & miss[pos]:
+                        if (nodes >= limit or cap_at[pos] is not table
+                                or pos >= gap and need & miss[pos]):
+                            break
+                        nodes += 1
+                    elif cap_at[pos] is table or cup <= cap_at[pos][best_size - size - 1][clow]:
+                        push((pos, size, need, up, low, nxt))
+                        size += 1
+                        need, up, low = child, cup, clow
+                        table = cap_at[pos]
+                        row = table[best_size - size - 1]
+                    else:
+                        break
+                break
+            # Every completion chooses the dead vertices still uncovered:
+            # prune when they, with r - |F| picks after them, cannot
+            # dominate.  rest indexes the cap row of r - |F| picks.
+            forced = dead[pos] & need
+            if forced:
+                rest = best_size - size - forced.bit_count()
+                fneed = need
+                while forced:
+                    v = forced & -forced
+                    fneed &= ~masks[v.bit_length() - 1]
+                    forced ^= v
+                flow = (fneed >> nu).bit_count()
+                if rest <= 0 or fneed.bit_count() - flow > cap_at[pos][rest][flow]:
+                    if not stack:
+                        return True, nodes
+                    pos, size, need, up, low, nxt = pop()
+                    break
+            # The exclude branch (epos, size, need, up, low, enxt).
+            if size > ORBIT_DEPTH:
                 epos, enxt = nxt[pos], nxt
             else:
-                # Every completion chooses the dead vertices still uncovered:
-                # prune when they, with r - |F| picks after them, cannot
-                # dominate.  rest indexes the cap row of r - |F| picks.
-                forced = dead[pos] & ~cover
-                if forced:
-                    rest = best_size - size - forced.bit_count()
-                    fcover = cover
-                    while forced:
-                        v = forced & -forced
-                        fcover |= masks[v.bit_length() - 1]
-                        forced ^= v
-                    flow = nl - (fcover >> nu).bit_count()
-                    if rest <= 0 or nv - fcover.bit_count() - flow > cap_at[pos][rest][flow]:
-                        if not stack:
-                            return True, nodes
-                        pos, size, cover, up, low, nxt = pop()
-                        break
-                if size > ORBIT_DEPTH:
-                    epos, enxt = nxt[pos], nxt
-                else:
-                    # It drops pos's whole orbit, which is free and starts
-                    # at pos: the orbit's other positions, if any, are
-                    # unlinked from copies of nxt and prv, the last first.
-                    atoms = atoms_at[size]
-                    if atoms is None:
-                        atoms = atoms_at[size] = _split_atoms(
-                            atoms_at[size - 1], subsets[path[size - 2]], contains, every,
-                            atom_tables)
-                    v = subsets[pos]
-                    orbit = every
-                    for a, table in atoms:
-                        orbit &= table[(v & a).bit_count()]
-                    prv = eprv = prv_at[size]
-                    enxt = nxt
+                # It drops pos's whole orbit, which is free and starts
+                # at pos: the orbit's other positions, if any, are
+                # unlinked from copies of nxt and prv, the last first.
+                atoms = atoms_at[size]
+                if atoms is None:
+                    atoms = atoms_at[size] = _split_atoms(
+                        atoms_at[size - 1], subsets[path[size - 2]], contains, every,
+                        atom_tables)
+                v = subsets[pos]
+                orbit = every
+                for a, table in atoms:
+                    orbit &= table[(v & a).bit_count()]
+                prv = eprv = prv_at[size]
+                enxt = nxt
+                q = orbit.bit_length() - 1
+                if q > pos:
+                    enxt, eprv = nxt.copy(), prv.copy()
+                while q > pos:
+                    a, b = eprv[q], enxt[q]
+                    enxt[a], eprv[b] = b, a
+                    orbit ^= 1 << q
                     q = orbit.bit_length() - 1
-                    if q > pos:
-                        enxt, eprv = nxt.copy(), prv.copy()
-                    while q > pos:
-                        a, b = eprv[q], enxt[q]
-                        enxt[a], eprv[b] = b, a
-                        orbit ^= 1 << q
-                        q = orbit.bit_length() - 1
-                    epos = enxt[pos]
-                    # The include child keeps nxt and chooses a new set of
-                    # size + 1; the exclude branch takes enxt.
-                    prv_at[size + 1], prv_at[size] = prv, eprv
-                    atoms_at[size + 1] = None
+                epos = enxt[pos]
+                # The include child keeps nxt and chooses a new set of
+                # size + 1; the exclude branch takes enxt.
+                prv_at[size + 1], prv_at[size] = prv, eprv
+                atoms_at[size + 1] = None
             # The include child, counted and checked here.
             path[size - 1] = pos
-            child = cover | ordered_masks[pos]
+            child = need & ordered_need[pos]
             nodes += 1
             if nodes > hard:
                 return False, nodes
-            if child == full:
+            if not child:
                 # A leaf.
                 if size + 1 < best_size:
                     best_size = size + 1
@@ -717,12 +759,11 @@ def _search(graph: MaterializedGraph, anchor: int, best: list, lower_bound: int,
                 pos, nxt = epos, enxt
                 break
             cpos = nxt[pos]
-            clow = nl - (child >> nu).bit_count()
-            cup = nv - child.bit_count() - clow
-            if (cup > cap_at[cpos][best_size - size - 1][clow]
-                    or child | suffix_or[cpos] != full):
+            clow = (child >> nu).bit_count()
+            cup = child.bit_count() - clow
+            if cup > cap_at[cpos][best_size - size - 1][clow] or child & miss[cpos]:
                 pos, nxt = epos, enxt
                 break
-            push((epos, size, cover, up, low, enxt))
-            pos, size, cover, up, low = cpos, size + 1, child, cup, clow
+            push((epos, size, need, up, low, enxt))
+            pos, size, need, up, low = cpos, size + 1, child, cup, clow
     return True, nodes

@@ -984,6 +984,18 @@ class TestCapTable:
             assert table[r + 1] == [oracle_cap(r, low, cu, cl, *levels)
                                     for low in range(nl + 1)], r
 
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 9), nl=st.integers(0, 40), cu=st.integers(2, 8),
+           cl=st.integers(2, 8))
+    def test_one_level_is_never_looser(self, rows, nl, cu, cl):
+        # Branch and bound's run reads an include child against the table of
+        # the run's first position: a later position's table, of fewer
+        # levels, must prune whatever that one prunes.
+        both = cubedom.solver._cap_table(rows, nl, cu, cl, True, True)
+        for levels in ((True, False), (False, True)):
+            one = cubedom.solver._cap_table(rows, nl, cu, cl, *levels)
+            assert all(a <= b for row, top in zip(one, both) for a, b in zip(row, top))
+
 
 def young_orbits(n, chosen, members):
     """Orbits of the permutations of [n] that fix every chosen subset, on
@@ -1131,6 +1143,56 @@ class TestPinnedReport:
             data = certificate_to_json(result)
         text = json.dumps(data, indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    # Budget-bound searches, taken at the commit before deep nodes walked
+    # their include children in one run: (9,3,2) crosses the level border,
+    # the lower side of (10,5,2) stays near the root and (12,6,2) makes
+    # long runs; (9,4,2) stops at and one past the first slice's edge;
+    # (8,4,2) stops at eleven nodes in a row.
+    BUDGET_BOUND = [
+        ((9, 3, 2), 200_000, "7a6836709d301b8337e62f69a6a331fe27ae7082e91291fd79a3c33cc184c051"),
+        ((10, 5, 2), 200_000, "710facd49ea2659b43e5f42d43f17a2e6cbfa1b8716c762f6bb0181c3680c897"),
+        ((12, 6, 2), 200_000, "f8921a4452f172373560112ec460ffaeb03057474015f38847ce283d7191f998"),
+        ((9, 4, 2), 50_000, "3f7527412928495166b867b2784c69220cd5e3f6295c33b05e781b071c95fa56"),
+        ((9, 4, 2), 50_001, "a1503c6a43cfc4e0e4e3a37ace6441a56df1a059ced82083063730c071f4bcd4"),
+        ((8, 4, 2), 1_000, "70e38aa67c545a8f19fffb1e0bb46227721b5c99ff9b35e4ceae6eac99c4d55b"),
+        ((8, 4, 2), 1_001, "8c223e9ed8f782b028c3f9bf6e8a237b1d78e96c661223495bfe655b1a016bf8"),
+        ((8, 4, 2), 1_002, "8dc010a1c3b8796dc43809d24a269241ef7e2515b04631967552c8d8fd5831c0"),
+        ((8, 4, 2), 1_003, "d7cdd381ae06af8bb980912b544ae87b135c1f4026f09e0992666810be5137d3"),
+        ((8, 4, 2), 1_004, "2887b6d90f4896b57af56af08015fd4f9dbed850b2330db90a3734b4e5ce3164"),
+        ((8, 4, 2), 1_005, "e0556e80e9082fff84cc954ccfc36c860e79454b2893f5d0935661a5dcd0c5ca"),
+        ((8, 4, 2), 1_006, "b0d0d1658b36b342ef1d285d039f9893b20164317a543bf324be74a7782abaf8"),
+        ((8, 4, 2), 1_007, "945c85688de98f3a5b5e73d2a19816fea776fa7d2bd81eb740e41b38efafca58"),
+        ((8, 4, 2), 1_008, "ba0d75a95e7815f9bc51b4144f5e3e3c82f113ac97fd954696f596067fbebaf4"),
+        ((8, 4, 2), 1_009, "f0b5fe5d8d3976c210e1a10e279a40fab367a66621293dae84c92e23bec8f94e"),
+        ((8, 4, 2), 1_010, "d50cde6396e35f7f6eca3e2db4872a2c6905132e21c0e410fbc0f576d3532872"),
+    ]
+
+    @pytest.mark.parametrize("spec, budget, digest", BUDGET_BOUND,
+                             ids=[f"{n}-{k}-{l}-{b}" for (n, k, l), b, _ in BUDGET_BOUND])
+    def test_budget_bound_report_digest(self, spec, budget, digest):
+        data = seeded_search(materialize(LevelGraphSpec(*spec)), node_budget=budget).to_json()
+        assert data["nodes_explored"] == budget + 1
+        del data["elapsed_seconds"]
+        text = json.dumps(data, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    # Each side of (10,5,2) sent 3,000 slices of 1 to 3 nodes: every yield
+    # falls on the node where it fell before the run, whose siblings go
+    # back to the general loop when they would pass the slice.
+    @pytest.mark.parametrize("last, digest", [
+        (False, "da8fb9e3ccbc3f6a7951214adb99bcbb2871b34f0e6881879693be02d05ef715"),
+        (True, "47cf68ce294c5e632657eaa821589be21a545fdae4c2752e3ada35d46f65bcff"),
+    ], ids=["k-side", "lower-side"])
+    def test_slice_edges_pinned(self, last, digest):
+        graph = materialize(LevelGraphSpec(10, 5, 2))
+        best = [family_of(greedy_dominate(graph), graph)]
+        side = cubedom.solver._search(graph, graph.vertex_count - 1 if last else 0, best,
+                                      spec_lower_bound(graph.spec), {})
+        counts = [next(side)]
+        for i in range(3000):
+            counts.append(side.send((counts[-1] + 1 + i % 3, 10**9)))
+        assert hashlib.sha256(str(counts).encode()).hexdigest() == digest
 
     def test_report_stores_witness_and_bound_only(self):
         assert [f.name for f in fields(SolveReport)] == [
