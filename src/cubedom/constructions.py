@@ -169,11 +169,6 @@ def gk1_construct(n: int, k: int) -> DominationCertificate:
                                  frozenset(1 << i for i in range(n - k)), Provenance.GK1)
 
 
-def _result(*bad: Optional[int]) -> VerificationResult:
-    """The least of the levels' undominated masks; verified if there is none."""
-    return VerificationResult(min((m for m in bad if m is not None), default=None))
-
-
 def verify_certificate(cert: DominationCertificate) -> VerificationResult:
     """Check conditions (a) and (b) of the module docstring, for any l.
 
@@ -187,7 +182,9 @@ def verify_certificate(cert: DominationCertificate) -> VerificationResult:
     bad_lower = _transversal(n, l, complements, cert.lowers)
     top = _transversal(n, n - k, cert.lowers, complements, greatest=True,
                        bound=None if bad_lower is None else full ^ bad_lower)
-    return _result(bad_lower, None if top is None else full ^ top)
+    # The least of the levels' undominated masks; verified if there is none.
+    bad = [m for m in (bad_lower, None if top is None else full ^ top) if m is not None]
+    return VerificationResult(min(bad, default=None))
 
 
 def _transversal(

@@ -16,7 +16,6 @@ import enum
 import heapq
 import random
 import time
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, chain, repeat
@@ -149,9 +148,9 @@ def _clique_floor(n: int, k: int, m: int) -> int:
     return -(-prod(factors) // (factorial(k) * n ** (k - 2)))
 
 
+@lru_cache(maxsize=None)
 def pair_graph_lower_bound(n: int, k: int) -> int:
-    """A lower bound on gamma(G_{k,2}): the pair-graph bound, or the
-    counting bound where that is larger.
+    """The pair-graph lower bound on gamma(G_{k,2}), scanned once per (n, k).
 
     Write a dominating family as A, its k-set members, and H, its e pair
     members read as a graph on [n].  The C(n,2) - e pairs outside H each
@@ -159,17 +158,11 @@ def pair_graph_lower_bound(n: int, k: int) -> int:
     independent in H, a k-clique of H's complement, is in A.  So the
     family has at least e + max(ceil((C(n,2) - e)/C(k,2)), c) members,
     where c is ``_clique_floor`` of the complement's C(n,2) - e edges;
-    the pair-graph bound is the least of these over e.  README has the
-    full proof.
+    the bound is the least of these over e.  e plus the cover term never
+    falls as e grows, so the scan ends once it reaches the least value so
+    far.  README has the full proof.
     """
-    return max(counting_lower_bound(LevelGraphSpec(n, k, 2)), _pair_graph_min(n, k))
-
-
-@lru_cache(maxsize=None)
-def _pair_graph_min(n: int, k: int) -> int:
-    """The pair-graph bound, scanned once per (n, k).  e plus the cover
-    term never falls as e grows, so the scan ends once it reaches the
-    least value so far."""
+    LevelGraphSpec(n, k, 2)  # rejects what is not an l = 2 spec
     pairs, per = comb(n, 2), comb(k, 2)
     best = pairs
     for e in range(pairs + 1):
@@ -202,17 +195,11 @@ def spec_lower_bound(spec: LevelGraphSpec) -> int:
     return max(side, duality_lower_bound(spec))
 
 
-# The reports that ``_report`` built, by id, each with its witness verified.
-_BUILT: weakref.WeakValueDictionary[int, SolveReport] = weakref.WeakValueDictionary()
-
-
 def _report(
-    graph: MaterializedGraph, method: Method, chosen, lower_bound: int, nodes: int, start: float,
-    verified: bool = False,
+    graph: MaterializedGraph, method: Method, chosen, lower_bound: int, nodes: int, start: float
 ) -> SolveReport:
     """The report on the chosen vertex indices, its witness re-verified from
-    its masks alone, by a check that shares no code with ``materialize``,
-    unless ``verified``: the family is that of a report in ``_BUILT``."""
+    its masks alone, by a check that shares no code with ``materialize``."""
     nu, masks = graph.upper_count, graph.masks
     witness = DominationCertificate(
         spec=graph.spec,
@@ -221,11 +208,10 @@ def _report(
         provenance=Provenance.GREEDY if method is Method.GREEDY else Provenance.EXACT,
     )
     report = SolveReport(method, witness, lower_bound, nodes, time.perf_counter() - start)
-    if not verified and not verify_certificate(witness).verified:
+    if not verify_certificate(witness).verified:
         raise CheckFailedError(
             f"{method.value} produced a non-dominating witness for {graph.spec}"
         )
-    _BUILT[id(report)] = report
     return report
 
 
@@ -472,12 +458,10 @@ def branch_and_bound_gamma(
     if incumbent.spec != spec:
         raise InvalidParametersError(f"incumbent is for {incumbent.spec}, not {spec}")
     index = {m: i for i, m in enumerate(graph.masks)}
-    start_set = sorted(index[m] for m in incumbent.witness.uppers | incumbent.witness.lowers)
-    known = _BUILT.get(id(incumbent)) is incumbent
     # best[0]: the incumbent's vertices, shared by the sides.
-    best = [start_set]
+    best = [sorted(index[m] for m in incumbent.witness.uppers | incumbent.witness.lowers)]
     nodes = [0]
-    if len(start_set) > lower_bound:
+    if len(best[0]) > lower_bound:
         tables: dict[tuple[bool, bool], list[list[int]]] = {}
         sides = [_search(graph, 0, best, lower_bound, tables)]
         next(sides[0])
@@ -503,9 +487,7 @@ def branch_and_bound_gamma(
             turn = (turn + 1) % len(sides)
         if done:
             lower_bound = len(best[0])
-    verified = known and sorted(best[0]) == start_set
-    return _report(graph, Method.BRANCH_AND_BOUND, best[0], lower_bound, sum(nodes), start,
-                   verified)
+    return _report(graph, Method.BRANCH_AND_BOUND, best[0], lower_bound, sum(nodes), start)
 
 
 def _search(graph: MaterializedGraph, anchor: int, best: list, lower_bound: int, tables: dict):

@@ -16,7 +16,6 @@ from cubedom.constructions import (
     DominationCertificate,
     Provenance,
     VerificationResult,
-    _result,
 )
 from cubedom.errors import TooLargeError
 from cubedom.levelgraph import MaterializedGraph
@@ -65,7 +64,8 @@ def scan_certificate(cert: DominationCertificate) -> VerificationResult:
         else:
             bad_upper = u
             break
-    return _result(bad_lower, bad_upper)
+    return VerificationResult(min((m for m in (bad_lower, bad_upper) if m is not None),
+                                  default=None))
 
 
 def seeded_search(graph: MaterializedGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> SolveReport:

@@ -564,7 +564,7 @@ EXIT_CODES = {
     TooLargeError: (3, [(None, ("greedy", "--n", "30", "--k", "15", "--l", "2"))]),
     CheckFailedError: (1, [
         # SolveReport: a lower bound above the witness's size.
-        ((cubedom.solver, "counting_lower_bound", lambda spec: 10**6),
+        ((cubedom.solver, "spec_lower_bound", lambda spec: 10**6),
          ("greedy", "--n", "5", "--k", "3", "--l", "2")),
         # A table row: a greedy value below the proven lower bound.
         ((cubedom.experiments, "greedy_dominate",

@@ -299,8 +299,8 @@ class TestBranchAndBound:
     @pytest.mark.parametrize("n", [7, 64])
     def test_incumbent_at_the_root_bound_returns_before_the_tables(self, monkeypatch, n):
         # Greedy proves (n, n-1, 2) with 3 members, so branch and bound
-        # returns its family with 0 nodes, verified once, by greedy, and
-        # builds none of the search's tables.
+        # returns its family with 0 nodes and builds none of the search's
+        # tables.
         graph = materialize(LevelGraphSpec(n, n - 1, 2))
         greedy = greedy_dominate(graph)
         assert greedy.proven_optimal
@@ -310,11 +310,9 @@ class TestBranchAndBound:
 
         monkeypatch.setattr(cubedom.solver, "_cap_table", refuse)
         monkeypatch.setattr(cubedom.solver, "_split_atoms", refuse)
-        calls = TestReportRecheck.count_verify_calls(monkeypatch)
         report = branch_and_bound_gamma(graph, greedy)
         assert (report.value, report.lower_bound, report.nodes_explored) == (3, 3, 0)
         assert report.witness == replace(greedy.witness, provenance=Provenance.EXACT)
-        assert calls == []
 
     def test_matches_brute_force_n_le_6(self):
         for n in range(3, 7):
@@ -876,25 +874,19 @@ class TestImprover:
             report = branch_and_bound_gamma(graph, incumbent)
             assert (report.value, report.proven_optimal) == (gamma, True), trigger
 
-    def test_equal_family_is_verified_again(self, monkeypatch):
+    def test_equal_family_becomes_the_witness(self, monkeypatch):
         # An improver that returns another family of the same size makes
-        # it the incumbent.  The search keeps it, since it finds nothing
-        # smaller, and verifies it, though the size is greedy's: the
-        # verify-once shortcut compares families, not sizes.  Returning
-        # greedy's own family adds no verification.
+        # it the incumbent, and the search, finding nothing smaller,
+        # reports it.
         graph = materialize(LevelGraphSpec(8, 4, 2))
         greedy = greedy_dominate(graph)
-        own = family_of(greedy, graph)
-        image = transposed(graph, own, 0, 7)
-        assert sorted(image) != own
+        image = transposed(graph, family_of(greedy, graph), 0, 7)
+        assert sorted(image) != family_of(greedy, graph)
         monkeypatch.setattr(cubedom.solver, "IMPROVE_AT", 1)
-        for family, verified in ((own, 0), (image, 1)):
-            monkeypatch.setattr(cubedom.solver, "_improve", lambda graph, chosen, bound: family)
-            calls = TestReportRecheck.count_verify_calls(monkeypatch)
-            report = branch_and_bound_gamma(graph, greedy)
-            assert report.proven_optimal and report.value == 12
-            assert family_of(report, graph) == sorted(family)
-            assert len(calls) == verified
+        monkeypatch.setattr(cubedom.solver, "_improve", lambda graph, chosen, bound: image)
+        report = branch_and_bound_gamma(graph, greedy)
+        assert report.proven_optimal and report.value == 12
+        assert family_of(report, graph) == sorted(image)
 
     def test_result_dominates_and_sits_between_gamma_and_greedy(self):
         # On every l = 2 spec with n <= 8, the improver's family dominates,
@@ -1239,45 +1231,37 @@ class TestReportRecheck:
                             lambda cert: calls.append(cert) or verify(cert))
         return calls
 
-    @pytest.mark.parametrize("argv,verified", [
-        (["--n", "9", "--k", "6"], 1),
-        (["--n", "8", "--k", "4", "--node-budget", "1"], 1),
-        (["--n", "6", "--k", "3"], 2),
-    ], ids=["greedy-meets-bound", "budget-keeps-greedy", "search-improves"])
-    def test_unchanged_witness_is_verified_once(self, argv, verified, monkeypatch, capsys):
-        # exact verifies greedy's witness once; branch and bound verifies
-        # its witness again only when it is a smaller family: at (9,6,2)
-        # greedy meets the bound, at (8,4,2) one node keeps greedy's 12,
-        # and at (6,3,2) the search finds 9 where greedy found 11.
+    def test_every_report_is_verified_once(self, monkeypatch, capsys):
+        # Each _report call verifies its own witness, once, whoever built
+        # the incumbent: exact makes two calls on each of its paths.  At
+        # (9,6,2) greedy meets the bound, at (8,4,2) one node keeps
+        # greedy's 12, and at (6,3,2) the search finds 9 where greedy
+        # found 11.
         calls = self.count_verify_calls(monkeypatch)
-        main(["exact", *argv, "--l", "2"])
-        assert len(calls) == verified
-
-    def test_hand_built_report_is_verified_again(self, monkeypatch):
-        # A report that _report did not build is verified even when the
-        # search keeps its family: a copy of greedy's report is verified
-        # once, and a family as large as greedy's that leaves a vertex
-        # undominated raises.
+        reports = []
+        report = cubedom.solver._report
+        monkeypatch.setattr(cubedom.solver, "_report",
+                            lambda *args: reports.append(report(*args)) or reports[-1])
+        for argv in (["--n", "9", "--k", "6"], ["--n", "8", "--k", "4", "--node-budget", "1"],
+                     ["--n", "6", "--k", "3"]):
+            calls.clear()
+            reports.clear()
+            main(["exact", *argv, "--l", "2"])
+            assert calls == [r.witness for r in reports] and len(reports) == 2, argv
+        # A hand-built incumbent as large as greedy's family that leaves a
+        # vertex undominated raises when the search keeps it.
         graph = materialize(LevelGraphSpec(7, 4, 2))
         greedy = greedy_dominate(graph)
-
-        def report_on(members):
-            witness = replace(greedy.witness,
-                              uppers=frozenset(m for m in members if m.bit_count() == 4),
-                              lowers=frozenset(m for m in members if m.bit_count() == 2))
-            return replace(greedy, witness=witness)
-
-        # Greedy's family with one member swapped for another vertex.
         members = sorted(greedy.witness.uppers | greedy.witness.lowers)
-        swapped = (report_on(members[1:] + [m]) for m in graph.masks if m not in members)
-        broken = next(r for r in swapped if not verify_certificate(r.witness).verified)
-        calls = self.count_verify_calls(monkeypatch)
-        branch_and_bound_gamma(graph, greedy, node_budget=1)
-        assert calls == []
-        branch_and_bound_gamma(graph, report_on(members), node_budget=1)
-        assert len(calls) == 1
+        for m in graph.masks:
+            family = members[1:] + [m]
+            witness = replace(greedy.witness,
+                              uppers=frozenset(v for v in family if v.bit_count() == 4),
+                              lowers=frozenset(v for v in family if v.bit_count() == 2))
+            if m not in members and not verify_certificate(witness).verified:
+                break
         with pytest.raises(CheckFailedError, match="non-dominating witness"):
-            branch_and_bound_gamma(graph, broken, node_budget=1)
+            branch_and_bound_gamma(graph, replace(greedy, witness=witness), node_budget=1)
 
 
 class TestInvariantsUnderOptimize:
