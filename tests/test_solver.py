@@ -1231,37 +1231,56 @@ class TestReportRecheck:
                             lambda cert: calls.append(cert) or verify(cert))
         return calls
 
-    def test_every_report_is_verified_once(self, monkeypatch, capsys):
+    @staticmethod
+    def count_report_calls(monkeypatch):
+        reports = []
+        report = cubedom.solver._report
+        monkeypatch.setattr(cubedom.solver, "_report",
+                            lambda *args: reports.append(report(*args)) or reports[-1])
+        return reports
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "9", "--k", "6"],
+        ["--n", "8", "--k", "4", "--node-budget", "1"],
+        ["--n", "6", "--k", "3"],
+    ], ids=["greedy-meets-bound", "budget-keeps-greedy", "search-improves"])
+    def test_unchanged_witness_is_verified_once(self, argv, monkeypatch, capsys):
         # Each _report call verifies its own witness, once, whoever built
         # the incumbent: exact makes two calls on each of its paths.  At
         # (9,6,2) greedy meets the bound, at (8,4,2) one node keeps
         # greedy's 12, and at (6,3,2) the search finds 9 where greedy
         # found 11.
         calls = self.count_verify_calls(monkeypatch)
-        reports = []
-        report = cubedom.solver._report
-        monkeypatch.setattr(cubedom.solver, "_report",
-                            lambda *args: reports.append(report(*args)) or reports[-1])
-        for argv in (["--n", "9", "--k", "6"], ["--n", "8", "--k", "4", "--node-budget", "1"],
-                     ["--n", "6", "--k", "3"]):
-            calls.clear()
-            reports.clear()
-            main(["exact", *argv, "--l", "2"])
-            assert calls == [r.witness for r in reports] and len(reports) == 2, argv
-        # A hand-built incumbent as large as greedy's family that leaves a
-        # vertex undominated raises when the search keeps it.
+        reports = self.count_report_calls(monkeypatch)
+        main(["exact", *argv, "--l", "2"])
+        assert len(reports) == 2
+        assert calls == [r.witness for r in reports]
+
+    def test_hand_built_report_is_verified_again(self, monkeypatch):
+        # A report that _report did not build takes the same path as one it
+        # did: branch and bound verifies the family it keeps once, for an
+        # equal copy of greedy's report as for greedy's own, and a family
+        # as large as greedy's that leaves a vertex undominated raises.
         graph = materialize(LevelGraphSpec(7, 4, 2))
         greedy = greedy_dominate(graph)
-        members = sorted(greedy.witness.uppers | greedy.witness.lowers)
-        for m in graph.masks:
-            family = members[1:] + [m]
+
+        def report_on(members):
             witness = replace(greedy.witness,
-                              uppers=frozenset(v for v in family if v.bit_count() == 4),
-                              lowers=frozenset(v for v in family if v.bit_count() == 2))
-            if m not in members and not verify_certificate(witness).verified:
-                break
+                              uppers=frozenset(m for m in members if m.bit_count() == 4),
+                              lowers=frozenset(m for m in members if m.bit_count() == 2))
+            return replace(greedy, witness=witness)
+
+        # Greedy's family with one member swapped for another vertex.
+        members = sorted(greedy.witness.uppers | greedy.witness.lowers)
+        swapped = (report_on(members[1:] + [m]) for m in graph.masks if m not in members)
+        broken = next(r for r in swapped if not verify_certificate(r.witness).verified)
+        calls = self.count_verify_calls(monkeypatch)
+        kept = branch_and_bound_gamma(graph, greedy, node_budget=1)
+        copied = branch_and_bound_gamma(graph, report_on(members), node_budget=1)
+        assert calls == [kept.witness, copied.witness]
+        assert kept.witness == copied.witness
         with pytest.raises(CheckFailedError, match="non-dominating witness"):
-            branch_and_bound_gamma(graph, replace(greedy, witness=witness), node_budget=1)
+            branch_and_bound_gamma(graph, broken, node_budget=1)
 
 
 class TestInvariantsUnderOptimize:
